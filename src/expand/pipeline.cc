@@ -39,56 +39,59 @@ PipelineConfig PipelineConfig::Tiny() {
   return config;
 }
 
-Pipeline::Pipeline(const PipelineConfig& config, GeneratedWorld world)
-    : config_(config), world_(std::move(world)) {}
+namespace {
+
+/// The generated world: loaded from the snapshot cache when a previous run
+/// generated it from an identical GeneratorConfig, else generated and
+/// cached.
+GeneratedWorld LoadOrGenerateWorld(const GeneratorConfig& config) {
+  ArtifactCache& cache = ArtifactCache::Global();
+  const uint64_t world_key = FingerprintConfig(config);
+  {
+    UW_SPAN("cache.load_world");
+    auto cached = TryLoadCached(cache, "world", world_key,
+                                [](const std::string& path) {
+                                  return LoadWorldSnapshot(path);
+                                });
+    if (cached.has_value()) return std::move(*cached);
+  }
+  UW_SPAN("generate_world");
+  GeneratedWorld world = GenerateWorld(config);
+  StoreCached(cache, "world", world_key, [&world](const std::string& path) {
+    return SaveWorldSnapshot(world, path);
+  });
+  return world;
+}
+
+}  // namespace
 
 Pipeline Pipeline::Build(const PipelineConfig& config) {
   UW_SPAN("pipeline.build");
-  ArtifactCache& cache = ArtifactCache::Global();
+  return Pipeline(config);
+}
 
-  // World: loaded from the snapshot cache when a previous run generated it
-  // from an identical GeneratorConfig, else generated and cached.
-  const uint64_t world_key = FingerprintConfig(config.generator);
-  Pipeline pipeline = [&config, &cache, world_key] {
-    {
-      UW_SPAN("cache.load_world");
-      auto cached = TryLoadCached(cache, "world", world_key,
-                                  [](const std::string& path) {
-                                    return LoadWorldSnapshot(path);
-                                  });
-      if (cached.has_value()) {
-        return Pipeline(config, std::move(*cached));
-      }
-    }
-    UW_SPAN("generate_world");
-    GeneratedWorld world = GenerateWorld(config.generator);
-    StoreCached(cache, "world", world_key,
-                [&world](const std::string& path) {
-                  return SaveWorldSnapshot(world, path);
-                });
-    return Pipeline(config, std::move(world));
-  }();
+Pipeline::Pipeline(const PipelineConfig& config)
+    : config_(config), world_(LoadOrGenerateWorld(config.generator)) {
+  ArtifactCache& cache = ArtifactCache::Global();
   {
     UW_SPAN("build_dataset");
-    auto built = BuildDataset(pipeline.world_, config.dataset);
+    auto built = BuildDataset(world_, config.dataset);
     UW_CHECK(built.ok()) << built.status();
-    pipeline.dataset_ = std::move(built).value();
+    dataset_ = std::move(built).value();
   }
 
-  pipeline.oracle_ =
-      std::make_unique<LlmOracle>(&pipeline.world_, config.oracle);
+  oracle_ = std::make_unique<LlmOracle>(&world_, config.oracle);
 
   // Main encoder: entity-prediction training over the full corpus, cached
   // keyed on the world's provenance plus every training knob. A world of
   // unknown provenance (fingerprint 0, e.g. loaded from TSV) disables
   // derived-artifact caching — there is nothing sound to key on.
-  const Corpus& corpus = pipeline.world_.corpus;
-  const bool derivable = pipeline.world_.fingerprint != 0;
+  const Corpus& corpus = world_.corpus;
+  const bool derivable = world_.fingerprint != 0;
   const uint64_t encoder_key =
-      derivable ? CombineFingerprints(
-                      {pipeline.world_.fingerprint,
-                       FingerprintConfig(config.encoder),
-                       FingerprintConfig(config.encoder_train)})
+      derivable ? CombineFingerprints({world_.fingerprint,
+                                       FingerprintConfig(config.encoder),
+                                       FingerprintConfig(config.encoder_train)})
                 : 0;
   if (derivable) {
     UW_SPAN("cache.load_encoder");
@@ -97,56 +100,49 @@ Pipeline Pipeline::Build(const PipelineConfig& config) {
                                   return LoadEncoder(path);
                                 });
     if (cached.has_value()) {
-      pipeline.encoder_ =
-          std::make_unique<ContextEncoder>(std::move(*cached));
+      encoder_ = std::make_unique<ContextEncoder>(std::move(*cached));
     }
   }
-  if (pipeline.encoder_ == nullptr) {
-    pipeline.encoder_ = std::make_unique<ContextEncoder>(
+  if (encoder_ == nullptr) {
+    encoder_ = std::make_unique<ContextEncoder>(
         corpus.tokens().size(), corpus.entity_count(), config.encoder);
-    pipeline.encoder_->SetTokenWeights(
-        ComputeSifTokenWeights(corpus.tokens()));
+    encoder_->SetTokenWeights(ComputeSifTokenWeights(corpus.tokens()));
     {
       UW_SPAN("train_encoder");
-      TrainEntityPrediction(corpus, *pipeline.encoder_,
-                            config.encoder_train);
+      TrainEntityPrediction(corpus, *encoder_, config.encoder_train);
     }
     if (derivable) {
       StoreCached(cache, "encoder", encoder_key,
-                  [&pipeline](const std::string& path) {
-                    return SaveEncoder(*pipeline.encoder_, path);
+                  [this](const std::string& path) {
+                    return SaveEncoder(*encoder_, path);
                   });
     }
   }
 
   // Entity store: cached keyed on the encoder key plus the store and
   // dataset configs (the build set is the dataset's candidate vocabulary).
-  const uint64_t store_key =
-      derivable ? CombineFingerprints({encoder_key,
-                                       FingerprintConfig(config.store),
-                                       FingerprintConfig(config.dataset)})
-                : 0;
-  pipeline.store_key_ = store_key;
+  store_key_ = derivable ? CombineFingerprints(
+                               {encoder_key, FingerprintConfig(config.store),
+                                FingerprintConfig(config.dataset)})
+                         : 0;
   if (derivable) {
     UW_SPAN("cache.load_store");
-    auto cached = TryLoadCached(cache, "store", store_key,
+    auto cached = TryLoadCached(cache, "store", store_key_,
                                 [](const std::string& path) {
                                   return LoadEntityStoreSnapshot(path);
                                 });
     if (cached.has_value()) {
-      pipeline.store_ =
-          std::make_unique<EntityStore>(std::move(*cached));
+      store_ = std::make_unique<EntityStore>(std::move(*cached));
     }
   }
-  if (pipeline.store_ == nullptr) {
+  if (store_ == nullptr) {
     UW_SPAN("entity_store");
-    pipeline.store_ = std::make_unique<EntityStore>(EntityStore::Build(
-        corpus, *pipeline.encoder_, pipeline.dataset_.candidates,
-        config.store));
+    store_ = std::make_unique<EntityStore>(EntityStore::Build(
+        corpus, *encoder_, dataset_.candidates, config.store));
     if (derivable) {
-      StoreCached(cache, "store", store_key,
-                  [&pipeline](const std::string& path) {
-                    return SaveEntityStoreSnapshot(*pipeline.store_, path);
+      StoreCached(cache, "store", store_key_,
+                  [this](const std::string& path) {
+                    return SaveEntityStoreSnapshot(*store_, path);
                   });
     }
   }
@@ -154,17 +150,16 @@ Pipeline Pipeline::Build(const PipelineConfig& config) {
   // Language model: "further pretraining" on the corpus.
   {
     UW_SPAN("lm_pretrain");
-    pipeline.lm_ =
-        std::make_unique<HybridLm>(corpus.tokens().size(), config.lm);
-    pipeline.lm_->SetStopTokens(pipeline.StopTokens());
-    pipeline.TrainLmOn(*pipeline.lm_, config.lm_pretrain_fraction);
+    lm_ = std::make_unique<HybridLm>(corpus.tokens().size(), config.lm);
+    lm_->SetStopTokens(StopTokens());
+    TrainLmOn(*lm_, config.lm_pretrain_fraction);
   }
 
   // Prefix trie over candidate surface forms.
   {
     UW_SPAN("build_trie");
-    pipeline.trie_ = std::make_unique<PrefixTrie>();
-    for (EntityId id : pipeline.dataset_.candidates) {
+    trie_ = std::make_unique<PrefixTrie>();
+    for (EntityId id : dataset_.candidates) {
       std::vector<TokenId> name;
       for (const std::string& word : corpus.entity(id).name_tokens) {
         const TokenId token = corpus.tokens().Lookup(word);
@@ -176,16 +171,14 @@ Pipeline Pipeline::Build(const PipelineConfig& config) {
             << " has no in-vocabulary name tokens; skipping trie insert";
         continue;
       }
-      pipeline.trie_->Insert(name, id);
+      trie_->Insert(name, id);
     }
   }
-  pipeline.similarity_ =
-      std::make_unique<LmEntitySimilarity>(corpus, *pipeline.lm_);
+  similarity_ = std::make_unique<LmEntitySimilarity>(corpus, *lm_);
   obs::GetGauge("pipeline.candidates").Set(
-      static_cast<int64_t>(pipeline.dataset_.candidates.size()));
+      static_cast<int64_t>(dataset_.candidates.size()));
   obs::GetGauge("pipeline.corpus_sentences")
       .Set(static_cast<int64_t>(corpus.sentence_count()));
-  return pipeline;
 }
 
 void Pipeline::TrainLmOn(HybridLm& lm, double fraction) const {
@@ -368,78 +361,6 @@ const IvfIndex& Pipeline::ann_index() {
     }
   }
   return *ann_index_;
-}
-
-std::vector<size_t> ShardCandidatePositions(size_t candidate_count,
-                                            const ShardSpec& spec) {
-  UW_CHECK(spec.valid()) << "bad shard spec " << spec.index << "/"
-                         << spec.count;
-  std::vector<size_t> positions;
-  positions.reserve(candidate_count / static_cast<size_t>(spec.count) + 1);
-  for (size_t p = static_cast<size_t>(spec.index); p < candidate_count;
-       p += static_cast<size_t>(spec.count)) {
-    positions.push_back(p);
-  }
-  return positions;
-}
-
-uint64_t Pipeline::ShardStoreKey(const ShardSpec& spec) const {
-  if (store_key_ == 0) return 0;
-  // Distinct type tag so a shard store never collides with the full
-  // store or another derived artifact under the same provenance.
-  return CombineFingerprints({store_key_, 0x5348415244ull /* "SHARD" */,
-                              static_cast<uint64_t>(spec.count),
-                              static_cast<uint64_t>(spec.index)});
-}
-
-std::unique_ptr<EntityStore> Pipeline::BuildShardStore(
-    const ShardSpec& spec) {
-  UW_CHECK(spec.valid()) << "bad shard spec " << spec.index << "/"
-                         << spec.count;
-  UW_SPAN("pipeline.build_shard_store");
-  ArtifactCache& cache = ArtifactCache::Global();
-  const uint64_t key = ShardStoreKey(spec);
-  if (key != 0) {
-    auto cached = TryLoadCached(cache, "shard_store", key,
-                                [](const std::string& path) {
-                                  return LoadEntityStoreSnapshot(path);
-                                });
-    if (cached.has_value()) {
-      return std::make_unique<EntityStore>(std::move(*cached));
-    }
-  }
-  // Rows for the shard's candidate slice plus every seed entity of every
-  // dataset query. Seed replication keeps SeedCentroidOf bit-exact on
-  // every shard: the centroid folds the same unit rows in the same
-  // argument order as the full store.
-  std::vector<Vec> hidden(store_->slot_count());
-  int64_t rows = 0;
-  const auto keep = [&](EntityId id) {
-    if (id < 0 || static_cast<size_t>(id) >= hidden.size()) return;
-    if (!store_->Has(id) || !hidden[static_cast<size_t>(id)].empty()) return;
-    const std::span<const float> row = store_->HiddenOf(id);
-    hidden[static_cast<size_t>(id)].assign(row.begin(), row.end());
-    ++rows;
-  };
-  for (const size_t position :
-       ShardCandidatePositions(dataset_.candidates.size(), spec)) {
-    keep(dataset_.candidates[position]);
-  }
-  for (const Query& query : dataset_.queries) {
-    for (const EntityId id : query.pos_seeds) keep(id);
-    for (const EntityId id : query.neg_seeds) keep(id);
-  }
-  obs::GetCounter("pipeline.shard_store_builds").Increment();
-  obs::GetGauge("pipeline.shard_store_rows").Set(rows);
-  auto shard_store = std::make_unique<EntityStore>(
-      EntityStore::Restore(store_->dim(), std::move(hidden)));
-  if (key != 0) {
-    StoreCached(cache, "shard_store", key,
-                [&shard_store](const std::string& path) {
-                  return SaveEntityStoreSnapshot(*shard_store, path);
-                });
-  }
-  return shard_store;
 }
 
 std::unique_ptr<EntityStore> Pipeline::BuildEncoderStore(

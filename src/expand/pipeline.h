@@ -62,30 +62,19 @@ struct PipelineConfig {
   static PipelineConfig Tiny();
 };
 
-/// One shard of a deterministic candidate partition: global candidate
-/// position p belongs to shard p % count. Position-based (not id-based)
-/// so the partition is stable under any id numbering and every shard's
-/// slice preserves the global tie-break order.
-struct ShardSpec {
-  int index = 0;
-  int count = 1;
-
-  bool valid() const { return count >= 1 && index >= 0 && index < count; }
-};
-
-/// The global candidate positions owned by `spec` (ascending).
-std::vector<size_t> ShardCandidatePositions(size_t candidate_count,
-                                            const ShardSpec& spec);
-
 /// Owns the generated world, the constructed dataset, and every trained
 /// substrate, and hands out expander instances wired to them. All lazily
 /// built pieces are cached; everything is deterministic in the configured
 /// seeds.
+///
+/// A Pipeline never moves: substrates such as similarity() hold pointers
+/// into world(). Build returns a prvalue, so callers initialise from it in
+/// place (`Pipeline p = Pipeline::Build(c);`,
+/// `new Pipeline(Pipeline::Build(c))`).
 class Pipeline {
  public:
   static Pipeline Build(const PipelineConfig& config);
 
-  Pipeline(Pipeline&&) = default;
   Pipeline(const Pipeline&) = delete;
   Pipeline& operator=(const Pipeline&) = delete;
 
@@ -126,24 +115,6 @@ class Pipeline {
   /// RetExpan::SetAnnIndex.
   const IvfIndex& ann_index();
 
-  /// Shard-scoped EntityStore for the serving cluster: rows for the
-  /// shard's candidate slice plus every seed entity referenced by any
-  /// dataset query (seeds are replicated to every shard so each computes
-  /// the exact same seed centroid the full store folds). Rows are copied
-  /// bit-for-bit and refinalized with the Restore() kernels, so shard
-  /// scores equal full-store scores exactly. Cached in the artifact cache
-  /// under ShardStoreKey (a kEntityStore snapshot), skipped when the
-  /// store's provenance is unknown.
-  std::unique_ptr<EntityStore> BuildShardStore(const ShardSpec& spec);
-
-  /// Cache key of a shard store (0 = not cacheable).
-  uint64_t ShardStoreKey(const ShardSpec& spec) const;
-
-  /// Provenance fingerprint of the main store (0 = unknown; derived
-  /// artifacts are then not cached). The cluster's shard manifest records
-  /// it so router and shards can cross-check they serve one generation.
-  uint64_t store_key() const { return store_key_; }
-
   // --- Custom (uncached) builds for ablations and sweeps. ---
 
   /// Contrastively tunes a clone of the main encoder with explicit
@@ -176,7 +147,8 @@ class Pipeline {
       InteractionOrder order, InteractionConfig config = {});
 
  private:
-  Pipeline(const PipelineConfig& config, GeneratedWorld world);
+  /// Builds every substrate (the body of Build).
+  explicit Pipeline(const PipelineConfig& config);
 
   void TrainLmOn(HybridLm& lm, double fraction) const;
   std::unordered_set<TokenId> StopTokens() const;

@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "expand/rerank.h"
-#include "math/topk.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -50,21 +49,36 @@ void RetExpan::SetAnnIndex(const IvfIndex* ann) {
   }
 }
 
-std::vector<EntityId> RetExpan::InitialExpansion(const Query& query,
-                                                 size_t size) const {
+std::vector<ScoredIndex> RetExpan::Recall(const Query& query, size_t size,
+                                          const ShardSpec& slice) const {
+  UW_CHECK(slice.valid()) << "bad slice " << slice.index << "/"
+                          << slice.count;
+  const size_t first = static_cast<size_t>(slice.index);
+  const size_t stride = static_cast<size_t>(slice.count);
   const std::vector<EntityId> seeds = SortedSeedsOf(query);
+  const auto is_seed = [&seeds](EntityId id) {
+    return std::binary_search(seeds.begin(), seeds.end(), id);
+  };
+  const auto in_slice = [first, stride](size_t pos) {
+    return stride == 1 || pos % stride == first;
+  };
   const bool use_ann =
       ann_ != nullptr && candidates_->size() >= config_.ann_min_candidates;
   if (ann_ != nullptr && !use_ann) {
     obs::GetCounter("ann.fallback_exact").Increment();
   }
   TopKStream stream(size);
+  std::vector<size_t> positions;
+  std::vector<EntityId> ids;
+  std::vector<float> scores;
   if (use_ann) {
     // ANN recall: probe the IVF lists nearest the seed centroid, then
     // rerank the retrieved superset with the *exact* centroid kernel —
     // the very DotBlocked expression the full scan uses — so every
     // surviving candidate carries its full-scan score, and the only
-    // approximation is which candidates were retrieved at all.
+    // approximation is which candidates were retrieved at all. The probe
+    // ignores the slice, so every slice retrieves the same superset and
+    // keeps only its own positions of it.
     UW_SPAN("retexpan.initial_expansion_ann");
     const Vec centroid = store_->SeedCentroidOf(query.pos_seeds);
     const int nprobe =
@@ -73,30 +87,22 @@ std::vector<EntityId> RetExpan::InitialExpansion(const Query& query,
     // candidates that the rerank depth never starves.
     const std::vector<EntityId> retrieved =
         ann_->Candidates(centroid, nprobe, size + seeds.size());
-    std::vector<size_t> positions;
-    std::vector<EntityId> kept;
     positions.reserve(retrieved.size());
-    kept.reserve(retrieved.size());
+    ids.reserve(retrieved.size());
     for (const EntityId id : retrieved) {
       if (static_cast<size_t>(id) >= position_of_.size()) continue;
       const int64_t pos = position_of_[static_cast<size_t>(id)];
       if (pos < 0) continue;  // in the store but not a candidate
-      if (std::binary_search(seeds.begin(), seeds.end(), id)) continue;
+      if (!in_slice(static_cast<size_t>(pos)) || is_seed(id)) continue;
       positions.push_back(static_cast<size_t>(pos));
-      kept.push_back(id);
+      ids.push_back(id);
     }
-    const std::vector<float> scores = store_->CentroidScores(centroid, kept);
-    obs::GetCounter("retexpan.candidates_scored")
-        .Increment(static_cast<int64_t>(kept.size()));
-    for (size_t i = 0; i < positions.size(); ++i) {
-      stream.Push(scores[i], positions[i]);
-    }
+    scores = store_->CentroidScores(centroid, ids);
     // Candidates absent from the store score exactly 0 in the full scan
     // (zero unit row); push that same 0 so a ranking whose tail reaches
     // them is unchanged.
     for (const size_t pos : absent_positions_) {
-      const EntityId id = (*candidates_)[pos];
-      if (std::binary_search(seeds.begin(), seeds.end(), id)) continue;
+      if (!in_slice(pos) || is_seed((*candidates_)[pos])) continue;
       stream.Push(0.0f, pos);
     }
   } else {
@@ -106,25 +112,27 @@ std::vector<EntityId> RetExpan::InitialExpansion(const Query& query,
     // materialize-then-partial-sort. Candidate positions keep the original
     // index tie-break.
     UW_SPAN("retexpan.initial_expansion");
-    std::vector<size_t> positions;
-    std::vector<EntityId> non_seed;
-    positions.reserve(candidates_->size());
-    non_seed.reserve(candidates_->size());
-    for (size_t i = 0; i < candidates_->size(); ++i) {
-      const EntityId id = (*candidates_)[i];
-      if (std::binary_search(seeds.begin(), seeds.end(), id)) continue;
-      positions.push_back(i);
-      non_seed.push_back(id);
+    positions.reserve(candidates_->size() / stride + 1);
+    ids.reserve(positions.capacity());
+    for (size_t p = first; p < candidates_->size(); p += stride) {
+      const EntityId id = (*candidates_)[p];
+      if (is_seed(id)) continue;
+      positions.push_back(p);
+      ids.push_back(id);
     }
-    const std::vector<float> scores =
-        store_->SeedCentroidScores(query.pos_seeds, non_seed);
-    obs::GetCounter("retexpan.candidates_scored")
-        .Increment(static_cast<int64_t>(non_seed.size()));
-    for (size_t i = 0; i < positions.size(); ++i) {
-      stream.Push(scores[i], positions[i]);
-    }
+    scores = store_->SeedCentroidScores(query.pos_seeds, ids);
   }
-  const std::vector<ScoredIndex> scored = stream.TakeSortedDescending();
+  obs::GetCounter("retexpan.candidates_scored")
+      .Increment(static_cast<int64_t>(ids.size()));
+  for (size_t i = 0; i < positions.size(); ++i) {
+    stream.Push(scores[i], positions[i]);
+  }
+  return stream.TakeSortedDescending();
+}
+
+std::vector<EntityId> RetExpan::InitialExpansion(const Query& query,
+                                                 size_t size) const {
+  const std::vector<ScoredIndex> scored = Recall(query, size);
   std::vector<EntityId> initial;
   initial.reserve(scored.size());
   for (const ScoredIndex& s : scored) {
@@ -142,31 +150,29 @@ std::vector<EntityId> RetExpan::Expand(const Query& query, size_t k) {
   if (config_.use_negative_rerank && !query.neg_seeds.empty()) {
     UW_SPAN("retexpan.rerank");
     obs::GetCounter("retexpan.reranked_lists").Increment();
-    // Contrastive re-ranking key: how much more the candidate resembles
-    // the negative seeds than the positive seeds. The raw sco^neg is
-    // dominated by the shared fine-grained class (every in-class entity
-    // scores high), so the margin is what actually isolates entities
-    // aligned with the negative attributes.
-    // The key is clamped at zero: entities whose negative evidence does
-    // not exceed their positive evidence keep their original order (the
-    // segment sort is stable), so re-ranking is a pure demotion of
-    // negative-aligned entities, never a reshuffle of the positives.
     // Both sides' seed similarities come from one batched centroid pass
     // over the list instead of per-entity per-seed cosines.
-    const std::vector<float> neg =
-        store_->SeedCentroidScores(query.neg_seeds, list);
-    const std::vector<float> pos =
-        store_->SeedCentroidScores(query.pos_seeds, list);
-    std::vector<double> margins(list.size(), 0.0);
-    for (size_t i = 0; i < list.size(); ++i) {
-      margins[i] = std::max(
-          0.0, static_cast<double>(neg[i]) - static_cast<double>(pos[i]));
-    }
-    list = SegmentedRerankByPosition(list, margins,
-                                     config_.rerank_segment_length);
+    list = NegativeSeedRerank(
+        list, store_->SeedCentroidScores(query.pos_seeds, list),
+        store_->SeedCentroidScores(query.neg_seeds, list),
+        config_.rerank_segment_length);
   }
   if (list.size() > k) list.resize(k);
   return list;
+}
+
+std::vector<EntityId> NegativeSeedRerank(const std::vector<EntityId>& list,
+                                         const std::vector<float>& pos,
+                                         const std::vector<float>& neg,
+                                         int segment_length) {
+  UW_CHECK_EQ(pos.size(), list.size());
+  UW_CHECK_EQ(neg.size(), list.size());
+  std::vector<double> margins(list.size(), 0.0);
+  for (size_t i = 0; i < list.size(); ++i) {
+    margins[i] = std::max(
+        0.0, static_cast<double>(neg[i]) - static_cast<double>(pos[i]));
+  }
+  return SegmentedRerankByPosition(list, margins, segment_length);
 }
 
 }  // namespace ultrawiki

@@ -7,8 +7,21 @@
 #include "ann/ivf_index.h"
 #include "embedding/entity_store.h"
 #include "expand/expander.h"
+#include "math/topk.h"
 
 namespace ultrawiki {
+
+/// One slice of the deterministic candidate partition: global candidate
+/// position p belongs to slice p % count. Position-based (not id-based)
+/// so the partition is stable under any id numbering and every slice
+/// keeps the global tie-break order. {0, 1} is the whole list; each shard
+/// of the serving cluster recalls over its own slice.
+struct ShardSpec {
+  int index = 0;
+  int count = 1;
+
+  bool valid() const { return count >= 1 && index >= 0 && index < count; }
+};
 
 /// RetExpan hyper-parameters.
 struct RetExpanConfig {
@@ -57,9 +70,20 @@ class RetExpan : public Expander {
 
   /// The recall stage only: top-`size` candidates by positive-seed
   /// similarity, seeds excluded (exposed for the contrastive-data miner
-  /// and the framework-interaction experiments).
+  /// and the framework-interaction experiments). The {0, 1} slice of
+  /// Recall.
   std::vector<EntityId> InitialExpansion(const Query& query,
                                          size_t size) const;
+
+  /// The recall stage over one slice of the candidate positions: the
+  /// top-`size` (centroid score, global candidate position) pairs over
+  /// positions p with p % slice.count == slice.index, seeds excluded,
+  /// best first by RanksBefore. Exact scan, or — with an index attached —
+  /// IVF probe plus exact rerank. Every slice probes the same IVF lists,
+  /// so pushing all slices' results through one TopKStream(size)
+  /// reproduces the unsliced recall bit for bit at any nprobe.
+  std::vector<ScoredIndex> Recall(const Query& query, size_t size,
+                                  const ShardSpec& slice = {}) const;
 
   /// Attaches an ANN first stage (nullptr detaches). `ann` must be built
   /// over the same EntityStore this expander ranks with and must outlive
@@ -87,6 +111,19 @@ class RetExpan : public Expander {
   /// tail of a ranking that reaches zero-scored entities stays identical.
   std::vector<size_t> absent_positions_;
 };
+
+/// The negative-seed segmented re-ranking (paper §5.1.1) of a recall
+/// list, given each entry's positive- and negative-seed centroid scores
+/// (`pos[i]`, `neg[i]` score `list[i]`). The key is the clamped margin
+/// max(0, neg - pos): the raw sco^neg is dominated by the shared
+/// fine-grained class, so the margin is what isolates entities aligned
+/// with the negative attributes, and clamping makes the stable segment
+/// sort a pure demotion of those entities, never a reshuffle of the
+/// positives.
+std::vector<EntityId> NegativeSeedRerank(const std::vector<EntityId>& list,
+                                         const std::vector<float>& pos,
+                                         const std::vector<float>& neg,
+                                         int segment_length);
 
 }  // namespace ultrawiki
 

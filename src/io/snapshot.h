@@ -66,7 +66,7 @@ enum class SnapshotKind : uint32_t {
   kInvertedIndex = 4,
   kEntityStore = 5,
   kAnnIndex = 6,
-  kShardManifest = 7,
+  // 7 was the retired shard manifest; never reuse it.
 };
 
 /// CRC32 (IEEE 802.3 polynomial, reflected) of `data`, continuing from

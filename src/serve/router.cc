@@ -18,7 +18,6 @@
 
 #include "common/env.h"
 #include "common/logging.h"
-#include "expand/rerank.h"
 #include "math/topk.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -399,9 +398,9 @@ StatusOr<std::vector<ShardScoredEntity>> ClusterRouter::RetrieveFromShard(
       });
 }
 
-StatusOr<ShardScores> ClusterRouter::ScoreOnShard(
-    int shard, const Query& query, const std::vector<EntityId>& ids) {
-  return CallWithFailover<ShardScores>(shard, [&](ServeClient& client) {
+StatusOr<ShardScores> ClusterRouter::ScoreOnAnyReplica(
+    const Query& query, const std::vector<EntityId>& ids) {
+  return CallWithFailover<ShardScores>(-1, [&](ServeClient& client) {
     return client.ScatterScore(query, ids);
   });
 }
@@ -449,37 +448,23 @@ ExpandResult ClusterRouter::ScatterExpand(const ExpandRequest& request) {
   const size_t k = static_cast<size_t>(request.k);
   const size_t initial_size = std::max<size_t>(
       k, static_cast<size_t>(config_.retexpan.initial_list_size));
-  const int shards = config_.shard_count;
+  const size_t shards = static_cast<size_t>(config_.shard_count);
 
-  // Phase 1 — scatter recall: every shard returns its slice's top
-  // `initial_size` by positive-seed centroid score with global candidate
-  // positions. One thread per shard; each worker has its own failover
-  // chain over that shard's replicas.
-  std::vector<std::vector<ShardScoredEntity>> per_shard(
-      static_cast<size_t>(shards));
-  std::vector<Status> statuses(static_cast<size_t>(shards), Status::Ok());
+  // Phase 1 — scatter recall: every shard returns RetExpan::Recall over
+  // its slice, carrying global candidate positions. One thread per shard;
+  // each worker has its own failover chain over that shard's replicas.
+  std::vector<StatusOr<std::vector<ShardScoredEntity>>> per_shard(
+      shards, Status::Unavailable("shard not queried"));
   {
     std::vector<std::thread> workers;
-    workers.reserve(static_cast<size_t>(shards));
-    for (int shard = 0; shard < shards; ++shard) {
-      workers.emplace_back([this, shard, &request, initial_size, &per_shard,
-                            &statuses] {
-        StatusOr<std::vector<ShardScoredEntity>> result =
-            RetrieveFromShard(shard, request.query, initial_size);
-        if (result.ok()) {
-          per_shard[static_cast<size_t>(shard)] = std::move(*result);
-        } else {
-          statuses[static_cast<size_t>(shard)] = result.status();
-        }
+    workers.reserve(shards);
+    for (size_t shard = 0; shard < shards; ++shard) {
+      workers.emplace_back([this, shard, &request, initial_size, &per_shard] {
+        per_shard[shard] = RetrieveFromShard(static_cast<int>(shard),
+                                             request.query, initial_size);
       });
     }
     for (std::thread& worker : workers) worker.join();
-  }
-  for (const Status& status : statuses) {
-    // Losing any shard loses part of the candidate space — a partial
-    // merge would silently return a different (wrong) ranking, so the
-    // request fails instead.
-    if (!status.ok()) return ExpandResult{status, {}};
   }
 
   // Gather — merge the per-shard streams. TopKStream's kept set and
@@ -488,69 +473,30 @@ ExpandResult ClusterRouter::ScatterExpand(const ExpandRequest& request) {
   // so this reproduces the unsharded recall list bit for bit.
   TopKStream stream(initial_size);
   std::unordered_map<uint64_t, EntityId> id_at_position;
-  for (const std::vector<ShardScoredEntity>& entities : per_shard) {
-    for (const ShardScoredEntity& entity : entities) {
+  for (const auto& entities : per_shard) {
+    // Losing any shard loses part of the candidate space — a partial
+    // merge would silently return a different (wrong) ranking, so the
+    // request fails instead.
+    if (!entities.ok()) return ExpandResult{entities.status(), {}};
+    for (const ShardScoredEntity& entity : *entities) {
       stream.Push(entity.score, static_cast<size_t>(entity.position));
       id_at_position.emplace(entity.position, entity.id);
     }
   }
-  const std::vector<ScoredIndex> scored = stream.TakeSortedDescending();
   std::vector<EntityId> list;
-  list.reserve(scored.size());
-  for (const ScoredIndex& s : scored) {
+  for (const ScoredIndex& s : stream.TakeSortedDescending()) {
     list.push_back(id_at_position[static_cast<uint64_t>(s.index)]);
   }
 
-  // Phase 2 — negative-seed segmented rerank (RetExpan::Expand's exact
-  // arithmetic). Each merged entity is scored by the shard that owns its
-  // global position; per-position stitching restores list order before
-  // the margin computation.
-  if (config_.retexpan.use_negative_rerank && !request.query.neg_seeds.empty() &&
-      !list.empty()) {
-    std::vector<std::vector<EntityId>> shard_ids(
-        static_cast<size_t>(shards));
-    std::vector<std::vector<size_t>> shard_slots(
-        static_cast<size_t>(shards));
-    for (size_t i = 0; i < list.size(); ++i) {
-      const size_t owner = scored[i].index % static_cast<size_t>(shards);
-      shard_ids[owner].push_back(list[i]);
-      shard_slots[owner].push_back(i);
-    }
-    std::vector<float> pos(list.size(), 0.0f);
-    std::vector<float> neg(list.size(), 0.0f);
-    std::vector<Status> score_statuses(static_cast<size_t>(shards),
-                                       Status::Ok());
-    {
-      std::vector<std::thread> workers;
-      for (int shard = 0; shard < shards; ++shard) {
-        const size_t s = static_cast<size_t>(shard);
-        if (shard_ids[s].empty()) continue;
-        workers.emplace_back([this, shard, s, &request, &shard_ids,
-                              &shard_slots, &pos, &neg, &score_statuses] {
-          StatusOr<ShardScores> scores =
-              ScoreOnShard(shard, request.query, shard_ids[s]);
-          if (!scores.ok()) {
-            score_statuses[s] = scores.status();
-            return;
-          }
-          for (size_t j = 0; j < shard_slots[s].size(); ++j) {
-            pos[shard_slots[s][j]] = scores->pos[j];
-            neg[shard_slots[s][j]] = scores->neg[j];
-          }
-        });
-      }
-      for (std::thread& worker : workers) worker.join();
-    }
-    for (const Status& status : score_statuses) {
-      if (!status.ok()) return ExpandResult{status, {}};
-    }
-    std::vector<double> margins(list.size(), 0.0);
-    for (size_t i = 0; i < list.size(); ++i) {
-      margins[i] = std::max(
-          0.0, static_cast<double>(neg[i]) - static_cast<double>(pos[i]));
-    }
-    list = SegmentedRerankByPosition(list, margins,
-                                     config_.retexpan.rerank_segment_length);
+  // Phase 2 — RetExpan's negative-seed rerank. Every replica holds the
+  // full store, so one call to the least-loaded replica scores the whole
+  // merged list.
+  if (config_.retexpan.use_negative_rerank &&
+      !request.query.neg_seeds.empty() && !list.empty()) {
+    StatusOr<ShardScores> scores = ScoreOnAnyReplica(request.query, list);
+    if (!scores.ok()) return ExpandResult{scores.status(), {}};
+    list = NegativeSeedRerank(list, scores->pos, scores->neg,
+                              config_.retexpan.rerank_segment_length);
   }
   if (list.size() > k) list.resize(k);
   return ExpandResult{Status::Ok(), std::move(list)};

@@ -62,11 +62,11 @@ struct RouterConfig {
 /// one replica of every shard in parallel, merge the per-shard streaming
 /// top-k (global candidate positions preserve the RanksBefore tie-break,
 /// so the merged L0 is bit-identical to the unsharded recall — the global
-/// top-|L0| is a subset of the union of per-shard top-|L0|s), then run
-/// the negative-seed segmented rerank over per-shard `ScatterScore`
-/// results with the exact same margin arithmetic RetExpan uses. Every
-/// other method is proxied whole to the least-loaded replica (every shard
-/// process holds the full pipeline, so any replica can serve any method).
+/// top-|L0| is a subset of the union of per-shard top-|L0|s), then score
+/// the merged list with one `ScatterScore` and run RetExpan's own
+/// NegativeSeedRerank. Every other method is proxied whole to the
+/// least-loaded replica (every shard process holds the full pipeline, so
+/// any replica can serve any method).
 ///
 /// Replica choice is health-driven: a poller thread scrapes each
 /// replica's admin `/statusz` every `health_poll_ms` for draining /
@@ -150,8 +150,8 @@ class ClusterRouter : public Frontend {
 
   StatusOr<std::vector<ShardScoredEntity>> RetrieveFromShard(
       int shard, const Query& query, size_t size);
-  StatusOr<ShardScores> ScoreOnShard(int shard, const Query& query,
-                                     const std::vector<EntityId>& ids);
+  StatusOr<ShardScores> ScoreOnAnyReplica(const Query& query,
+                                          const std::vector<EntityId>& ids);
 
   ExpandResult ScatterExpand(const ExpandRequest& request);
   ExpandResult ProxyExpand(const ExpandRequest& request);

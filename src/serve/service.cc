@@ -6,7 +6,6 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "expand/expander.h"
-#include "math/topk.h"
 #include "obs/metrics.h"
 
 namespace ultrawiki {
@@ -118,7 +117,8 @@ Status ExpansionService::PrewarmMethods(
   return Status::Ok();
 }
 
-Expander* ExpansionService::GetOrBuildExpander(const std::string& method) {
+Expander* ExpansionService::GetOrBuildExpander(
+    const std::string& method) const {
   std::lock_guard<std::mutex> lock(expander_mutex_);
   auto it = expanders_.find(method);
   if (it != expanders_.end()) return it->second.get();
@@ -237,15 +237,6 @@ Status ExpansionService::EnableSharding(const ShardSpec& spec) {
         std::to_string(spec.count));
   }
   shard_spec_ = spec;
-  shard_store_.reset();
-  // A single-shard "cluster" serves scatter calls off the full store —
-  // the partition is the identity, so no derived store is needed.
-  if (spec.count > 1) {
-    shard_store_ = pipeline_.BuildShardStore(spec);
-    if (shard_store_ == nullptr) {
-      return Status::Internal("shard store construction failed");
-    }
-  }
   return Status::Ok();
 }
 
@@ -253,39 +244,16 @@ StatusOr<std::vector<ShardScoredEntity>> ExpansionService::ScatterRetrieve(
     const Query& query, size_t size) const {
   if (draining()) return Status::Unavailable("service draining");
   Metrics().scatter_retrieves.Increment();
-  const EntityStore& store =
-      shard_store_ != nullptr ? *shard_store_ : pipeline_.store();
+  // The recall of the very RetExpan that serves "retexpan" requests
+  // (exact scan or IVF probe, whichever it is configured for), over this
+  // shard's slice of the global candidate positions — so the union of
+  // all shards' results holds the global top `size`, score- and
+  // tie-break-identical.
+  const auto& retexpan =
+      static_cast<const RetExpan&>(*GetOrBuildExpander("retexpan"));
   const std::vector<EntityId>& candidates = pipeline_.candidates();
-  const std::vector<EntityId> seeds = SortedSeedsOf(query);
-  // The shard's slice of the full scan: stride over the global candidate
-  // list (position p belongs to shard p % count), skip seeds, score the
-  // survivors with the exact centroid kernel, and keep the top `size` by
-  // RanksBefore over *global* positions. Same loop body as RetExpan's
-  // non-ANN InitialExpansion, restricted to this shard's positions — so
-  // the union of all shards' results is a superset of the global top
-  // `size`, score- and tie-break-identical.
-  std::vector<size_t> positions;
-  std::vector<EntityId> non_seed;
-  positions.reserve(candidates.size() / static_cast<size_t>(shard_spec_.count) +
-                    1);
-  non_seed.reserve(positions.capacity());
-  for (size_t p = static_cast<size_t>(shard_spec_.index);
-       p < candidates.size(); p += static_cast<size_t>(shard_spec_.count)) {
-    const EntityId id = candidates[p];
-    if (std::binary_search(seeds.begin(), seeds.end(), id)) continue;
-    positions.push_back(p);
-    non_seed.push_back(id);
-  }
-  const std::vector<float> scores =
-      store.SeedCentroidScores(query.pos_seeds, non_seed);
-  TopKStream stream(size);
-  for (size_t i = 0; i < positions.size(); ++i) {
-    stream.Push(scores[i], positions[i]);
-  }
-  const std::vector<ScoredIndex> scored = stream.TakeSortedDescending();
   std::vector<ShardScoredEntity> entities;
-  entities.reserve(scored.size());
-  for (const ScoredIndex& s : scored) {
+  for (const ScoredIndex& s : retexpan.Recall(query, size, shard_spec_)) {
     entities.push_back(ShardScoredEntity{
         s.score, static_cast<uint64_t>(s.index), candidates[s.index]});
   }
@@ -296,11 +264,9 @@ StatusOr<ShardScores> ExpansionService::ScatterScore(
     const Query& query, const std::vector<EntityId>& ids) const {
   if (draining()) return Status::Unavailable("service draining");
   Metrics().scatter_scores.Increment();
-  const EntityStore& store =
-      shard_store_ != nullptr ? *shard_store_ : pipeline_.store();
   ShardScores scores;
-  scores.pos = store.SeedCentroidScores(query.pos_seeds, ids);
-  scores.neg = store.SeedCentroidScores(query.neg_seeds, ids);
+  scores.pos = pipeline_.store().SeedCentroidScores(query.pos_seeds, ids);
+  scores.neg = pipeline_.store().SeedCentroidScores(query.neg_seeds, ids);
   return scores;
 }
 

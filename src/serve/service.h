@@ -131,23 +131,24 @@ class ExpansionService {
 
   // --- Shard role (cluster serving; see serve/router.h). ---
 
-  /// Scopes the scatter plane to one shard of the deterministic candidate
-  /// partition. With `count > 1` this builds (or loads from the artifact
-  /// cache) the shard's EntityStore; `count == 1` serves scatter calls
-  /// straight off the full store. Call before taking traffic — the shard
-  /// store swap is not synchronized against in-flight scatter calls.
+  /// Scopes the scatter recall to one slice of the deterministic
+  /// candidate partition (the default {0, 1} is the whole list). Only the
+  /// recall is sliced: the service keeps the full pipeline and its full
+  /// EntityStore, so it serves every method and scores any seeds. Call
+  /// before taking traffic — the spec is not synchronized against
+  /// in-flight scatter calls.
   Status EnableSharding(const ShardSpec& spec);
 
-  /// Scatter recall: the top-`size` candidates of this service's shard
-  /// slice by positive-seed centroid score, seeds excluded, carrying
-  /// *global* candidate positions so the router's TopKStream merge
-  /// reproduces the unsharded RanksBefore order bit for bit.
+  /// Scatter recall: RetExpan::Recall over this service's slice, run by
+  /// the same RetExpan that serves "retexpan" requests (so UW_ANN_ENABLE
+  /// applies), carrying *global* candidate positions so the router's
+  /// TopKStream merge reproduces the unsharded ranking bit for bit.
   StatusOr<std::vector<ShardScoredEntity>> ScatterRetrieve(
       const Query& query, size_t size) const;
 
   /// Scatter rerank support: pos/neg seed-centroid scores for explicit
-  /// ids (scored on this shard's store; ids the store lacks score 0,
-  /// exactly as the full scan scores them).
+  /// ids, on the full store (ids the store lacks score 0, exactly as the
+  /// full scan scores them).
   StatusOr<ShardScores> ScatterScore(const Query& query,
                                      const std::vector<EntityId>& ids) const;
 
@@ -180,7 +181,7 @@ class ExpansionService {
 
   void SchedulerLoop();
   void ExecuteBatch(std::vector<Pending> batch);
-  Expander* GetOrBuildExpander(const std::string& method);
+  Expander* GetOrBuildExpander(const std::string& method) const;
   /// Finishes a traced request: records the trace into the SlowQueryLog
   /// when it is slow or forced, then drops it.
   void FinishTrace(Pending& pending,
@@ -189,19 +190,17 @@ class ExpansionService {
   Pipeline& pipeline_;
   const ServeConfig config_;
 
-  /// Scatter-plane scope. `shard_store_` is null when this service serves
-  /// the whole candidate list (count == 1); otherwise it holds the rows
-  /// of the shard's slice plus every query seed (expand/pipeline.h).
   ShardSpec shard_spec_;
-  std::unique_ptr<EntityStore> shard_store_;
 
   mutable std::mutex mutex_;  // guards queue_ and draining_
   std::condition_variable scheduler_cv_;
   std::deque<Pending> queue_;
   bool draining_ = false;
 
-  std::mutex expander_mutex_;  // guards expanders_ and pipeline mutation
-  std::map<std::string, std::unique_ptr<Expander>> expanders_;
+  /// Guards expanders_ and pipeline mutation. Mutable: the const scatter
+  /// plane builds the "retexpan" expander lazily too.
+  mutable std::mutex expander_mutex_;
+  mutable std::map<std::string, std::unique_ptr<Expander>> expanders_;
 
   std::once_flag drain_once_;
   std::thread scheduler_;

@@ -16,6 +16,7 @@
 #include "expand/retexpan.h"
 #include "io/artifact_cache.h"
 #include "io/snapshot.h"
+#include "math/topk.h"
 
 namespace ultrawiki {
 namespace {
@@ -155,6 +156,54 @@ TEST(AnnRetExpanTest, DefaultProbeKeepsFinalRankings) {
     query.neg_seeds = {q + 9, q + 9 + 64};
     EXPECT_EQ(ann.Expand(query, 50), exact.Expand(query, 50))
         << "query " << q;
+  }
+}
+
+/// Merges the recalls of `slices` slices the way the cluster router
+/// does: one TopKStream over every slice's (score, position) pairs.
+std::vector<ScoredIndex> MergedSliceRecall(const RetExpan& retexpan,
+                                           const Query& query, size_t size,
+                                           int slices) {
+  TopKStream stream(size);
+  for (int s = 0; s < slices; ++s) {
+    for (const ScoredIndex& pair :
+         retexpan.Recall(query, size, ShardSpec{s, slices})) {
+      stream.Push(pair);
+    }
+  }
+  return stream.TakeSortedDescending();
+}
+
+TEST(AnnRetExpanTest, SlicedRecallMergesToTheUnslicedRecall) {
+  const EntityStore store = MakeScaledStore(4000);
+  std::vector<EntityId> candidates(4000);
+  std::iota(candidates.begin(), candidates.end(), 0);
+  candidates.push_back(9000);  // absent from the store: exact score 0
+  const IvfIndex index = IvfIndex::Build(store);
+  ASSERT_LT(index.config().nprobe, index.nlist());
+
+  RetExpan exact(&store, &candidates);
+  RetExpanConfig config;
+  config.ann_min_candidates = 0;  // force the ANN path
+  RetExpan ann(&store, &candidates, config);  // default nprobe
+  ann.SetAnnIndex(&index);
+  config.ann_nprobe = index.nlist();
+  RetExpan full_probe(&store, &candidates, config);
+  full_probe.SetAnnIndex(&index);
+
+  for (int q = 0; q < 3; ++q) {
+    Query query;
+    for (int s = 0; s < 4; ++s) query.pos_seeds.push_back(q + 1 + s * 64);
+    for (const int slices : {2, 3}) {
+      for (const size_t size : {10u, 200u, 4001u}) {
+        EXPECT_EQ(MergedSliceRecall(ann, query, size, slices),
+                  ann.Recall(query, size))
+            << "query " << q << " slices " << slices << " size " << size;
+        EXPECT_EQ(MergedSliceRecall(full_probe, query, size, slices),
+                  exact.Recall(query, size))
+            << "query " << q << " slices " << slices << " size " << size;
+      }
+    }
   }
 }
 

@@ -1,6 +1,6 @@
 // Tests for the sharded serving cluster and the hardened connection
-// lifecycle underneath it: strict env parsing, topology parsing, the
-// shard manifest round trip, TcpListener bookkeeping under churn and fd
+// lifecycle underneath it: strict env parsing, topology parsing,
+// TcpListener bookkeeping under churn and fd
 // exhaustion, the published-traces-only `serve.traced` counter, shard
 // scatter-gather bit-identity against the single-process rankings,
 // router failover when a replica dies, and the ServiceHost hot swap
@@ -21,13 +21,13 @@
 #include <cstdlib>
 #include <future>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/env.h"
 #include "common/logging.h"
-#include "io/shard_manifest.h"
 #include "obs/metrics.h"
 #include "obs/request_trace.h"
 #include "serve/client.h"
@@ -69,6 +69,38 @@ Query QueryWithNegSeeds() {
   Query query = queries[0];
   if (query.neg_seeds.empty()) query.neg_seeds = queries[1].pos_seeds;
   return query;
+}
+
+/// A query whose three positive and three negative seeds are one
+/// ultra-class's positive and negative targets that seed no dataset
+/// query, so no process could have prepared for them.
+Query TargetSeededQuery() {
+  const UltraWikiDataset& dataset = TestPipeline().dataset();
+  std::set<EntityId> dataset_seeds;
+  for (const Query& query : dataset.queries) {
+    dataset_seeds.insert(query.pos_seeds.begin(), query.pos_seeds.end());
+    dataset_seeds.insert(query.neg_seeds.begin(), query.neg_seeds.end());
+  }
+  const auto unused = [&dataset_seeds](const std::vector<EntityId>& targets) {
+    std::vector<EntityId> seeds;
+    for (const EntityId id : targets) {
+      if (seeds.size() < 3 && dataset_seeds.count(id) == 0) {
+        seeds.push_back(id);
+      }
+    }
+    return seeds;
+  };
+  for (size_t c = 0; c < dataset.classes.size(); ++c) {
+    Query query;
+    query.ultra_class = static_cast<int>(c);
+    query.pos_seeds = unused(dataset.classes[c].positive_targets);
+    query.neg_seeds = unused(dataset.classes[c].negative_targets);
+    if (query.pos_seeds.size() == 3 && query.neg_seeds.size() == 3) {
+      return query;
+    }
+  }
+  UW_CHECK(false) << "no ultra-class has three unused targets of each kind";
+  return {};
 }
 
 // ------------------------------------------------------- Env parsing.
@@ -140,60 +172,6 @@ TEST(RouterTopologyTest, MalformedTopologiesAreRejected) {
       EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
     }
   }
-}
-
-// ------------------------------------------------------ Shard manifest.
-
-TEST(ShardManifestTest, RoundTripsAndFailsClosedOnCorruption) {
-  const std::string path =
-      ::testing::TempDir() + "/cluster_manifest.uws2";
-  ShardManifest manifest;
-  manifest.generation = 7;
-  manifest.shard_count = 3;
-  manifest.store_fingerprint = 0xfeedfacecafef00dull;
-  manifest.shard_store_keys = {11, 22, 33};
-  ASSERT_TRUE(SaveShardManifest(manifest, path).ok());
-
-  const StatusOr<ShardManifest> loaded = LoadShardManifest(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->generation, 7u);
-  EXPECT_EQ(loaded->shard_count, 3u);
-  EXPECT_EQ(loaded->store_fingerprint, manifest.store_fingerprint);
-  EXPECT_EQ(loaded->shard_store_keys, manifest.shard_store_keys);
-
-  // Invalid manifests never reach disk.
-  ShardManifest zero = manifest;
-  zero.shard_count = 0;
-  EXPECT_FALSE(SaveShardManifest(zero, path + ".zero").ok());
-  ShardManifest mismatched = manifest;
-  mismatched.shard_store_keys.pop_back();
-  EXPECT_FALSE(SaveShardManifest(mismatched, path + ".mismatch").ok());
-
-  // A flipped payload byte and a truncated tail both fail closed.
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(file, nullptr);
-  std::string bytes;
-  char buffer[512];
-  size_t got;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    bytes.append(buffer, got);
-  }
-  std::fclose(file);
-  ASSERT_GT(bytes.size(), 24u);
-  auto write_bytes = [](const std::string& to, const std::string& data) {
-    std::FILE* out = std::fopen(to.c_str(), "wb");
-    UW_CHECK(out != nullptr);
-    UW_CHECK_EQ(std::fwrite(data.data(), 1, data.size(), out), data.size());
-    std::fclose(out);
-  };
-  std::string flipped = bytes;
-  flipped[bytes.size() / 2] =
-      static_cast<char>(flipped[bytes.size() / 2] ^ 0x10);
-  write_bytes(path + ".flip", flipped);
-  EXPECT_FALSE(LoadShardManifest(path + ".flip").ok());
-  write_bytes(path + ".trunc", bytes.substr(0, bytes.size() - 5));
-  EXPECT_FALSE(LoadShardManifest(path + ".trunc").ok());
-  EXPECT_FALSE(LoadShardManifest(path + ".missing").ok());
 }
 
 // ------------------------------------- Connection lifecycle (TcpListener).
@@ -415,6 +393,7 @@ TEST(ClusterTest, ShardedScatterGatherBitIdenticalToSingleProcess) {
   const auto& queries = TestPipeline().dataset().queries;
   const Query neg_query = QueryWithNegSeeds();
   ASSERT_FALSE(neg_query.neg_seeds.empty());
+  const Query target_query = TargetSeededQuery();
   constexpr int kK = 25;
 
   for (int shard_count : {1, 2, 3}) {
@@ -444,6 +423,12 @@ TEST(ClusterTest, ShardedScatterGatherBitIdenticalToSingleProcess) {
     const auto reranked = client->ExpandQuery("retexpan", neg_query, kK);
     ASSERT_TRUE(reranked.ok()) << reranked.status();
     EXPECT_EQ(*reranked, Reference("retexpan", neg_query, kK))
+        << "shards=" << shard_count;
+    // Seeds outside every dataset query: shards score on the full store,
+    // so any seeds rank exactly as in one process.
+    const auto targeted = client->ExpandQuery("retexpan", target_query, kK);
+    ASSERT_TRUE(targeted.ok()) << targeted.status();
+    EXPECT_EQ(*targeted, Reference("retexpan", target_query, kK))
         << "shards=" << shard_count;
     // Non-scatter methods proxy whole to one replica, same answer.
     const auto proxied = client->ExpandByIndex("setexpan", 0, kK);

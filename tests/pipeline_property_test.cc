@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <set>
+#include <type_traits>
 
 #include "eval/evaluator.h"
 #include "eval/significance.h"
@@ -14,6 +15,10 @@
 
 namespace ultrawiki {
 namespace {
+
+// Substrates such as the LM similarity point into the pipeline's own
+// world, so moving a built Pipeline would leave them dangling.
+static_assert(!std::is_move_constructible_v<Pipeline>);
 
 class PipelinePropertyTest : public ::testing::Test {
  protected:

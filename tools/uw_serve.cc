@@ -14,11 +14,9 @@
 // UW_SERVE_PORT_FILE is set, written to that path for scripts.
 //
 // `--shard=I/N` scopes the scatter plane (serve/router.h) to shard I of
-// an N-way candidate partition: the process answers ShardRetrieve /
-// ShardScore for its slice (off a cached shard store) while still
-// serving every full expansion method. When UW_SHARD_MANIFEST is set,
-// the cluster's shard manifest (io/shard_manifest.h) is written there on
-// every generation install.
+// an N-way candidate partition: the process answers ShardRetrieve for
+// its slice (and ShardScore for any ids) off its full store while still
+// serving every full expansion method.
 //
 // When UW_ADMIN_PORT is set, a second listener serves the live admin
 // endpoint (serve/admin.h): /metrics, /healthz, /statusz, /slow, /slowz.
@@ -49,7 +47,6 @@
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "io/artifact_cache.h"
-#include "io/shard_manifest.h"
 #include "obs/export.h"
 #include "serve/admin.h"
 #include "serve/server.h"
@@ -128,7 +125,7 @@ bool ParseShardFlag(const std::string& value, ShardSpec* spec) {
 std::shared_ptr<serve::ServiceHost::Generation> BuildGeneration(
     const PipelineConfig& config, const ShardSpec& shard,
     const std::vector<std::string>& prewarm) {
-  auto pipeline = std::make_unique<Pipeline>(Pipeline::Build(config));
+  std::unique_ptr<Pipeline> pipeline(new Pipeline(Pipeline::Build(config)));
   auto service = std::make_unique<serve::ExpansionService>(*pipeline);
   const Status sharded = service->EnableSharding(shard);
   if (!sharded.ok()) {
@@ -145,33 +142,6 @@ std::shared_ptr<serve::ServiceHost::Generation> BuildGeneration(
     }
   }
   return serve::ServiceHost::Own(std::move(pipeline), std::move(service));
-}
-
-// When UW_SHARD_MANIFEST is set, record the cluster topology of the
-// just-installed generation. Every shard of a generation writes
-// byte-identical content, and WriteSnapshotFile's atomic rename makes
-// concurrent writers safe.
-void MaybeWriteShardManifest(
-    const serve::ServiceHost::Generation& generation, const ShardSpec& shard,
-    uint64_t generation_id) {
-  const char* path = std::getenv("UW_SHARD_MANIFEST");
-  if (path == nullptr || generation.pipeline == nullptr) return;
-  ShardManifest manifest;
-  manifest.generation = generation_id;
-  manifest.shard_count = static_cast<uint32_t>(shard.count);
-  manifest.store_fingerprint = generation.pipeline->store_key();
-  manifest.shard_store_keys.reserve(static_cast<size_t>(shard.count));
-  for (int i = 0; i < shard.count; ++i) {
-    manifest.shard_store_keys.push_back(
-        generation.pipeline->ShardStoreKey(ShardSpec{i, shard.count}));
-  }
-  const Status saved = SaveShardManifest(manifest, path);
-  if (!saved.ok()) {
-    std::fprintf(stderr, "[uw_serve] shard manifest: %s\n",
-                 saved.ToString().c_str());
-  } else {
-    std::fprintf(stderr, "[uw_serve] wrote shard manifest to %s\n", path);
-  }
 }
 
 }  // namespace
@@ -223,8 +193,7 @@ int main(int argc, char** argv) {
   if (generation == nullptr) return 2;
 
   serve::ServiceHost host;
-  const uint64_t generation_id = host.Install(generation);
-  MaybeWriteShardManifest(*generation, shard, generation_id);
+  host.Install(generation);
 
   serve::TcpServer server(host);
   const Status started = server.Start(port);
@@ -314,7 +283,6 @@ int main(int argc, char** argv) {
         continue;
       }
       const uint64_t next_id = host.Install(next);
-      MaybeWriteShardManifest(*next, shard, next_id);
       std::printf("hot swap to generation %llu\n",
                   static_cast<unsigned long long>(next_id));
       std::fflush(stdout);
