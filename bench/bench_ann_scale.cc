@@ -21,6 +21,7 @@
 
 #include "ann/ivf_index.h"
 #include "ann/scaled_store.h"
+#include "common/env.h"
 #include "embedding/entity_store.h"
 #include "math/topk.h"
 #include "obs/metrics.h"
@@ -32,17 +33,7 @@ constexpr size_t kTopK = 50;
 constexpr int kQueries = 32;
 constexpr int kSeedsPerQuery = 8;
 
-int64_t EnvEntities() {
-  if (const char* env = std::getenv("UW_ANN_BENCH_ENTITIES")) {
-    const long long parsed = std::atoll(env);
-    if (parsed > 0) return static_cast<int64_t>(parsed);
-    std::fprintf(stderr,
-                 "[ann_scale] UW_ANN_BENCH_ENTITIES=%s is not positive; "
-                 "using the default\n",
-                 env);
-  }
-  return 100000;
-}
+int64_t EnvEntities() { return EnvInt("UW_ANN_BENCH_ENTITIES", 100000, 1); }
 
 bool EnvAssert() {
   const char* env = std::getenv("UW_ANN_BENCH_ASSERT");

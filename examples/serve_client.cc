@@ -14,9 +14,9 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/env.h"
 #include "common/string_util.h"
 #include "serve/client.h"
 
@@ -38,14 +38,15 @@ std::string FlagValue(int argc, char** argv, const std::string& name,
 
 int main(int argc, char** argv) {
   const std::string host = FlagValue(argc, argv, "host", "127.0.0.1");
-  const int port = std::atoi(FlagValue(argc, argv, "port", "0").c_str());
+  const int port =
+      ParsePortStrict(FlagValue(argc, argv, "port", "0")).value_or(0);
   const std::string method = FlagValue(argc, argv, "method", "retexpan");
-  const int k = std::atoi(FlagValue(argc, argv, "k", "20").c_str());
+  const int k = ParseIntStrict(FlagValue(argc, argv, "k", "20")).value_or(0);
   const int query_index =
-      std::atoi(FlagValue(argc, argv, "query", "0").c_str());
+      ParseIntStrict(FlagValue(argc, argv, "query", "0")).value_or(-1);
   const int timeout_ms =
-      std::atoi(FlagValue(argc, argv, "timeout-ms", "0").c_str());
-  if (port <= 0 || k <= 0 || query_index < 0) {
+      ParseIntStrict(FlagValue(argc, argv, "timeout-ms", "0")).value_or(-1);
+  if (port == 0 || k <= 0 || query_index < 0 || timeout_ms < 0) {
     std::fprintf(stderr,
                  "usage: %s --port=N [--host=H] [--method=NAME] [--k=N] "
                  "[--query=I] [--timeout-ms=T]\n",

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "common/env.h"
 #include "common/hash.h"
 #include "common/logging.h"
 #include "common/rng.h"
@@ -31,15 +32,7 @@ bool AnnEnabledFromEnv() {
          !(env[0] == '0' && env[1] == '\0');
 }
 
-int AnnNprobeFromEnv() {
-  if (const char* env = std::getenv("UW_ANN_NPROBE")) {
-    const long parsed = std::atol(env);
-    if (parsed > 0) return static_cast<int>(parsed);
-    UW_LOG(Warning) << "UW_ANN_NPROBE=" << env
-                    << " is not positive; using the index default";
-  }
-  return 0;
-}
+int AnnNprobeFromEnv() { return EnvInt("UW_ANN_NPROBE", 0, 1); }
 
 namespace {
 

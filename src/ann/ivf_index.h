@@ -98,8 +98,9 @@ class IvfIndex {
 /// the pipeline then builds the IVF index and attaches it to RetExpan.
 bool AnnEnabledFromEnv();
 
-/// Positive value of `UW_ANN_NPROBE`, or 0 when unset/invalid (callers
-/// fall back to the index's configured default).
+/// Positive value of `UW_ANN_NPROBE`, or 0 when unset (callers fall back
+/// to the index's configured default); a malformed or non-positive value
+/// warns and also yields 0.
 int AnnNprobeFromEnv();
 
 }  // namespace ultrawiki

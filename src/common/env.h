@@ -12,6 +12,10 @@ namespace ultrawiki {
 /// truncates "64k" to 64 and maps garbage to 0.
 std::optional<int> ParseIntStrict(std::string_view text);
 
+/// ParseIntStrict restricted to a TCP port, 0..65535 (0 = ephemeral).
+/// "80x" and "70000" both return nullopt instead of binding some port.
+std::optional<int> ParsePortStrict(std::string_view text);
+
 /// Resolves an integer knob from the environment. Returns `fallback`
 /// when `name` is unset; warns and returns `fallback` when the value
 /// does not parse strictly or is below `min_value`, so a typo like

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <string>
 
+#include "common/env.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -45,10 +45,9 @@ std::unique_ptr<ThreadPool>& GlobalPoolSlot() {
 }  // namespace
 
 int ThreadPool::DefaultThreadCount() {
-  if (const char* env = std::getenv("UW_THREADS")) {
-    const int parsed = std::atoi(env);
-    if (parsed > 0) return parsed;
-  }
+  // 0 (the default) means one lane per hardware thread.
+  const int threads = EnvInt("UW_THREADS", 0, 0);
+  if (threads > 0) return threads;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
 }

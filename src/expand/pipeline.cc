@@ -1,8 +1,8 @@
 #include "expand/pipeline.h"
 
-#include <cstdlib>
 #include <utility>
 
+#include "common/env.h"
 #include "common/logging.h"
 #include "io/artifact_cache.h"
 #include "io/model_io.h"
@@ -412,26 +412,13 @@ std::unique_ptr<RetExpan> Pipeline::MakeRetExpanRa(RaSource source,
       std::string("RetExpan+RA(") + RaSourceName(source) + ")");
 }
 
-namespace {
-
-int64_t EnvBudget(const char* name) {
-  if (const char* env = std::getenv(name)) {
-    const long long parsed = std::atoll(env);
-    if (parsed > 0) return static_cast<int64_t>(parsed);
-    UW_LOG(Warning) << name << "=" << env << " is not positive; ignoring";
-  }
-  return 0;
-}
-
-}  // namespace
-
 std::unique_ptr<GenExpan> Pipeline::MakeGenExpan(GenExpanConfig config) {
   // Standing anytime budgets; explicit config values win over the env.
   if (config.time_budget_ms <= 0) {
-    config.time_budget_ms = EnvBudget("UW_GENEXPAN_TIME_BUDGET_MS");
+    config.time_budget_ms = EnvInt("UW_GENEXPAN_TIME_BUDGET_MS", 0, 0);
   }
   if (config.max_expansions <= 0) {
-    config.max_expansions = EnvBudget("UW_GENEXPAN_MAX_EXPANSIONS");
+    config.max_expansions = EnvInt("UW_GENEXPAN_MAX_EXPANSIONS", 0, 0);
   }
   std::string name = "GenExpan";
   if (config.cot != CotMode::kNone) {

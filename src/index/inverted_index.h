@@ -90,7 +90,7 @@ class InvertedIndex {
   const std::vector<Posting>& PostingsOf(TokenId term) const;
 
   /// Materializes `term`'s postings (decoding blocks when frozen). For
-  /// tests, validation, and compatibility paths — scoring uses cursors.
+  /// tests and validation — scoring uses cursors.
   std::vector<Posting> DecodedPostings(TokenId term) const;
 
   /// Opens a decode cursor over `term`'s frozen posting list. The cursor
@@ -109,15 +109,7 @@ class InvertedIndex {
   /// occupy (the memory the compression saved).
   uint64_t raw_posting_bytes() const;
 
-  /// Rebuilds an index from old-format serialized parts (the raw-postings
-  /// snapshot load path). `total_length_` is recomputed from
-  /// `doc_lengths`; postings must already be validated against the
-  /// document count. The returned index is NOT frozen.
-  static InvertedIndex Restore(
-      std::vector<int32_t> doc_lengths,
-      std::unordered_map<TokenId, std::vector<Posting>> postings);
-
-  /// Rebuilds a frozen index directly from its compressed parts (the v2
+  /// Rebuilds a frozen index directly from its compressed parts (the
   /// snapshot load path). Performs a full fail-closed validation pass:
   /// every block is decoded and checked against its metadata (count,
   /// last_doc, max_tf, min_dl recomputed from doc_lengths), terms must be

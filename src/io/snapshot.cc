@@ -628,66 +628,6 @@ StatusOr<GeneratedWorld> LoadWorldSnapshot(const std::string& path) {
 
 // --- InvertedIndex ---
 
-namespace {
-
-/// Parses the legacy raw-postings index payload (every posting as an
-/// explicit (doc, tf) i32 pair — the pre-compression on-disk form, still
-/// produced by old artifact caches). The returned index is unfrozen.
-StatusOr<InvertedIndex> ParseRawIndexPayload(std::string_view payload) {
-  SnapshotReader in(payload);
-  std::vector<int32_t> doc_lengths;
-  if (!in.ReadI32Vec(&doc_lengths)) {
-    return Status::Internal("corrupt index snapshot (document lengths)");
-  }
-  for (const int32_t length : doc_lengths) {
-    if (length < 0) {
-      return Status::Internal("index snapshot has a negative doc length");
-    }
-  }
-  const auto doc_count = static_cast<int64_t>(doc_lengths.size());
-  uint64_t term_count;
-  // term id + posting count + one posting.
-  if (!ReadCount(in, 20, "index term", &term_count)) {
-    return Status::Internal("corrupt index snapshot (term header)");
-  }
-  std::unordered_map<TokenId, std::vector<Posting>> postings_map;
-  postings_map.reserve(static_cast<size_t>(term_count));
-  TokenId previous_term = -1;
-  for (uint64_t t = 0; t < term_count; ++t) {
-    TokenId term;
-    uint64_t posting_count;
-    if (!in.ReadI32(&term) ||
-        !ReadCount(in, 8, "posting", &posting_count)) {
-      return Status::Internal("corrupt index snapshot (term record)");
-    }
-    if (term < 0 || term <= previous_term || posting_count == 0) {
-      return Status::Internal("index snapshot terms are not strictly "
-                              "ascending non-negative ids");
-    }
-    previous_term = term;
-    std::vector<Posting> postings(static_cast<size_t>(posting_count));
-    DocId previous_doc = -1;
-    for (Posting& posting : postings) {
-      if (!in.ReadI32(&posting.doc) || !in.ReadI32(&posting.term_frequency)) {
-        return Status::Internal("corrupt index snapshot (posting)");
-      }
-      if (posting.doc <= previous_doc ||
-          static_cast<int64_t>(posting.doc) >= doc_count ||
-          posting.term_frequency <= 0) {
-        return Status::Internal("index snapshot posting out of bounds");
-      }
-      previous_doc = posting.doc;
-    }
-    postings_map.emplace(term, std::move(postings));
-  }
-  Status status = in.Finish();
-  if (!status.ok()) return status;
-  return InvertedIndex::Restore(std::move(doc_lengths),
-                                std::move(postings_map));
-}
-
-}  // namespace
-
 Status SaveIndexSnapshot(const InvertedIndex& index,
                          const std::string& path) {
   if (!index.is_frozen()) {
@@ -733,15 +673,7 @@ StatusOr<InvertedIndex> LoadIndexSnapshot(const std::string& path) {
     return Status::Internal("corrupt index snapshot (empty payload)");
   }
   if ((first_word & ~kIndexPayloadVersionMask) != kIndexPayloadTagBase) {
-    // No version tag: the legacy raw-postings format, whose payload opens
-    // with the doc-length count (far below the tag's byte pattern).
-    // Re-parse from the start, then freeze so every load path hands back
-    // a searchable compressed index.
-    auto raw = ParseRawIndexPayload(*payload);
-    if (!raw.ok()) return raw.status();
-    InvertedIndex index = std::move(*raw);
-    index.Freeze();
-    return index;
+    return Status::Internal("index snapshot payload has no version tag");
   }
   const uint64_t version = first_word & kIndexPayloadVersionMask;
   if (version != kIndexPayloadVersion) {

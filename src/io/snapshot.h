@@ -46,13 +46,10 @@ inline constexpr uint32_t kSnapshotMagic = 0x55575332;  // "2SWU" on disk
 inline constexpr uint32_t kSnapshotVersion = 2;
 
 /// The kInvertedIndex payload is itself versioned (the framing version
-/// above covers the envelope, not the index encoding). Version 2 payloads
-/// open with `kIndexPayloadTagBase | kIndexPayloadVersion` — a 64-bit
-/// pattern ("\0UWSIDX" + version byte) that no legacy payload can start
-/// with, because the legacy raw-postings format opens with a doc-length
-/// count that ReadCount caps far below it. Loads of a tagged payload with
-/// an unknown version fail closed; untagged payloads take the raw-format
-/// compatibility path and are frozen on load.
+/// above covers the envelope, not the index encoding). Payloads open with
+/// `kIndexPayloadTagBase | kIndexPayloadVersion` — a 64-bit pattern
+/// ("\0UWSIDX" + version byte). Loads of an untagged payload or of a
+/// tagged payload with any other version fail closed.
 inline constexpr uint64_t kIndexPayloadTagBase = 0x0055575349445800ULL;
 inline constexpr uint64_t kIndexPayloadVersionMask = 0xFFULL;
 inline constexpr uint64_t kIndexPayloadVersion = 2;
@@ -170,11 +167,10 @@ StatusOr<GeneratedWorld> LoadWorldSnapshot(const std::string& path);
 /// max-score metadata, and the concatenated varint-encoded blocks — so a
 /// Bm25Scorer over the loaded index needs no corpus pass and no
 /// re-compression. Save requires a frozen index (kInvalidArgument
-/// otherwise). Load accepts both payload versions — the legacy raw
-/// (doc, tf) format is parsed then frozen — and always returns a frozen
-/// index whose searches are bit-identical to the saved one; every block
-/// is decoded and validated against its metadata before the index is
-/// accepted.
+/// otherwise). Load accepts only this payload version and returns a
+/// frozen index whose searches are bit-identical to the saved one; every
+/// block is decoded and validated against its metadata before the index
+/// is accepted.
 Status SaveIndexSnapshot(const InvertedIndex& index,
                          const std::string& path);
 StatusOr<InvertedIndex> LoadIndexSnapshot(const std::string& path);

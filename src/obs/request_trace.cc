@@ -1,8 +1,9 @@
 #include "obs/request_trace.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
+
+#include "common/env.h"
 
 namespace ultrawiki {
 namespace obs {
@@ -11,11 +12,7 @@ namespace {
 thread_local RequestTrace* tls_active_request_trace = nullptr;
 
 size_t SlowLogCapacityFromEnv() {
-  if (const char* env = std::getenv("UW_SLOW_QUERY_LOG")) {
-    const long parsed = std::atol(env);
-    if (parsed >= 1) return static_cast<size_t>(parsed);
-  }
-  return 16;
+  return static_cast<size_t>(EnvInt("UW_SLOW_QUERY_LOG", 16, 1));
 }
 
 }  // namespace

@@ -51,7 +51,6 @@ StatusOr<ServeClient> ServeClient::Connect(const std::string& host,
 ServeClient::ServeClient(ServeClient&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
       next_request_id_(other.next_request_id_),
-      wire_version_(other.wire_version_),
       force_trace_(other.force_trace_),
       last_trace_id_(other.last_trace_id_) {}
 
@@ -60,7 +59,6 @@ ServeClient& ServeClient::operator=(ServeClient&& other) noexcept {
     Close();
     fd_ = std::exchange(other.fd_, -1);
     next_request_id_ = other.next_request_id_;
-    wire_version_ = other.wire_version_;
     force_trace_ = other.force_trace_;
     last_trace_id_ = other.last_trace_id_;
   }
@@ -77,33 +75,19 @@ void ServeClient::Close() {
 }
 
 FrameOptions ServeClient::MakeFrameOptions(uint64_t request_id) {
+  // The request id doubles as the trace id: unique per connection and
+  // easy to correlate with client-side logs.
   FrameOptions options;
-  options.version = wire_version_;
-  if (wire_version_ >= 2) {
-    // The request id doubles as the trace id: unique per connection and
-    // easy to correlate with client-side logs. The server falls back to
-    // its own sequence when a v1 frame arrives with no id.
-    options.trace_id = request_id;
-    if (force_trace_) options.flags |= kFrameFlagSample;
-    last_trace_id_ = options.trace_id;
-  }
+  options.trace_id = request_id;
+  if (force_trace_) options.flags |= kFrameFlagSample;
+  last_trace_id_ = options.trace_id;
   return options;
 }
 
 Status ServeClient::Ping() {
-  if (fd_ < 0) return Status::FailedPrecondition("not connected");
-  FrameOptions options;
-  options.version = wire_version_;
-  const std::string ping = EncodeControlFrame(FrameKind::kPing, options);
-  Status status = WriteAll(fd_, ping.data(), ping.size());
-  if (!status.ok()) return status;
-  StatusOr<Frame> frame = ReadFrame(fd_);
-  if (!frame.ok()) return frame.status();
-  if (frame->kind != FrameKind::kPong) {
-    return Status::Internal("expected pong, got kind " +
-                            std::to_string(static_cast<int>(frame->kind)));
-  }
-  return Status::Ok();
+  return FrameRoundTrip(EncodeControlFrame(FrameKind::kPing),
+                        FrameKind::kPong)
+      .status();
 }
 
 StatusOr<std::vector<EntityId>> ServeClient::ExpandByIndex(
@@ -212,19 +196,13 @@ StatusOr<Query> ServeClient::QueryLookup(uint32_t query_index) {
 }
 
 StatusOr<std::vector<EntityId>> ServeClient::RoundTrip(WireRequest request) {
-  if (fd_ < 0) return Status::FailedPrecondition("not connected");
   request.request_id = next_request_id_++;
-  const std::string encoded =
-      EncodeRequestFrame(request, MakeFrameOptions(request.request_id));
-  Status status = WriteAll(fd_, encoded.data(), encoded.size());
-  if (!status.ok()) return status;
-  StatusOr<Frame> frame = ReadFrame(fd_);
+  StatusOr<Frame> frame = FrameRoundTrip(
+      EncodeRequestFrame(request, MakeFrameOptions(request.request_id)),
+      FrameKind::kExpandResponse);
   if (!frame.ok()) return frame.status();
-  if (frame->kind != FrameKind::kExpandResponse) {
-    return Status::Internal("expected response frame");
-  }
   WireResponse response;
-  status = DecodeResponsePayload(frame->payload, &response);
+  Status status = DecodeResponsePayload(frame->payload, &response);
   if (!status.ok()) return status;
   if (response.request_id != request.request_id) {
     return Status::Internal("response id mismatch");

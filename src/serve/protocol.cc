@@ -39,20 +39,17 @@ uint64_t ParseU64(const char* bytes) {
   return value;
 }
 
-/// Frames `payload`: header (v1 prefix, plus the trace-context extension
-/// when emitting v2), payload bytes, CRC32 over both.
+/// Frames `payload`: the 32-byte header, payload bytes, CRC32 over both.
 std::string FramePayload(FrameKind kind, std::string_view payload,
                          const FrameOptions& options) {
   std::string out;
-  out.reserve(kFrameHeaderBytesV2 + payload.size() + 4);
+  out.reserve(kFrameHeaderBytes + payload.size() + 4);
   AppendU32(kFrameMagic, out);
-  AppendU32(options.version, out);
+  AppendU32(kFrameVersion, out);
   AppendU32(static_cast<uint32_t>(kind), out);
   AppendU64(payload.size(), out);
-  if (options.version >= 2) {
-    AppendU64(options.trace_id, out);
-    AppendU32(options.flags, out);
-  }
+  AppendU64(options.trace_id, out);
+  AppendU32(options.flags, out);
   out.append(payload);
   AppendU32(Crc32(out), out);
   return out;
@@ -207,10 +204,7 @@ Status DecodeResponsePayload(std::string_view payload,
   reader.ReadU32(&response->code);
   reader.ReadString(&response->message);
   reader.ReadI32Vec(&response->ranking);
-  if (reader.ok() &&
-      response->code > static_cast<uint32_t>(StatusCode::kUnavailable)) {
-    reader.Corrupt("status code out of range");
-  }
+  CheckStatusCode(reader, response->code);
   return reader.Finish();
 }
 
@@ -331,16 +325,14 @@ Status WriteAll(int fd, const void* buffer, size_t bytes) {
 }
 
 StatusOr<Frame> ReadFrame(int fd) {
-  // Read the version-independent 20-byte prefix first; only then do we
-  // know whether a trace-context extension follows.
-  char header[kFrameHeaderBytesV2];
+  char header[kFrameHeaderBytes];
   Status status = ReadExact(fd, header, kFrameHeaderBytes);
   if (!status.ok()) return status;
   if (ParseU32(header) != kFrameMagic) {
     return Status::Internal("bad frame magic");
   }
   const uint32_t version = ParseU32(header + 4);
-  if (version != kFrameVersionV1 && version != kFrameVersion) {
+  if (version != kFrameVersion) {
     return Status::Internal("unsupported frame version " +
                             std::to_string(version));
   }
@@ -353,23 +345,10 @@ StatusOr<Frame> ReadFrame(int fd) {
     return Status::Internal("frame payload too large (" +
                             std::to_string(payload_len) + " bytes)");
   }
-  size_t header_bytes = kFrameHeaderBytes;
   Frame frame;
   frame.kind = static_cast<FrameKind>(kind);
-  frame.version = version;
-  if (version >= 2) {
-    status = ReadExact(fd, header + kFrameHeaderBytes,
-                       kFrameHeaderBytesV2 - kFrameHeaderBytes);
-    if (!status.ok()) {
-      if (status.code() == StatusCode::kUnavailable) {
-        return Status::Internal("connection closed mid-frame");
-      }
-      return status;
-    }
-    header_bytes = kFrameHeaderBytesV2;
-    frame.trace_id = ParseU64(header + 20);
-    frame.flags = ParseU32(header + 28);
-  }
+  frame.trace_id = ParseU64(header + 20);
+  frame.flags = ParseU32(header + 28);
   frame.payload.resize(static_cast<size_t>(payload_len));
   if (payload_len > 0) {
     status = ReadExact(fd, frame.payload.data(), frame.payload.size());
@@ -388,7 +367,7 @@ StatusOr<Frame> ReadFrame(int fd) {
     }
     return status;
   }
-  uint32_t crc = Crc32(std::string_view(header, header_bytes));
+  uint32_t crc = Crc32(std::string_view(header, kFrameHeaderBytes));
   crc = Crc32(frame.payload, crc);
   if (crc != ParseU32(footer)) {
     return Status::Internal("frame checksum mismatch");

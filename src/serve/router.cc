@@ -149,14 +149,14 @@ StatusOr<RouterConfig> RouterConfig::ParseTopology(
     const size_t slash = port_part.find('/');
     if (slash != std::string::npos) {
       const std::optional<int> admin =
-          ParseIntStrict(port_part.substr(slash + 1));
+          ParsePortStrict(port_part.substr(slash + 1));
       if (!admin.has_value() || *admin <= 0) {
         return Status::InvalidArgument("bad admin port in: " + entry);
       }
       endpoint.admin_port = *admin;
       port_part.resize(slash);
     }
-    const std::optional<int> port = ParseIntStrict(port_part);
+    const std::optional<int> port = ParsePortStrict(port_part);
     if (!port.has_value() || *port <= 0) {
       return Status::InvalidArgument("bad port in: " + entry);
     }

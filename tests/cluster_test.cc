@@ -121,6 +121,15 @@ TEST(EnvIntTest, ParseIntStrictRejectsSuffixesAndGarbage) {
   EXPECT_FALSE(ParseIntStrict("99999999999999999999").has_value());
 }
 
+TEST(EnvIntTest, ParsePortStrictRejectsSuffixesAndOutOfRange) {
+  EXPECT_EQ(ParsePortStrict("0"), 0);
+  EXPECT_EQ(ParsePortStrict("8080"), 8080);
+  EXPECT_EQ(ParsePortStrict("65535"), 65535);
+  for (const char* bad : {"80x", "", "-1", "65536", " 80"}) {
+    EXPECT_FALSE(ParsePortStrict(bad).has_value()) << bad;
+  }
+}
+
 TEST(EnvIntTest, EnvIntFallsBackLoudlyOnBadValues) {
   constexpr const char* kKnob = "UW_TEST_CLUSTER_KNOB";
   ::unsetenv(kKnob);
@@ -164,6 +173,7 @@ TEST(RouterTopologyTest, MalformedTopologiesAreRejected) {
            "0@:5000",              // empty host
            "0@127.0.0.1:64k",      // the atoi trap, on the wire format
            "0@127.0.0.1:5000/zz",  // bad admin port
+           "0@127.0.0.1:70000",    // past the port range
            "@127.0.0.1:5000",      // empty shard
        }) {
     const StatusOr<RouterConfig> parsed = RouterConfig::ParseTopology(bad);

@@ -392,7 +392,7 @@ TEST_F(ExpandTest, GenExpanStandingExpansionBudgetDegrades) {
   EXPECT_TRUE(outcome.degraded);
 }
 
-TEST_F(ExpandTest, GenExpanEnvBudgetKnobsAreResolved) {
+TEST_F(ExpandTest, GenExpanBudgetKnobsAreResolvedFromEnv) {
   setenv("UW_GENEXPAN_TIME_BUDGET_MS", "250", 1);
   setenv("UW_GENEXPAN_MAX_EXPANSIONS", "12345", 1);
   auto method = pipeline_->MakeGenExpan();
@@ -407,6 +407,11 @@ TEST_F(ExpandTest, GenExpanEnvBudgetKnobsAreResolved) {
   auto explicit_method = pipeline_->MakeGenExpan(config);
   unsetenv("UW_GENEXPAN_MAX_EXPANSIONS");
   EXPECT_EQ(explicit_method->config().max_expansions, 7);
+  // A malformed value warns and means no budget, not a truncated 250.
+  setenv("UW_GENEXPAN_TIME_BUDGET_MS", "250ms", 1);
+  auto malformed = pipeline_->MakeGenExpan();
+  unsetenv("UW_GENEXPAN_TIME_BUDGET_MS");
+  EXPECT_EQ(malformed->config().time_budget_ms, 0);
 }
 
 TEST_F(ExpandTest, RaPrefixesCoverSources) {

@@ -95,11 +95,10 @@ TEST(ServeProtocolTest, ResponsePayloadRoundTrips) {
   response.message = "deadline expired before execution";
   response.ranking = {7, -1, 12};
   const std::string frame = EncodeResponseFrame(response);
-  // Slice the payload out of the framed bytes (v2 header is 32 bytes,
-  // CRC 4).
-  ASSERT_GT(frame.size(), kFrameHeaderBytesV2 + 4);
-  const std::string_view payload(frame.data() + kFrameHeaderBytesV2,
-                                 frame.size() - kFrameHeaderBytesV2 - 4);
+  // Slice the payload out of the framed bytes (header 32 bytes, CRC 4).
+  ASSERT_GT(frame.size(), kFrameHeaderBytes + 4);
+  const std::string_view payload(frame.data() + kFrameHeaderBytes,
+                                 frame.size() - kFrameHeaderBytes - 4);
   WireResponse decoded;
   ASSERT_TRUE(DecodeResponsePayload(payload, &decoded).ok());
   EXPECT_EQ(decoded.request_id, 42u);
@@ -161,7 +160,24 @@ TEST(ServeProtocolTest, CorruptionMatrixFailsClosed) {
   EXPECT_EQ(read_back("").message(), "eof");
 }
 
-TEST(ServeProtocolTest, FrameVersionCompatMatrix) {
+/// Re-frames `frame` (a current-version encoding) under header version
+/// `version`. Version 1 drops the trace-context bytes 20..31, as the
+/// retired v1 layout did. The CRC is recomputed, so the version is the
+/// only thing wrong with the result.
+std::string Reframe(std::string frame, uint32_t version) {
+  frame.resize(frame.size() - 4);
+  if (version == 1) frame.erase(20, kFrameHeaderBytes - 20);
+  for (int i = 0; i < 4; ++i) {
+    frame[4 + i] = static_cast<char>((version >> (8 * i)) & 0xff);
+  }
+  const uint32_t crc = Crc32(frame);
+  for (int i = 0; i < 4; ++i) {
+    frame.push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
+  }
+  return frame;
+}
+
+TEST(ServeProtocolTest, FrameVersionRejectionMatrix) {
   auto read_back = [](const std::string& bytes) {
     int fds[2];
     UW_CHECK_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
@@ -176,54 +192,35 @@ TEST(ServeProtocolTest, FrameVersionCompatMatrix) {
   WireRequest request;
   request.method = "retexpan";
 
-  // v2 (the default): the header extension round-trips trace context.
+  // v2: the header round-trips trace context.
   {
     FrameOptions options;
     options.trace_id = 0xabcdef0123456789ull;
     options.flags = kFrameFlagSample;
     StatusOr<Frame> frame = read_back(EncodeRequestFrame(request, options));
     ASSERT_TRUE(frame.ok()) << frame.status();
-    EXPECT_EQ(frame->version, kFrameVersion);
     EXPECT_EQ(frame->trace_id, 0xabcdef0123456789ull);
     EXPECT_EQ(frame->flags, kFrameFlagSample);
     WireRequest decoded;
     ASSERT_TRUE(DecodeRequestPayload(frame->payload, &decoded).ok());
     EXPECT_EQ(decoded.method, "retexpan");
   }
-  // v1 (a legacy peer): 20-byte header, decodes with absent trace
-  // context — an old client keeps working against a new server.
-  {
-    FrameOptions legacy;
-    legacy.version = kFrameVersionV1;
-    // Trace fields are ignored in v1 framing: nowhere to put them.
-    legacy.trace_id = 999;
-    legacy.flags = kFrameFlagSample;
-    const std::string bytes = EncodeRequestFrame(request, legacy);
-    StatusOr<Frame> frame = read_back(bytes);
-    ASSERT_TRUE(frame.ok()) << frame.status();
-    EXPECT_EQ(frame->version, kFrameVersionV1);
-    EXPECT_EQ(frame->trace_id, 0u);
-    EXPECT_EQ(frame->flags, 0u);
-    // And the v1 frame really is 12 bytes shorter than its v2 twin.
-    EXPECT_EQ(bytes.size() + (kFrameHeaderBytesV2 - kFrameHeaderBytes),
-              EncodeRequestFrame(request).size());
-  }
-  // An unknown future version fails closed.
-  {
-    FrameOptions future_version;
-    future_version.version = 3;
+  // Every other version fails closed: the retired 20-byte v1 header and
+  // an unknown future version alike.
+  for (const uint32_t version : {1u, 3u}) {
     const StatusOr<Frame> frame =
-        read_back(EncodeRequestFrame(request, future_version));
-    ASSERT_FALSE(frame.ok());
-    EXPECT_NE(frame.status().message().find("unsupported frame version"),
+        read_back(Reframe(EncodeRequestFrame(request), version));
+    ASSERT_FALSE(frame.ok()) << "version " << version;
+    EXPECT_NE(frame.status().message().find("unsupported frame version " +
+                                            std::to_string(version)),
               std::string::npos)
         << frame.status();
   }
-  // The CRC covers the v2 header extension: a flipped trace-id byte is
-  // caught even though the payload is untouched.
+  // The CRC covers the trace context: a flipped trace-id byte is caught
+  // even though the payload is untouched.
   {
     std::string bad = EncodeRequestFrame(request);
-    bad[kFrameHeaderBytes + 3] ^= 0x20;  // inside the trace_id field
+    bad[20 + 3] ^= 0x20;  // inside the trace_id field
     const StatusOr<Frame> frame = read_back(bad);
     ASSERT_FALSE(frame.ok());
     EXPECT_NE(frame.status().message().find("checksum"), std::string::npos);
@@ -569,62 +566,46 @@ TEST(ServeTcpTest, GarbageBytesCountAsProtocolErrorAndCloseTheSession) {
   TcpServer server(service);
   ASSERT_TRUE(server.Start(0).ok());
 
-  // A raw socket feeds the server a ping frame with a flipped CRC byte.
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(server.port()));
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  std::string bad = EncodeControlFrame(FrameKind::kPing);
-  bad.back() = static_cast<char>(bad.back() ^ 0x1);
-  ASSERT_TRUE(WriteAll(fd, bad.data(), bad.size()).ok());
-  // The server must drop the session: the next read sees EOF, not a pong.
-  char byte;
-  EXPECT_EQ(ReadExact(fd, &byte, 1).code(), StatusCode::kUnavailable);
-  ::close(fd);
+  // Raw sockets feed the server a ping frame with a flipped CRC byte and
+  // a well-formed ping in the retired v1 framing. The v1 ping is shorter
+  // than the 32-byte header, so the peer half-closes to show it is done.
+  std::string bad_crc = EncodeControlFrame(FrameKind::kPing);
+  bad_crc.back() = static_cast<char>(bad_crc.back() ^ 0x1);
+  const std::vector<std::string> inputs = {
+      bad_crc, Reframe(EncodeControlFrame(FrameKind::kPing), 1)};
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr = {};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<uint16_t>(server.port()));
+    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+    ASSERT_EQ(
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    ASSERT_TRUE(WriteAll(fd, inputs[i].data(), inputs[i].size()).ok());
+    ::shutdown(fd, SHUT_WR);
+    // The server must drop the session: the next read sees EOF, not a
+    // pong.
+    char byte;
+    EXPECT_EQ(ReadExact(fd, &byte, 1).code(), StatusCode::kUnavailable)
+        << "input " << i;
+    ::close(fd);
 
-  // The error is counted, and healthy clients are unaffected.
-  for (int spin = 0; spin < 100 && server.protocol_errors() == 0; ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    // The error is counted.
+    const int64_t want = static_cast<int64_t>(i) + 1;
+    for (int spin = 0; spin < 100 && server.protocol_errors() < want;
+         ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_EQ(server.protocol_errors(), want) << "input " << i;
   }
-  EXPECT_EQ(server.protocol_errors(), 1);
+
+  // Healthy clients are unaffected.
   auto client = ServeClient::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(client.ok()) << client.status();
   EXPECT_TRUE(client->Ping().ok());
   client->Close();
   server.Shutdown();
-}
-
-TEST(ServeTcpTest, LegacyV1ClientInteroperatesEndToEnd) {
-  const auto& queries = TestPipeline().dataset().queries;
-  ExpansionService service(TestPipeline(), ServeConfig{});
-  TcpServer server(service);
-  ASSERT_TRUE(server.Start(0).ok());
-
-  // An old client speaks v1 framing; the server mirrors the version, so
-  // the session never carries a header extension the client cannot read.
-  auto legacy = ServeClient::Connect("127.0.0.1", server.port());
-  ASSERT_TRUE(legacy.ok()) << legacy.status();
-  legacy->set_wire_version(kFrameVersionV1);
-  ASSERT_TRUE(legacy->Ping().ok());
-  const auto ranking = legacy->ExpandByIndex("retexpan", 0, 20);
-  ASSERT_TRUE(ranking.ok()) << ranking.status();
-  EXPECT_EQ(*ranking, Reference("retexpan", queries[0], 20));
-
-  // A v2 client on the same server, same answer.
-  auto current = ServeClient::Connect("127.0.0.1", server.port());
-  ASSERT_TRUE(current.ok()) << current.status();
-  const auto v2_ranking = current->ExpandByIndex("retexpan", 0, 20);
-  ASSERT_TRUE(v2_ranking.ok()) << v2_ranking.status();
-  EXPECT_EQ(*v2_ranking, *ranking);
-
-  legacy->Close();
-  current->Close();
-  server.Shutdown();
-  EXPECT_EQ(server.protocol_errors(), 0);
 }
 
 TEST(ServeTcpTest, ForcedTraceLandsInSlowLogWithClientTraceId) {

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "embedding/trainer.h"
@@ -205,69 +206,43 @@ TEST_F(SnapshotTest, IndexRoundTrip) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(SnapshotTest, IndexLoadsLegacyRawFormatIntoCompressedForm) {
-  // Hand-write the pre-compression payload (doc lengths + explicit
-  // (doc, tf) posting pairs), exactly what old artifact caches contain.
-  InvertedIndex reference = BuildIndexForSnapshotTests();
-  SnapshotWriter writer;
-  writer.PutU64(reference.document_count());
-  for (DocId d = 0; d < static_cast<DocId>(reference.document_count()); ++d) {
-    writer.PutI32(reference.DocumentLength(d));
-  }
-  const std::vector<TokenId> terms = {1, 2, 3, 5, 7};
-  writer.PutU64(terms.size());
-  for (const TokenId term : terms) {
-    const std::vector<Posting>& postings = reference.PostingsOf(term);
-    ASSERT_FALSE(postings.empty());
-    writer.PutI32(term);
-    writer.PutU64(postings.size());
-    for (const Posting& posting : postings) {
-      writer.PutI32(posting.doc);
-      writer.PutI32(posting.term_frequency);
-    }
-  }
-  const auto path = dir_ / "legacy_index.uws";
-  ASSERT_TRUE(
-      WriteSnapshotFile(path.string(), SnapshotKind::kInvertedIndex, writer)
-          .ok());
-
-  auto loaded = LoadIndexSnapshot(path.string());
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ASSERT_TRUE(loaded->is_frozen());
-  reference.Freeze();
-  ASSERT_EQ(loaded->document_count(), reference.document_count());
-  for (const TokenId term : terms) {
-    EXPECT_EQ(loaded->DecodedPostings(term), reference.DecodedPostings(term));
-  }
-  Bm25Scorer loaded_scorer(&*loaded);
-  Bm25Scorer reference_scorer(&reference);
-  ASSERT_EQ(loaded_scorer.Search({2, 3, 5}, 20),
-            reference_scorer.Search({2, 3, 5}, 20));
-
-  // Saving the migrated index re-serializes it in the current format,
-  // which must round-trip bit-identically from here on.
-  const auto resaved = dir_ / "legacy_resaved.uws";
-  ASSERT_TRUE(SaveIndexSnapshot(*loaded, resaved.string()).ok());
-  auto reloaded = LoadIndexSnapshot(resaved.string());
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
-  EXPECT_EQ(reloaded->compressed_payload(), loaded->compressed_payload());
-}
-
 TEST_F(SnapshotTest, IndexRejectsUnknownPayloadVersion) {
   // A tagged payload with a version this build does not understand must
-  // fail closed, not fall through to the legacy parser.
-  SnapshotWriter writer;
-  writer.PutU64(kIndexPayloadTagBase | (kIndexPayloadVersion + 1));
-  writer.PutU64(0);  // arbitrary trailing bytes; the tag alone must reject
-  const auto path = dir_ / "future_index.uws";
-  ASSERT_TRUE(
-      WriteSnapshotFile(path.string(), SnapshotKind::kInvertedIndex, writer)
-          .ok());
-  auto loaded = LoadIndexSnapshot(path.string());
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInternal);
-  EXPECT_NE(loaded.status().message().find("unsupported index payload"),
-            std::string::npos);
+  // fail closed.
+  SnapshotWriter future;
+  future.PutU64(kIndexPayloadTagBase | (kIndexPayloadVersion + 1));
+  future.PutU64(0);  // arbitrary trailing bytes; the tag alone must reject
+  // So must an untagged payload: the retired raw-postings format (doc
+  // lengths, then every posting as an explicit (doc, tf) pair), which
+  // opens with the doc-length count instead of the tag.
+  const InvertedIndex reference = BuildIndexForSnapshotTests();
+  SnapshotWriter raw;
+  raw.PutU64(reference.document_count());
+  for (DocId d = 0; d < static_cast<DocId>(reference.document_count()); ++d) {
+    raw.PutI32(reference.DocumentLength(d));
+  }
+  raw.PutU64(1);
+  raw.PutI32(1);
+  raw.PutU64(reference.PostingsOf(1).size());
+  for (const Posting& posting : reference.PostingsOf(1)) {
+    raw.PutI32(posting.doc);
+    raw.PutI32(posting.term_frequency);
+  }
+
+  for (const auto& [writer, message] :
+       {std::pair<const SnapshotWriter*, const char*>{
+            &future, "unsupported index payload version"},
+        {&raw, "no version tag"}}) {
+    const auto path = dir_ / "rejected_index.uws";
+    ASSERT_TRUE(WriteSnapshotFile(path.string(), SnapshotKind::kInvertedIndex,
+                                  *writer)
+                    .ok());
+    auto loaded = LoadIndexSnapshot(path.string());
+    ASSERT_FALSE(loaded.ok()) << message;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInternal);
+    EXPECT_NE(loaded.status().message().find(message), std::string::npos)
+        << loaded.status();
+  }
 }
 
 TEST_F(SnapshotTest, EntityStoreRoundTrip) {

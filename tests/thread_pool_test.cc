@@ -25,12 +25,18 @@ namespace {
 // ------------------------------------------------------------ Pool unit.
 
 TEST(ThreadPoolTest, DefaultThreadCountReadsEnv) {
+  ASSERT_EQ(unsetenv("UW_THREADS"), 0);
+  const int hardware = ThreadPool::DefaultThreadCount();
+  EXPECT_GE(hardware, 1);
   ASSERT_EQ(setenv("UW_THREADS", "3", /*overwrite=*/1), 0);
   EXPECT_EQ(ThreadPool::DefaultThreadCount(), 3);
-  ASSERT_EQ(setenv("UW_THREADS", "not-a-number", 1), 0);
-  EXPECT_GE(ThreadPool::DefaultThreadCount(), 1);
+  // Malformed values fall back to the hardware default; "64k" must not
+  // be truncated to 64.
+  for (const char* bad : {"not-a-number", "64k"}) {
+    ASSERT_EQ(setenv("UW_THREADS", bad, 1), 0);
+    EXPECT_EQ(ThreadPool::DefaultThreadCount(), hardware) << bad;
+  }
   ASSERT_EQ(unsetenv("UW_THREADS"), 0);
-  EXPECT_GE(ThreadPool::DefaultThreadCount(), 1);
 }
 
 TEST(ThreadPoolTest, ParallelForVisitsEveryIndexExactlyOnce) {

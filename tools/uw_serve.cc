@@ -9,9 +9,10 @@
 // micro-batching and admission control (serve/service.h knobs:
 // UW_SERVE_BATCH, UW_SERVE_BATCH_WAIT_MS, UW_SERVE_QUEUE,
 // UW_SERVE_TIMEOUT_MS, UW_TRACE_SAMPLE, UW_SLOW_QUERY_MS). `--port=0`
-// (default UW_SERVE_PORT or 0) binds an ephemeral port; the bound port
-// is printed to stdout as "listening on port N" and, when
-// UW_SERVE_PORT_FILE is set, written to that path for scripts.
+// (default UW_SERVE_PORT or 0) binds an ephemeral port; a port outside
+// 0..65535 or with trailing garbage exits 1. The bound port is printed
+// to stdout as "listening on port N" and, when UW_SERVE_PORT_FILE is
+// set, written to that path for scripts.
 //
 // `--shard=I/N` scopes the scatter plane (serve/router.h) to shard I of
 // an N-way candidate partition: the process answers ShardRetrieve for
@@ -148,9 +149,24 @@ std::shared_ptr<serve::ServiceHost::Generation> BuildGeneration(
 
 int main(int argc, char** argv) {
   const char* port_env = std::getenv("UW_SERVE_PORT");
-  const int port = std::atoi(
-      FlagValue(argc, argv, "port", port_env != nullptr ? port_env : "0")
-          .c_str());
+  const std::string port_text =
+      FlagValue(argc, argv, "port", port_env != nullptr ? port_env : "0");
+  const std::optional<int> port = ParsePortStrict(port_text);
+  if (!port.has_value()) {
+    std::fprintf(stderr, "bad port \"%s\" (expected 0..65535)\n",
+                 port_text.c_str());
+    return 1;
+  }
+  const char* admin_port_env = std::getenv("UW_ADMIN_PORT");
+  std::optional<int> admin_port;
+  if (admin_port_env != nullptr) {
+    admin_port = ParsePortStrict(admin_port_env);
+    if (!admin_port.has_value()) {
+      std::fprintf(stderr, "bad UW_ADMIN_PORT=%s (expected 0..65535)\n",
+                   admin_port_env);
+      return 1;
+    }
+  }
   const std::string config_name =
       FlagValue(argc, argv, "config", "tiny");
   const double scale =
@@ -196,7 +212,7 @@ int main(int argc, char** argv) {
   host.Install(generation);
 
   serve::TcpServer server(host);
-  const Status started = server.Start(port);
+  const Status started = server.Start(*port);
   if (!started.ok()) {
     std::fprintf(stderr, "[uw_serve] %s\n", started.ToString().c_str());
     return 1;
@@ -217,8 +233,8 @@ int main(int argc, char** argv) {
   // Optional admin listener: telemetry stays off the request plane and
   // scrapeable mid-load. UW_ADMIN_PORT=0 binds an ephemeral port.
   serve::AdminServer admin(host);
-  if (const char* admin_port_env = std::getenv("UW_ADMIN_PORT")) {
-    const Status admin_started = admin.Start(std::atoi(admin_port_env));
+  if (admin_port.has_value()) {
+    const Status admin_started = admin.Start(*admin_port);
     if (!admin_started.ok()) {
       std::fprintf(stderr, "[uw_serve] admin: %s\n",
                    admin_started.ToString().c_str());
