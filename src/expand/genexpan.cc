@@ -34,6 +34,36 @@ const char* CotModeName(CotMode mode) {
 
 namespace {
 
+/// The in-vocabulary tokens of `id`'s surface form.
+std::vector<TokenId> NameTokens(const Corpus& corpus, EntityId id) {
+  std::vector<TokenId> tokens;
+  for (const std::string& word : corpus.entity(id).name_tokens) {
+    const TokenId token = corpus.tokens().Lookup(word);
+    if (token != kInvalidTokenId) tokens.push_back(token);
+  }
+  return tokens;
+}
+
+}  // namespace
+
+PrefixTrie BuildNameTrie(const Corpus& corpus,
+                         const std::vector<EntityId>& ids) {
+  PrefixTrie trie;
+  for (EntityId id : ids) {
+    const std::vector<TokenId> name = NameTokens(corpus, id);
+    if (name.empty()) {
+      UW_LOG_EVERY_N(Warning, 100)
+          << "entity " << id
+          << " has no in-vocabulary name tokens; it cannot be generated";
+      continue;
+    }
+    trie.Insert(name, id);
+  }
+  return trie;
+}
+
+namespace {
+
 bool CotHasClassName(CotMode mode) { return mode != CotMode::kNone; }
 
 bool CotClassNameIsGenerated(CotMode mode) {
@@ -138,12 +168,7 @@ GenExpan::GenExpan(const GeneratedWorld* world, const HybridLm* lm,
 }
 
 std::vector<TokenId> GenExpan::NameTokensOf(EntityId id) const {
-  std::vector<TokenId> tokens;
-  for (const std::string& word : world_->corpus.entity(id).name_tokens) {
-    const TokenId token = world_->corpus.tokens().Lookup(word);
-    if (token != kInvalidTokenId) tokens.push_back(token);
-  }
-  return tokens;
+  return NameTokens(world_->corpus, id);
 }
 
 std::vector<TokenId> GenExpan::CotPrefix(const Query& query) const {

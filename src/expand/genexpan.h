@@ -69,6 +69,12 @@ struct GenExpanConfig {
 /// Exposed for the collision regression test.
 uint64_t GenExpanQueryFingerprint(const Query& query);
 
+/// Prefix trie over the surface forms of `ids` (in order), the
+/// constraint of GenExpan's beam search. Entities with no in-vocabulary
+/// name token cannot be generated and are left out.
+PrefixTrie BuildNameTrie(const Corpus& corpus,
+                         const std::vector<EntityId>& ids);
+
 /// The generation-based framework (paper §5.2): iterative entity
 /// generation with prefix-constrained beam search → entity selection by
 /// LM similarity (Eq. 7) → segmented re-ranking against the negative

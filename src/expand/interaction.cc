@@ -4,7 +4,6 @@
 #include <set>
 
 #include "common/logging.h"
-#include "lm/prefix_trie.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -13,12 +12,14 @@ namespace ultrawiki {
 InteractionExpander::InteractionExpander(
     InteractionOrder order, const GeneratedWorld* world,
     const EntityStore* store, const std::vector<EntityId>* candidates,
-    const HybridLm* lm, const LmEntitySimilarity* similarity,
-    const LlmOracle* oracle, InteractionConfig config)
+    const PrefixTrie* candidate_trie, const HybridLm* lm,
+    const LmEntitySimilarity* similarity, const LlmOracle* oracle,
+    InteractionConfig config)
     : order_(order),
       world_(world),
       store_(store),
       candidates_(candidates),
+      candidate_trie_(candidate_trie),
       lm_(lm),
       similarity_(similarity),
       oracle_(oracle),
@@ -26,6 +27,7 @@ InteractionExpander::InteractionExpander(
   UW_CHECK_NE(world, nullptr);
   UW_CHECK_NE(store, nullptr);
   UW_CHECK_NE(candidates, nullptr);
+  UW_CHECK_NE(candidate_trie, nullptr);
   UW_CHECK_NE(lm, nullptr);
   UW_CHECK_NE(similarity, nullptr);
   UW_CHECK_NE(oracle, nullptr);
@@ -88,22 +90,7 @@ std::vector<EntityId> InteractionExpander::ExpandRetThenGen(
   PrefixTrie trie;
   {
     UW_SPAN("interaction.build_subset_trie");
-    for (EntityId id : subset) {
-      std::vector<TokenId> name;
-      for (const std::string& word :
-           world_->corpus.entity(id).name_tokens) {
-        const TokenId token = world_->corpus.tokens().Lookup(word);
-        if (token != kInvalidTokenId) name.push_back(token);
-      }
-      if (name.empty()) {
-        UW_LOG_EVERY_N(Warning, 100)
-            << "recalled entity " << id
-            << " has no in-vocabulary name tokens; stage B cannot "
-               "generate it";
-        continue;
-      }
-      trie.Insert(name, id);
-    }
+    trie = BuildNameTrie(world_->corpus, subset);
   }
   GenExpan generator(world_, lm_, &trie, similarity_, oracle_,
                      config_.genexpan, "GenExpan(stage B)");
@@ -115,31 +102,11 @@ std::vector<EntityId> InteractionExpander::ExpandGenThenRet(
     const Query& query, size_t k) {
   UW_SPAN("interaction.gen_then_ret");
   obs::GetCounter("interaction.queries").Increment();
-  // Stage A: GenExpan recall over the full trie.
-  PrefixTrie trie;
-  {
-    UW_SPAN("interaction.build_full_trie");
-    for (EntityId id : *candidates_) {
-      std::vector<TokenId> name;
-      for (const std::string& word :
-           world_->corpus.entity(id).name_tokens) {
-        const TokenId token = world_->corpus.tokens().Lookup(word);
-        if (token != kInvalidTokenId) name.push_back(token);
-      }
-      if (name.empty()) {
-        UW_LOG_EVERY_N(Warning, 100)
-            << "candidate entity " << id
-            << " has no in-vocabulary name tokens; stage A cannot "
-               "generate it";
-        continue;
-      }
-      trie.Insert(name, id);
-    }
-  }
+  // Stage A: GenExpan recall over the full candidate trie.
   GenExpanConfig recall_config = config_.genexpan;
   recall_config.use_negative_rerank = false;  // recall stage only
-  GenExpan recall(world_, lm_, &trie, similarity_, oracle_, recall_config,
-                  "GenExpan(stage A)");
+  GenExpan recall(world_, lm_, candidate_trie_, similarity_, oracle_,
+                  recall_config, "GenExpan(stage A)");
   // Stage A's ordered list, minus hallucination sentinels and duplicates
   // (first occurrence wins, preserving the generative ranking).
   std::vector<EntityId> ordered;

@@ -27,13 +27,15 @@ struct InteractionConfig {
 
 /// RetExpan+GenExpan / GenExpan+RetExpan pipelines. Stage B operates on a
 /// per-query restriction of the candidate vocabulary: a query-local prefix
-/// trie (Ret→Gen) or a query-local candidate list (Gen→Ret).
+/// trie (Ret→Gen) or a query-local candidate list (Gen→Ret). Gen→Ret's
+/// stage A generates over `candidate_trie`, the name trie of `candidates`
+/// (Pipeline::trie()).
 class InteractionExpander : public Expander {
  public:
   InteractionExpander(InteractionOrder order, const GeneratedWorld* world,
                       const EntityStore* store,
                       const std::vector<EntityId>* candidates,
-                      const HybridLm* lm,
+                      const PrefixTrie* candidate_trie, const HybridLm* lm,
                       const LmEntitySimilarity* similarity,
                       const LlmOracle* oracle,
                       InteractionConfig config = {});
@@ -49,6 +51,7 @@ class InteractionExpander : public Expander {
   const GeneratedWorld* world_;
   const EntityStore* store_;
   const std::vector<EntityId>* candidates_;
+  const PrefixTrie* candidate_trie_;
   const HybridLm* lm_;
   const LmEntitySimilarity* similarity_;
   const LlmOracle* oracle_;

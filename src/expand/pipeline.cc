@@ -158,21 +158,8 @@ Pipeline::Pipeline(const PipelineConfig& config)
   // Prefix trie over candidate surface forms.
   {
     UW_SPAN("build_trie");
-    trie_ = std::make_unique<PrefixTrie>();
-    for (EntityId id : dataset_.candidates) {
-      std::vector<TokenId> name;
-      for (const std::string& word : corpus.entity(id).name_tokens) {
-        const TokenId token = corpus.tokens().Lookup(word);
-        if (token != kInvalidTokenId) name.push_back(token);
-      }
-      if (name.empty()) {
-        UW_LOG_EVERY_N(Warning, 100)
-            << "candidate entity " << id
-            << " has no in-vocabulary name tokens; skipping trie insert";
-        continue;
-      }
-      trie_->Insert(name, id);
-    }
+    trie_ = std::make_unique<PrefixTrie>(
+        BuildNameTrie(corpus, dataset_.candidates));
   }
   similarity_ = std::make_unique<LmEntitySimilarity>(corpus, *lm_);
   obs::GetGauge("pipeline.candidates").Set(
@@ -461,8 +448,8 @@ std::unique_ptr<Gpt4Baseline> Pipeline::MakeGpt4Baseline() {
 std::unique_ptr<InteractionExpander> Pipeline::MakeInteraction(
     InteractionOrder order, InteractionConfig config) {
   return std::make_unique<InteractionExpander>(
-      order, &world_, store_.get(), &dataset_.candidates, lm_.get(),
-      similarity_.get(), oracle_.get(), config);
+      order, &world_, store_.get(), &dataset_.candidates, trie_.get(),
+      lm_.get(), similarity_.get(), oracle_.get(), config);
 }
 
 }  // namespace ultrawiki

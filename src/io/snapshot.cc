@@ -64,20 +64,6 @@ uint64_t DecodeU64(const char* bytes) {
   return value;
 }
 
-/// Reads a u64 element count and rejects it when `count *
-/// min_bytes_per_element` could not fit in the remaining payload, so a
-/// corrupt count can never drive an oversized allocation.
-bool ReadCount(SnapshotReader& in, size_t min_bytes_per_element,
-               const char* what, uint64_t* count) {
-  if (!in.ReadU64(count)) return false;
-  if (min_bytes_per_element > 0 &&
-      *count > in.remaining() / min_bytes_per_element) {
-    in.Corrupt(std::string(what) + " count exceeds remaining payload");
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 uint32_t Crc32(std::string_view data, uint32_t seed) {
@@ -205,14 +191,14 @@ bool SnapshotReader::ReadFloats(std::span<float> data) {
 
 bool SnapshotReader::ReadFloatVec(std::vector<float>* data) {
   uint64_t count;
-  if (!ReadCount(*this, sizeof(float), "float vector", &count)) return false;
+  if (!ReadCount(sizeof(float), "float vector", &count)) return false;
   data->resize(static_cast<size_t>(count));
   return ReadFloats(std::span<float>(*data));
 }
 
 bool SnapshotReader::ReadI32Vec(std::vector<int32_t>* data) {
   uint64_t count;
-  if (!ReadCount(*this, sizeof(int32_t), "i32 vector", &count)) return false;
+  if (!ReadCount(sizeof(int32_t), "i32 vector", &count)) return false;
   data->resize(static_cast<size_t>(count));
   for (int32_t& v : *data) {
     if (!ReadI32(&v)) return false;
@@ -222,10 +208,21 @@ bool SnapshotReader::ReadI32Vec(std::vector<int32_t>* data) {
 
 bool SnapshotReader::ReadStringVec(std::vector<std::string>* strings) {
   uint64_t count;
-  if (!ReadCount(*this, 8, "string vector", &count)) return false;
+  if (!ReadCount(8, "string vector", &count)) return false;
   strings->resize(static_cast<size_t>(count));
   for (std::string& s : *strings) {
     if (!ReadString(&s)) return false;
+  }
+  return true;
+}
+
+bool SnapshotReader::ReadCount(size_t min_bytes_per_element,
+                               const char* what, uint64_t* count) {
+  if (!ReadU64(count)) return false;
+  if (min_bytes_per_element > 0 &&
+      *count > remaining() / min_bytes_per_element) {
+    Corrupt(std::string(what) + " count exceeds remaining payload");
+    return false;
   }
   return true;
 }
@@ -365,7 +362,7 @@ bool ValidTokens(const std::vector<TokenId>& tokens, size_t vocab_size) {
 Status DecodeCorpus(SnapshotReader& in, Corpus* corpus) {
   uint64_t token_count;
   // Each token record is at least len(8) + count(8) bytes.
-  if (!ReadCount(in, 16, "vocabulary", &token_count)) {
+  if (!in.ReadCount(16, "vocabulary", &token_count)) {
     return Status::Internal("corrupt corpus snapshot (vocabulary header)");
   }
   for (uint64_t t = 0; t < token_count; ++t) {
@@ -382,7 +379,7 @@ Status DecodeCorpus(SnapshotReader& in, Corpus* corpus) {
   }
   uint64_t entity_count;
   // name len + name-token count + class + flag + attr count.
-  if (!ReadCount(in, 32, "entity", &entity_count)) {
+  if (!in.ReadCount(32, "entity", &entity_count)) {
     return Status::Internal("corrupt corpus snapshot (entity header)");
   }
   for (uint64_t e = 0; e < entity_count; ++e) {
@@ -392,7 +389,7 @@ Status DecodeCorpus(SnapshotReader& in, Corpus* corpus) {
     if (!in.ReadString(&entity.name) ||
         !in.ReadStringVec(&entity.name_tokens) ||
         !in.ReadI32(&entity.class_id) || !in.ReadU32(&long_tail) ||
-        !ReadCount(in, 4, "attribute value", &value_count)) {
+        !in.ReadCount(4, "attribute value", &value_count)) {
       return Status::Internal("corrupt corpus snapshot (entity record)");
     }
     if (long_tail > 1) {
@@ -409,7 +406,7 @@ Status DecodeCorpus(SnapshotReader& in, Corpus* corpus) {
   }
   uint64_t sentence_count;
   // entity + begin + len + token count.
-  if (!ReadCount(in, 20, "sentence", &sentence_count)) {
+  if (!in.ReadCount(20, "sentence", &sentence_count)) {
     return Status::Internal("corrupt corpus snapshot (sentence header)");
   }
   for (uint64_t s = 0; s < sentence_count; ++s) {
@@ -432,7 +429,7 @@ Status DecodeCorpus(SnapshotReader& in, Corpus* corpus) {
     corpus->AddSentence(std::move(sentence));
   }
   uint64_t auxiliary_count;
-  if (!ReadCount(in, 8, "auxiliary sentence", &auxiliary_count)) {
+  if (!in.ReadCount(8, "auxiliary sentence", &auxiliary_count)) {
     return Status::Internal("corrupt corpus snapshot (auxiliary header)");
   }
   for (uint64_t s = 0; s < auxiliary_count; ++s) {
@@ -499,7 +496,7 @@ Status DecodeAttribute(SnapshotReader& in, AttributeDef* attr) {
   attr->clue_variants.resize(attr->values.size());
   for (auto& variants : attr->clue_variants) {
     uint64_t phrase_count;
-    if (!ReadCount(in, 8, "clue variant", &phrase_count)) {
+    if (!in.ReadCount(8, "clue variant", &phrase_count)) {
       return Status::Internal("corrupt world snapshot (clue variants)");
     }
     variants.resize(static_cast<size_t>(phrase_count));
@@ -555,7 +552,7 @@ StatusOr<GeneratedWorld> LoadWorldSnapshot(const std::string& path) {
 
   uint64_t class_count;
   // Four string lengths + two ints + two counts per class at minimum.
-  if (!ReadCount(in, 56, "schema class", &class_count)) {
+  if (!in.ReadCount(56, "schema class", &class_count)) {
     return Status::Internal("corrupt world snapshot (schema header)");
   }
   world.schema.resize(static_cast<size_t>(class_count));
@@ -567,7 +564,7 @@ StatusOr<GeneratedWorld> LoadWorldSnapshot(const std::string& path) {
         !in.ReadString(&spec.plural_noun) ||
         !in.ReadI32(&spec.entity_count) || !in.ReadI32(&spec.name_style) ||
         !in.ReadStringVec(&spec.topic_tokens) ||
-        !ReadCount(in, 32, "attribute", &attr_count)) {
+        !in.ReadCount(32, "attribute", &attr_count)) {
       return Status::Internal("corrupt world snapshot (class record)");
     }
     spec.attributes.resize(static_cast<size_t>(attr_count));
@@ -578,7 +575,7 @@ StatusOr<GeneratedWorld> LoadWorldSnapshot(const std::string& path) {
   }
 
   uint64_t kb_count;
-  if (!ReadCount(in, 16, "knowledge-base entry", &kb_count)) {
+  if (!in.ReadCount(16, "knowledge-base entry", &kb_count)) {
     return Status::Internal("corrupt world snapshot (kb header)");
   }
   if (kb_count != world.corpus.entity_count()) {
@@ -687,7 +684,7 @@ StatusOr<InvertedIndex> LoadIndexSnapshot(const std::string& path) {
   }
   uint64_t term_count;
   // term id + doc frequency + block count.
-  if (!ReadCount(in, 20, "index term", &term_count)) {
+  if (!in.ReadCount(20, "index term", &term_count)) {
     return Status::Internal("corrupt index snapshot (term directory)");
   }
   std::vector<CompressedTermList> terms(static_cast<size_t>(term_count));
@@ -708,7 +705,7 @@ StatusOr<InvertedIndex> LoadIndexSnapshot(const std::string& path) {
   }
   uint64_t block_count;
   // last doc + count + max tf + min dl + byte length.
-  if (!ReadCount(in, 24, "index block", &block_count) ||
+  if (!in.ReadCount(24, "index block", &block_count) ||
       block_count != declared_blocks) {
     return Status::Internal("corrupt index snapshot (block directory)");
   }
@@ -779,7 +776,7 @@ StatusOr<EntityStore> LoadEntityStoreSnapshot(const std::string& path) {
     return Status::Internal("entity-store snapshot has implausible dim " +
                             std::to_string(dim));
   }
-  if (!ReadCount(in, 4, "entity slot", &slot_count)) {
+  if (!in.ReadCount(4, "entity slot", &slot_count)) {
     return Status::Internal("corrupt entity-store snapshot (slot header)");
   }
   std::vector<Vec> hidden(static_cast<size_t>(slot_count));

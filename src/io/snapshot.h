@@ -118,6 +118,13 @@ class SnapshotReader {
   bool ReadFloatVec(std::vector<float>* data);
   bool ReadI32Vec(std::vector<int32_t>* data);
   bool ReadStringVec(std::vector<std::string>* strings);
+  /// Reads a u64 element count and rejects it when `count *
+  /// min_bytes_per_element` could not fit in the remaining payload (a
+  /// division, so a hostile count cannot overflow the check), so a corrupt
+  /// count can never drive an oversized allocation. `what` names the
+  /// count in the corruption reason.
+  bool ReadCount(size_t min_bytes_per_element, const char* what,
+                 uint64_t* count);
 
   size_t remaining() const { return data_.size() - cursor_; }
   bool ok() const { return error_.empty(); }

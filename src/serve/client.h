@@ -73,11 +73,15 @@ class ServeClient {
   uint64_t last_trace_id() const { return last_trace_id_; }
 
  private:
-  StatusOr<std::vector<EntityId>> RoundTrip(WireRequest request);
   /// Sends an already-encoded frame and reads back one frame of
-  /// `expected` kind (shared by every scatter-plane call).
+  /// `expected` kind (shared by ping and every call).
   StatusOr<Frame> FrameRoundTrip(const std::string& encoded,
                                  FrameKind expected);
+  /// The one round trip of every call: stamps the next request id, sends
+  /// `request`, checks the reply's kind and echoed id, turns a non-OK
+  /// reply code into its Status, and otherwise returns the reply's `body`.
+  template <typename Request, typename Reply, typename Body>
+  StatusOr<Body> Call(Request request, Body Reply::*body);
   FrameOptions MakeFrameOptions(uint64_t request_id);
 
   int fd_ = -1;

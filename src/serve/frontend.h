@@ -23,10 +23,16 @@ class Frontend {
 
   virtual ExpandResult Expand(ExpandRequest request) = 0;
   virtual StatusOr<Query> QueryByIndex(uint32_t index) = 0;
+  /// The scatter plane. Only shards (ServiceHost) answer it; any other
+  /// frontend keeps this kUnimplemented default.
   virtual StatusOr<std::vector<ShardScoredEntity>> ScatterRetrieve(
-      const Query& query, size_t size) = 0;
+      const Query& /*query*/, size_t /*size*/) {
+    return Status::Unimplemented("not a shard");
+  }
   virtual StatusOr<ShardScores> ScatterScore(
-      const Query& query, const std::vector<EntityId>& ids) = 0;
+      const Query& /*query*/, const std::vector<EntityId>& /*ids*/) {
+    return Status::Unimplemented("not a shard");
+  }
   /// Graceful-drain hook, run by TcpServer::Shutdown after every handler
   /// has exited. Must be idempotent.
   virtual void Drain() = 0;

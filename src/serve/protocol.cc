@@ -1,6 +1,9 @@
 #include "serve/protocol.h"
 
+#include <netdb.h>
 #include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
@@ -60,6 +63,34 @@ bool KnownFrameKind(uint32_t kind) {
          kind <= static_cast<uint32_t>(FrameKind::kQueryLookupResponse);
 }
 
+// --- The envelope: the only code that knows the head layouts. ---
+
+void PutHead(SnapshotWriter& writer, const RequestHead& head) {
+  writer.PutU64(head.request_id);
+}
+
+void ReadHead(SnapshotReader& reader, RequestHead* head) {
+  reader.ReadU64(&head->request_id);
+}
+
+void PutHead(SnapshotWriter& writer, const ReplyHead& head) {
+  writer.PutU64(head.request_id);
+  writer.PutU32(head.code);
+  writer.PutString(head.message);
+}
+
+void ReadHead(SnapshotReader& reader, ReplyHead* head) {
+  reader.ReadU64(&head->request_id);
+  reader.ReadU32(&head->code);
+  reader.ReadString(&head->message);
+  if (reader.ok() &&
+      head->code > static_cast<uint32_t>(StatusCode::kUnavailable)) {
+    reader.Corrupt("status code out of range");
+  }
+}
+
+// --- Bodies: one writer and one reader per message. ---
+
 void PutQuery(SnapshotWriter& writer, const Query& query) {
   writer.PutI32(query.ultra_class);
   writer.PutI32Vec(query.pos_seeds);
@@ -72,222 +103,146 @@ void ReadQuery(SnapshotReader& reader, Query* query) {
   reader.ReadI32Vec(&query->neg_seeds);
 }
 
-void CheckStatusCode(SnapshotReader& reader, uint32_t code) {
-  if (reader.ok() &&
-      code > static_cast<uint32_t>(StatusCode::kUnavailable)) {
-    reader.Corrupt("status code out of range");
-  }
-}
-
-}  // namespace
-
-std::string EncodeRequestFrame(const WireRequest& request,
-                               const FrameOptions& options) {
-  SnapshotWriter writer;
-  writer.PutU64(request.request_id);
+void PutBody(SnapshotWriter& writer, const WireRequest& request) {
   writer.PutString(request.method);
   writer.PutU32(request.k);
   writer.PutU32(request.timeout_ms);
   writer.PutU32(request.by_index ? 1 : 0);
   writer.PutU32(request.query_index);
-  writer.PutI32(request.query.ultra_class);
-  writer.PutI32Vec(request.query.pos_seeds);
-  writer.PutI32Vec(request.query.neg_seeds);
-  return FramePayload(FrameKind::kExpandRequest, writer.payload(), options);
+  PutQuery(writer, request.query);
 }
 
-std::string EncodeResponseFrame(const WireResponse& response,
-                                const FrameOptions& options) {
-  SnapshotWriter writer;
-  writer.PutU64(response.request_id);
-  writer.PutU32(response.code);
-  writer.PutString(response.message);
+void ReadBody(SnapshotReader& reader, WireRequest* request) {
+  uint32_t by_index = 0;
+  reader.ReadString(&request->method);
+  reader.ReadU32(&request->k);
+  reader.ReadU32(&request->timeout_ms);
+  reader.ReadU32(&by_index);
+  reader.ReadU32(&request->query_index);
+  ReadQuery(reader, &request->query);
+  if (reader.ok() && by_index > 1) {
+    reader.Corrupt("by_index flag out of range");
+  }
+  request->by_index = by_index == 1;
+}
+
+void PutBody(SnapshotWriter& writer, const WireResponse& response) {
   writer.PutI32Vec(response.ranking);
-  return FramePayload(FrameKind::kExpandResponse, writer.payload(), options);
 }
 
-std::string EncodeControlFrame(FrameKind kind, const FrameOptions& options) {
-  return FramePayload(kind, {}, options);
+void ReadBody(SnapshotReader& reader, WireResponse* response) {
+  reader.ReadI32Vec(&response->ranking);
 }
 
-std::string EncodeShardRetrieveRequestFrame(
-    const WireShardRetrieveRequest& request, const FrameOptions& options) {
-  SnapshotWriter writer;
-  writer.PutU64(request.request_id);
+void PutBody(SnapshotWriter& writer, const WireShardRetrieveRequest& request) {
   writer.PutU64(request.size);
   PutQuery(writer, request.query);
-  return FramePayload(FrameKind::kShardRetrieveRequest, writer.payload(),
-                      options);
 }
 
-std::string EncodeShardRetrieveResponseFrame(
-    const WireShardRetrieveResponse& response, const FrameOptions& options) {
-  SnapshotWriter writer;
-  writer.PutU64(response.request_id);
-  writer.PutU32(response.code);
-  writer.PutString(response.message);
+void ReadBody(SnapshotReader& reader, WireShardRetrieveRequest* request) {
+  reader.ReadU64(&request->size);
+  ReadQuery(reader, &request->query);
+  if (reader.ok() && request->size > kMaxFramePayload) {
+    reader.Corrupt("retrieve size implausibly large");
+  }
+}
+
+void PutBody(SnapshotWriter& writer,
+             const WireShardRetrieveResponse& response) {
   writer.PutU64(response.entities.size());
   for (const ShardScoredEntity& entity : response.entities) {
     writer.PutF32(entity.score);
     writer.PutU64(entity.position);
     writer.PutI32(entity.id);
   }
-  return FramePayload(FrameKind::kShardRetrieveResponse, writer.payload(),
-                      options);
 }
 
-std::string EncodeShardScoreRequestFrame(const WireShardScoreRequest& request,
-                                         const FrameOptions& options) {
-  SnapshotWriter writer;
-  writer.PutU64(request.request_id);
+void ReadBody(SnapshotReader& reader, WireShardRetrieveResponse* response) {
+  uint64_t count = 0;
+  // Each entity is 16 encoded bytes.
+  if (!reader.ReadCount(16, "entity", &count)) return;
+  response->entities.resize(static_cast<size_t>(count));
+  for (ShardScoredEntity& entity : response->entities) {
+    reader.ReadF32(&entity.score);
+    reader.ReadU64(&entity.position);
+    reader.ReadI32(&entity.id);
+  }
+}
+
+void PutBody(SnapshotWriter& writer, const WireShardScoreRequest& request) {
   writer.PutI32Vec(request.ids);
   PutQuery(writer, request.query);
-  return FramePayload(FrameKind::kShardScoreRequest, writer.payload(),
-                      options);
 }
 
-std::string EncodeShardScoreResponseFrame(
-    const WireShardScoreResponse& response, const FrameOptions& options) {
-  SnapshotWriter writer;
-  writer.PutU64(response.request_id);
-  writer.PutU32(response.code);
-  writer.PutString(response.message);
-  writer.PutFloatVec(response.scores.pos);
-  writer.PutFloatVec(response.scores.neg);
-  return FramePayload(FrameKind::kShardScoreResponse, writer.payload(),
-                      options);
-}
-
-std::string EncodeQueryLookupRequestFrame(
-    const WireQueryLookupRequest& request, const FrameOptions& options) {
-  SnapshotWriter writer;
-  writer.PutU64(request.request_id);
-  writer.PutU32(request.query_index);
-  return FramePayload(FrameKind::kQueryLookupRequest, writer.payload(),
-                      options);
-}
-
-std::string EncodeQueryLookupResponseFrame(
-    const WireQueryLookupResponse& response, const FrameOptions& options) {
-  SnapshotWriter writer;
-  writer.PutU64(response.request_id);
-  writer.PutU32(response.code);
-  writer.PutString(response.message);
-  PutQuery(writer, response.query);
-  return FramePayload(FrameKind::kQueryLookupResponse, writer.payload(),
-                      options);
-}
-
-Status DecodeRequestPayload(std::string_view payload, WireRequest* request) {
-  SnapshotReader reader(payload);
-  uint32_t by_index = 0;
-  reader.ReadU64(&request->request_id);
-  reader.ReadString(&request->method);
-  reader.ReadU32(&request->k);
-  reader.ReadU32(&request->timeout_ms);
-  reader.ReadU32(&by_index);
-  reader.ReadU32(&request->query_index);
-  reader.ReadI32(&request->query.ultra_class);
-  reader.ReadI32Vec(&request->query.pos_seeds);
-  reader.ReadI32Vec(&request->query.neg_seeds);
-  if (reader.ok() && by_index > 1) {
-    reader.Corrupt("by_index flag out of range");
-  }
-  request->by_index = by_index == 1;
-  return reader.Finish();
-}
-
-Status DecodeResponsePayload(std::string_view payload,
-                             WireResponse* response) {
-  SnapshotReader reader(payload);
-  reader.ReadU64(&response->request_id);
-  reader.ReadU32(&response->code);
-  reader.ReadString(&response->message);
-  reader.ReadI32Vec(&response->ranking);
-  CheckStatusCode(reader, response->code);
-  return reader.Finish();
-}
-
-Status DecodeShardRetrieveRequestPayload(std::string_view payload,
-                                         WireShardRetrieveRequest* request) {
-  SnapshotReader reader(payload);
-  reader.ReadU64(&request->request_id);
-  reader.ReadU64(&request->size);
-  ReadQuery(reader, &request->query);
-  if (reader.ok() && request->size > kMaxFramePayload) {
-    reader.Corrupt("retrieve size implausibly large");
-  }
-  return reader.Finish();
-}
-
-Status DecodeShardRetrieveResponsePayload(
-    std::string_view payload, WireShardRetrieveResponse* response) {
-  SnapshotReader reader(payload);
-  reader.ReadU64(&response->request_id);
-  reader.ReadU32(&response->code);
-  reader.ReadString(&response->message);
-  uint64_t count = 0;
-  reader.ReadU64(&count);
-  // Each entity is 16 encoded bytes; cap the count against the remaining
-  // payload before any allocation, same discipline as ReadI32Vec.
-  if (reader.ok() && count * 16 > reader.remaining()) {
-    reader.Corrupt("entity count exceeds payload");
-  }
-  response->entities.clear();
-  if (reader.ok()) {
-    response->entities.resize(static_cast<size_t>(count));
-    for (ShardScoredEntity& entity : response->entities) {
-      reader.ReadF32(&entity.score);
-      reader.ReadU64(&entity.position);
-      reader.ReadI32(&entity.id);
-    }
-  }
-  CheckStatusCode(reader, response->code);
-  return reader.Finish();
-}
-
-Status DecodeShardScoreRequestPayload(std::string_view payload,
-                                      WireShardScoreRequest* request) {
-  SnapshotReader reader(payload);
-  reader.ReadU64(&request->request_id);
+void ReadBody(SnapshotReader& reader, WireShardScoreRequest* request) {
   reader.ReadI32Vec(&request->ids);
   ReadQuery(reader, &request->query);
-  return reader.Finish();
 }
 
-Status DecodeShardScoreResponsePayload(std::string_view payload,
-                                       WireShardScoreResponse* response) {
-  SnapshotReader reader(payload);
-  reader.ReadU64(&response->request_id);
-  reader.ReadU32(&response->code);
-  reader.ReadString(&response->message);
+void PutBody(SnapshotWriter& writer, const WireShardScoreResponse& response) {
+  writer.PutFloatVec(response.scores.pos);
+  writer.PutFloatVec(response.scores.neg);
+}
+
+void ReadBody(SnapshotReader& reader, WireShardScoreResponse* response) {
   reader.ReadFloatVec(&response->scores.pos);
   reader.ReadFloatVec(&response->scores.neg);
   if (reader.ok() &&
       response->scores.pos.size() != response->scores.neg.size()) {
     reader.Corrupt("pos/neg score lengths differ");
   }
-  CheckStatusCode(reader, response->code);
-  return reader.Finish();
 }
 
-Status DecodeQueryLookupRequestPayload(std::string_view payload,
-                                       WireQueryLookupRequest* request) {
-  SnapshotReader reader(payload);
-  reader.ReadU64(&request->request_id);
+void PutBody(SnapshotWriter& writer, const WireQueryLookupRequest& request) {
+  writer.PutU32(request.query_index);
+}
+
+void ReadBody(SnapshotReader& reader, WireQueryLookupRequest* request) {
   reader.ReadU32(&request->query_index);
+}
+
+void PutBody(SnapshotWriter& writer, const WireQueryLookupResponse& response) {
+  PutQuery(writer, response.query);
+}
+
+void ReadBody(SnapshotReader& reader, WireQueryLookupResponse* response) {
+  ReadQuery(reader, &response->query);
+}
+
+}  // namespace
+
+template <typename Message>
+std::string EncodeFrame(const Message& message, const FrameOptions& options) {
+  SnapshotWriter writer;
+  PutHead(writer, message);
+  PutBody(writer, message);
+  return FramePayload(Message::kKind, writer.payload(), options);
+}
+
+template <typename Message>
+Status DecodePayload(std::string_view payload, Message* message) {
+  SnapshotReader reader(payload);
+  ReadHead(reader, message);
+  ReadBody(reader, message);
   return reader.Finish();
 }
 
-Status DecodeQueryLookupResponsePayload(std::string_view payload,
-                                        WireQueryLookupResponse* response) {
-  SnapshotReader reader(payload);
-  reader.ReadU64(&response->request_id);
-  reader.ReadU32(&response->code);
-  reader.ReadString(&response->message);
-  ReadQuery(reader, &response->query);
-  CheckStatusCode(reader, response->code);
-  return reader.Finish();
+// One explicit instantiation of the codec per Wire* message.
+#define UW_WIRE_MESSAGE(Message)                                         \
+  template std::string EncodeFrame(const Message&, const FrameOptions&); \
+  template Status DecodePayload(std::string_view, Message*)
+UW_WIRE_MESSAGE(WireRequest);
+UW_WIRE_MESSAGE(WireResponse);
+UW_WIRE_MESSAGE(WireShardRetrieveRequest);
+UW_WIRE_MESSAGE(WireShardRetrieveResponse);
+UW_WIRE_MESSAGE(WireShardScoreRequest);
+UW_WIRE_MESSAGE(WireShardScoreResponse);
+UW_WIRE_MESSAGE(WireQueryLookupRequest);
+UW_WIRE_MESSAGE(WireQueryLookupResponse);
+#undef UW_WIRE_MESSAGE
+
+std::string EncodeControlFrame(FrameKind kind, const FrameOptions& options) {
+  return FramePayload(kind, {}, options);
 }
 
 Status ReadExact(int fd, void* buffer, size_t bytes) {
@@ -373,6 +328,43 @@ StatusOr<Frame> ReadFrame(int fd) {
     return Status::Internal("frame checksum mismatch");
   }
   return frame;
+}
+
+StatusOr<int> Dial(const std::string& host, int port, int timeout_ms) {
+  addrinfo hints{};
+  hints.ai_family = AF_INET;
+  hints.ai_socktype = SOCK_STREAM;
+  addrinfo* results = nullptr;
+  const int rc = ::getaddrinfo(host.c_str(), std::to_string(port).c_str(),
+                               &hints, &results);
+  if (rc != 0) {
+    return Status::Unavailable(std::string("getaddrinfo: ") +
+                               ::gai_strerror(rc));
+  }
+  int fd = -1;
+  Status last = Status::Unavailable("no addresses for " + host);
+  timeval timeout{};
+  timeout.tv_sec = timeout_ms / 1000;
+  timeout.tv_usec = (timeout_ms % 1000) * 1000;
+  for (addrinfo* ai = results; ai != nullptr; ai = ai->ai_next) {
+    fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
+    if (fd < 0) {
+      last = Status::Internal(std::string("socket: ") + std::strerror(errno));
+      continue;
+    }
+    if (timeout_ms > 0) {
+      ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    }
+    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) break;
+    last = Status::Unavailable(std::string("connect: ") +
+                               std::strerror(errno));
+    ::close(fd);
+    fd = -1;
+  }
+  ::freeaddrinfo(results);
+  if (fd < 0) return last;
+  return fd;
 }
 
 }  // namespace serve

@@ -34,6 +34,21 @@ namespace serve {
 /// and truncation all reject the frame before any payload field is
 /// trusted. The CRC covers the trace-context bytes, so a corrupted trace
 /// id is caught like any payload flip.
+///
+/// Besides ping/pong (empty payloads), the protocol has four calls, each
+/// one request frame answered by one reply frame of the paired kind:
+///
+///   Expand         WireRequest              -> WireResponse
+///   ShardRetrieve  WireShardRetrieveRequest -> WireShardRetrieveResponse
+///   ShardScore     WireShardScoreRequest    -> WireShardScoreResponse
+///   QueryLookup    WireQueryLookupRequest   -> WireQueryLookupResponse
+///
+/// Every call shares one envelope. A request payload is a u64 request id
+/// (RequestHead), then the call's body. A reply payload is the echoed u64
+/// id, a u32 StatusCode and a message string (ReplyHead), then the call's
+/// body — written even when the status is an error. Only EncodeFrame and
+/// DecodePayload know the envelope; each call contributes a body writer
+/// and a body reader.
 
 inline constexpr uint32_t kFrameMagic = 0x55574631;  // "1FWU" on disk
 /// The only version decoders accept.
@@ -63,11 +78,34 @@ enum class FrameKind : uint32_t {
   kQueryLookupResponse = 10,
 };
 
+/// Envelope head of every request payload: the id the reply echoes.
+struct RequestHead {
+  uint64_t request_id = 0;
+};
+
+/// Envelope head of every reply payload: the echoed id and the call's
+/// status. A decoded head always holds a code within StatusCode.
+struct ReplyHead {
+  uint64_t request_id = 0;
+  uint32_t code = 0;  // StatusCode
+  std::string message;
+
+  Status ToStatus() const {
+    return Status(static_cast<StatusCode>(code), message);
+  }
+};
+
+struct WireResponse;
+struct WireShardRetrieveResponse;
+struct WireShardScoreResponse;
+struct WireQueryLookupResponse;
+
 /// One query over the wire. Either `by_index` (resolve against the
 /// server's dataset — the common scripting path) or an explicit Query
 /// (ultra_class is carried for bookkeeping but seeds drive expansion).
-struct WireRequest {
-  uint64_t request_id = 0;
+struct WireRequest : RequestHead {
+  static constexpr FrameKind kKind = FrameKind::kExpandRequest;
+  using Reply = WireResponse;
   std::string method;      // "retexpan", "genexpan", ... (service.h)
   uint32_t k = 20;         // ranking length
   uint32_t timeout_ms = 0; // 0 = server default (UW_SERVE_TIMEOUT_MS)
@@ -76,17 +114,10 @@ struct WireRequest {
   Query query;             // used when !by_index
 };
 
-/// The matching response: the request's id, a status, and (when OK) the
-/// ranked entity ids, best first.
-struct WireResponse {
-  uint64_t request_id = 0;
-  uint32_t code = 0;  // StatusCode
-  std::string message;
+/// The ranked entity ids, best first (empty unless the status is OK).
+struct WireResponse : ReplyHead {
+  static constexpr FrameKind kKind = FrameKind::kExpandResponse;
   std::vector<EntityId> ranking;
-
-  Status ToStatus() const {
-    return Status(static_cast<StatusCode>(code), message);
-  }
 };
 
 /// One candidate scored by a shard's recall stage: the exact full-scan
@@ -110,58 +141,43 @@ struct ShardScores {
 
 /// Scatter recall request: top-`size` of the shard's candidate slice by
 /// positive-seed centroid score, seeds excluded.
-struct WireShardRetrieveRequest {
-  uint64_t request_id = 0;
+struct WireShardRetrieveRequest : RequestHead {
+  static constexpr FrameKind kKind = FrameKind::kShardRetrieveRequest;
+  using Reply = WireShardRetrieveResponse;
   uint64_t size = 0;
   Query query;
 };
 
-struct WireShardRetrieveResponse {
-  uint64_t request_id = 0;
-  uint32_t code = 0;  // StatusCode
-  std::string message;
+struct WireShardRetrieveResponse : ReplyHead {
+  static constexpr FrameKind kKind = FrameKind::kShardRetrieveResponse;
   std::vector<ShardScoredEntity> entities;
-
-  Status ToStatus() const {
-    return Status(static_cast<StatusCode>(code), message);
-  }
 };
 
 /// Scatter score request: pos/neg seed-centroid scores for explicit ids
 /// (the rerank phase sends each shard the merged-list ids it owns).
-struct WireShardScoreRequest {
-  uint64_t request_id = 0;
+struct WireShardScoreRequest : RequestHead {
+  static constexpr FrameKind kKind = FrameKind::kShardScoreRequest;
+  using Reply = WireShardScoreResponse;
   std::vector<EntityId> ids;
   Query query;
 };
 
-struct WireShardScoreResponse {
-  uint64_t request_id = 0;
-  uint32_t code = 0;  // StatusCode
-  std::string message;
+struct WireShardScoreResponse : ReplyHead {
+  static constexpr FrameKind kKind = FrameKind::kShardScoreResponse;
   ShardScores scores;
-
-  Status ToStatus() const {
-    return Status(static_cast<StatusCode>(code), message);
-  }
 };
 
 /// Resolves a dataset query index to its full Query so the router can
 /// serve by-index requests without a resident pipeline.
-struct WireQueryLookupRequest {
-  uint64_t request_id = 0;
+struct WireQueryLookupRequest : RequestHead {
+  static constexpr FrameKind kKind = FrameKind::kQueryLookupRequest;
+  using Reply = WireQueryLookupResponse;
   uint32_t query_index = 0;
 };
 
-struct WireQueryLookupResponse {
-  uint64_t request_id = 0;
-  uint32_t code = 0;  // StatusCode
-  std::string message;
+struct WireQueryLookupResponse : ReplyHead {
+  static constexpr FrameKind kKind = FrameKind::kQueryLookupResponse;
   Query query;
-
-  Status ToStatus() const {
-    return Status(static_cast<StatusCode>(code), message);
-  }
 };
 
 /// The trace context carried in the frame header. The defaults frame a
@@ -171,45 +187,40 @@ struct FrameOptions {
   uint32_t flags = 0;
 };
 
-/// Serializes a request/response payload and frames it (header + CRC32).
-std::string EncodeRequestFrame(const WireRequest& request,
-                               const FrameOptions& options = {});
-std::string EncodeResponseFrame(const WireResponse& response,
-                                const FrameOptions& options = {});
+/// Serializes `message` (envelope head, then body) and frames it as
+/// `Message::kKind` (header + CRC32). Defined for the eight Wire* message
+/// types above.
+template <typename Message>
+std::string EncodeFrame(const Message& message,
+                        const FrameOptions& options = {});
+
+/// Decodes a payload carried by a verified frame of `Message::kKind`.
+/// Fails closed on truncation, trailing bytes, out-of-range fields and a
+/// reply status code outside StatusCode.
+template <typename Message>
+Status DecodePayload(std::string_view payload, Message* message);
+
+/// The Expand call's codec under its established names.
+inline std::string EncodeRequestFrame(const WireRequest& request,
+                                      const FrameOptions& options = {}) {
+  return EncodeFrame(request, options);
+}
+inline std::string EncodeResponseFrame(const WireResponse& response,
+                                       const FrameOptions& options = {}) {
+  return EncodeFrame(response, options);
+}
+inline Status DecodeRequestPayload(std::string_view payload,
+                                   WireRequest* request) {
+  return DecodePayload(payload, request);
+}
+inline Status DecodeResponsePayload(std::string_view payload,
+                                    WireResponse* response) {
+  return DecodePayload(payload, response);
+}
+
 /// Payload-free control frames (ping/pong).
 std::string EncodeControlFrame(FrameKind kind,
                                const FrameOptions& options = {});
-/// Scatter-plane frames (same framing discipline, distinct kinds).
-std::string EncodeShardRetrieveRequestFrame(
-    const WireShardRetrieveRequest& request, const FrameOptions& options = {});
-std::string EncodeShardRetrieveResponseFrame(
-    const WireShardRetrieveResponse& response,
-    const FrameOptions& options = {});
-std::string EncodeShardScoreRequestFrame(const WireShardScoreRequest& request,
-                                         const FrameOptions& options = {});
-std::string EncodeShardScoreResponseFrame(
-    const WireShardScoreResponse& response, const FrameOptions& options = {});
-std::string EncodeQueryLookupRequestFrame(
-    const WireQueryLookupRequest& request, const FrameOptions& options = {});
-std::string EncodeQueryLookupResponseFrame(
-    const WireQueryLookupResponse& response, const FrameOptions& options = {});
-
-/// Decodes a payload previously carried by a verified frame.
-Status DecodeRequestPayload(std::string_view payload, WireRequest* request);
-Status DecodeResponsePayload(std::string_view payload,
-                             WireResponse* response);
-Status DecodeShardRetrieveRequestPayload(std::string_view payload,
-                                         WireShardRetrieveRequest* request);
-Status DecodeShardRetrieveResponsePayload(std::string_view payload,
-                                          WireShardRetrieveResponse* response);
-Status DecodeShardScoreRequestPayload(std::string_view payload,
-                                      WireShardScoreRequest* request);
-Status DecodeShardScoreResponsePayload(std::string_view payload,
-                                       WireShardScoreResponse* response);
-Status DecodeQueryLookupRequestPayload(std::string_view payload,
-                                       WireQueryLookupRequest* request);
-Status DecodeQueryLookupResponsePayload(std::string_view payload,
-                                        WireQueryLookupResponse* response);
 
 /// A verified frame read off a socket: kind + raw payload bytes, plus
 /// the trace context from its header.
@@ -229,6 +240,11 @@ Status WriteAll(int fd, const void* buffer, size_t bytes);
 
 /// Reads and verifies one frame (header sanity, length cap, CRC32).
 StatusOr<Frame> ReadFrame(int fd);
+
+/// Resolves `host`:`port` (IPv4) and connects a TCP socket, returning the
+/// fd. A positive `timeout_ms` bounds connect, send and receive (so a hung
+/// peer cannot wedge the caller); 0 leaves the socket fully blocking.
+StatusOr<int> Dial(const std::string& host, int port, int timeout_ms = 0);
 
 }  // namespace serve
 }  // namespace ultrawiki

@@ -1,10 +1,6 @@
 #include "serve/router.h"
 
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -51,37 +47,9 @@ RouterMetrics& Metrics() {
 /// request, read to EOF. Returns the full response (headers + body).
 StatusOr<std::string> HttpGet(const std::string& host, int port,
                               const std::string& path, int timeout_ms) {
-  addrinfo hints{};
-  hints.ai_family = AF_INET;
-  hints.ai_socktype = SOCK_STREAM;
-  addrinfo* results = nullptr;
-  const int rc = ::getaddrinfo(host.c_str(), std::to_string(port).c_str(),
-                               &hints, &results);
-  if (rc != 0) {
-    return Status::Unavailable(std::string("getaddrinfo: ") +
-                               ::gai_strerror(rc));
-  }
-  int fd = -1;
-  Status last = Status::Unavailable("no addresses for " + host);
-  timeval timeout{};
-  timeout.tv_sec = timeout_ms / 1000;
-  timeout.tv_usec = (timeout_ms % 1000) * 1000;
-  for (addrinfo* ai = results; ai != nullptr; ai = ai->ai_next) {
-    fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-    if (fd < 0) {
-      last = Status::Internal(std::string("socket: ") + std::strerror(errno));
-      continue;
-    }
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) break;
-    last = Status::Unavailable(std::string("connect: ") +
-                               std::strerror(errno));
-    ::close(fd);
-    fd = -1;
-  }
-  ::freeaddrinfo(results);
-  if (fd < 0) return last;
+  StatusOr<int> dialed = Dial(host, port, timeout_ms);
+  if (!dialed.ok()) return dialed.status();
+  const int fd = *dialed;
   const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
   if (::send(fd, request.data(), request.size(), MSG_NOSIGNAL) !=
       static_cast<ssize_t>(request.size())) {
@@ -519,20 +487,6 @@ ExpandResult ClusterRouter::ProxyExpand(const ExpandRequest& request) {
           });
   if (!ranking.ok()) return ExpandResult{ranking.status(), {}};
   return ExpandResult{Status::Ok(), std::move(*ranking)};
-}
-
-StatusOr<std::vector<ShardScoredEntity>> ClusterRouter::ScatterRetrieve(
-    const Query& query, size_t size) {
-  (void)query;
-  (void)size;
-  return Status::Unimplemented("router is not a shard");
-}
-
-StatusOr<ShardScores> ClusterRouter::ScatterScore(
-    const Query& query, const std::vector<EntityId>& ids) {
-  (void)query;
-  (void)ids;
-  return Status::Unimplemented("router is not a shard");
 }
 
 void ClusterRouter::Drain() {

@@ -107,12 +107,8 @@ class ClusterRouter : public Frontend {
   // --- Frontend ---
   ExpandResult Expand(ExpandRequest request) override;
   StatusOr<Query> QueryByIndex(uint32_t index) override;
-  /// The router is not a shard: scatter-plane calls addressed to it are
-  /// kUnimplemented (routers do not chain).
-  StatusOr<std::vector<ShardScoredEntity>> ScatterRetrieve(
-      const Query& query, size_t size) override;
-  StatusOr<ShardScores> ScatterScore(
-      const Query& query, const std::vector<EntityId>& ids) override;
+  // The router is not a shard: it keeps Frontend's kUnimplemented
+  // scatter plane (routers do not chain).
   /// Stops the poller and closes pooled connections. Idempotent.
   void Drain() override;
 

@@ -22,6 +22,15 @@ NetMetrics& Metrics() {
   return *metrics;
 }
 
+/// Moves an OK result's value into the reply body and returns the status
+/// the reply head carries.
+template <typename T>
+Status Take(StatusOr<T> result, T* body) {
+  if (!result.ok()) return result.status();
+  *body = std::move(*result);
+  return Status::Ok();
+}
+
 }  // namespace
 
 TcpServer::TcpServer(Frontend& frontend)
@@ -49,157 +58,96 @@ void TcpServer::HandleConnection(int fd) {
   // deregisters + closes it when this handler returns.
   while (true) {
     StatusOr<Frame> frame = ReadFrame(fd);
-    if (!frame.ok()) {
-      // A clean EOF ends the session; anything else is a protocol error
-      // worth counting (and fatal for this connection either way).
-      if (!(frame.status().code() == StatusCode::kUnavailable &&
-            frame.status().message() == "eof")) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        Metrics().protocol_errors.Increment();
-        UW_LOG(Warning) << "connection dropped: " << frame.status();
-      }
-      return;
-    }
-    if (frame->kind == FrameKind::kPing) {
-      const std::string pong = EncodeControlFrame(FrameKind::kPong);
-      if (!WriteAll(fd, pong.data(), pong.size()).ok()) return;
+    StatusOr<std::string> reply =
+        frame.ok() ? Answer(*frame) : StatusOr<std::string>(frame.status());
+    if (reply.ok()) {
+      if (!WriteAll(fd, reply->data(), reply->size()).ok()) return;
       continue;
     }
+    // A clean EOF ends the session; anything else (a bad frame, an
+    // undecodable payload, a kind a server never receives) is a protocol
+    // error worth counting, and fatal for this connection either way.
+    const Status& status = reply.status();
+    if (!(status.code() == StatusCode::kUnavailable &&
+          status.message() == "eof")) {
+      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      Metrics().protocol_errors.Increment();
+      UW_LOG(Warning) << "connection dropped: " << status;
+    }
+    return;
+  }
+}
 
-    if (frame->kind == FrameKind::kExpandRequest) {
-      WireRequest request;
-      const Status decoded = DecodeRequestPayload(frame->payload, &request);
-      if (!decoded.ok()) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        Metrics().protocol_errors.Increment();
-        UW_LOG(Warning) << "undecodable request: " << decoded;
-        return;
-      }
-      requests_served_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().requests.Increment();
+template <typename Request, typename Handler>
+StatusOr<std::string> TcpServer::Serve(const Frame& frame, Handler handler) {
+  Request request;
+  const Status decoded = DecodePayload(frame.payload, &request);
+  if (!decoded.ok()) return decoded;
+  requests_served_.fetch_add(1, std::memory_order_relaxed);
+  Metrics().requests.Increment();
+  typename Request::Reply reply;
+  reply.request_id = request.request_id;
+  const Status status = handler(request, &reply);
+  reply.code = static_cast<uint32_t>(status.code());
+  reply.message = status.message();
+  return EncodeFrame(reply);
+}
 
-      WireResponse response;
-      response.request_id = request.request_id;
-      ExpandRequest expand;
-      expand.method = request.method;
-      expand.k = static_cast<int>(request.k);
-      expand.timeout_ms =
-          request.timeout_ms > 0 ? static_cast<int>(request.timeout_ms) : -1;
-      // Trace context rides in the frame header, not the payload.
-      expand.trace_id = frame->trace_id;
-      expand.force_trace = (frame->flags & kFrameFlagSample) != 0;
-      bool resolved = true;
-      if (request.by_index) {
-        StatusOr<Query> query = frontend_.QueryByIndex(request.query_index);
-        if (!query.ok()) {
-          response.code = static_cast<uint32_t>(query.status().code());
-          response.message = query.status().message();
-          resolved = false;
-        } else {
+StatusOr<std::string> TcpServer::Answer(const Frame& frame) {
+  switch (frame.kind) {
+    case FrameKind::kPing:
+      return EncodeControlFrame(FrameKind::kPong);
+    case FrameKind::kExpandRequest:
+      return Serve<WireRequest>(frame, [&](WireRequest& request,
+                                           WireResponse* reply) {
+        ExpandRequest expand;
+        expand.method = request.method;
+        expand.k = static_cast<int>(request.k);
+        expand.timeout_ms =
+            request.timeout_ms > 0 ? static_cast<int>(request.timeout_ms) : -1;
+        // Trace context rides in the frame header, not the payload.
+        expand.trace_id = frame.trace_id;
+        expand.force_trace = (frame.flags & kFrameFlagSample) != 0;
+        if (request.by_index) {
+          StatusOr<Query> query = frontend_.QueryByIndex(request.query_index);
+          if (!query.ok()) return query.status();
           expand.query = std::move(*query);
+        } else {
+          expand.query = std::move(request.query);
         }
-      } else {
-        expand.query = std::move(request.query);
-      }
-      if (resolved) {
         // Blocking per connection keeps responses in request order; the
         // service batches across connections, not within one.
         ExpandResult result = frontend_.Expand(std::move(expand));
-        response.code = static_cast<uint32_t>(result.status.code());
-        response.message = result.status.message();
-        response.ranking = std::move(result.ranking);
-      }
-      const std::string encoded = EncodeResponseFrame(response);
-      if (!WriteAll(fd, encoded.data(), encoded.size()).ok()) return;
-      continue;
-    }
-
-    if (frame->kind == FrameKind::kShardRetrieveRequest) {
-      WireShardRetrieveRequest request;
-      const Status decoded =
-          DecodeShardRetrieveRequestPayload(frame->payload, &request);
-      if (!decoded.ok()) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        Metrics().protocol_errors.Increment();
-        UW_LOG(Warning) << "undecodable shard retrieve: " << decoded;
-        return;
-      }
-      requests_served_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().requests.Increment();
-      WireShardRetrieveResponse response;
-      response.request_id = request.request_id;
-      StatusOr<std::vector<ShardScoredEntity>> entities =
-          frontend_.ScatterRetrieve(request.query,
-                                    static_cast<size_t>(request.size));
-      if (entities.ok()) {
-        response.entities = std::move(*entities);
-      } else {
-        response.code = static_cast<uint32_t>(entities.status().code());
-        response.message = entities.status().message();
-      }
-      const std::string encoded = EncodeShardRetrieveResponseFrame(response);
-      if (!WriteAll(fd, encoded.data(), encoded.size()).ok()) return;
-      continue;
-    }
-
-    if (frame->kind == FrameKind::kShardScoreRequest) {
-      WireShardScoreRequest request;
-      const Status decoded =
-          DecodeShardScoreRequestPayload(frame->payload, &request);
-      if (!decoded.ok()) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        Metrics().protocol_errors.Increment();
-        UW_LOG(Warning) << "undecodable shard score: " << decoded;
-        return;
-      }
-      requests_served_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().requests.Increment();
-      WireShardScoreResponse response;
-      response.request_id = request.request_id;
-      StatusOr<ShardScores> scores =
-          frontend_.ScatterScore(request.query, request.ids);
-      if (scores.ok()) {
-        response.scores = std::move(*scores);
-      } else {
-        response.code = static_cast<uint32_t>(scores.status().code());
-        response.message = scores.status().message();
-      }
-      const std::string encoded = EncodeShardScoreResponseFrame(response);
-      if (!WriteAll(fd, encoded.data(), encoded.size()).ok()) return;
-      continue;
-    }
-
-    if (frame->kind == FrameKind::kQueryLookupRequest) {
-      WireQueryLookupRequest request;
-      const Status decoded =
-          DecodeQueryLookupRequestPayload(frame->payload, &request);
-      if (!decoded.ok()) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        Metrics().protocol_errors.Increment();
-        UW_LOG(Warning) << "undecodable query lookup: " << decoded;
-        return;
-      }
-      requests_served_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().requests.Increment();
-      WireQueryLookupResponse response;
-      response.request_id = request.request_id;
-      StatusOr<Query> query = frontend_.QueryByIndex(request.query_index);
-      if (query.ok()) {
-        response.query = std::move(*query);
-      } else {
-        response.code = static_cast<uint32_t>(query.status().code());
-        response.message = query.status().message();
-      }
-      const std::string encoded = EncodeQueryLookupResponseFrame(response);
-      if (!WriteAll(fd, encoded.data(), encoded.size()).ok()) return;
-      continue;
-    }
-
-    // Response kinds (or future kinds) arriving at a server are a
-    // protocol violation.
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().protocol_errors.Increment();
-    return;
+        reply->ranking = std::move(result.ranking);
+        return result.status;
+      });
+    case FrameKind::kShardRetrieveRequest:
+      return Serve<WireShardRetrieveRequest>(
+          frame, [this](WireShardRetrieveRequest& request,
+                        WireShardRetrieveResponse* reply) {
+            return Take(frontend_.ScatterRetrieve(
+                            request.query, static_cast<size_t>(request.size)),
+                        &reply->entities);
+          });
+    case FrameKind::kShardScoreRequest:
+      return Serve<WireShardScoreRequest>(
+          frame, [this](WireShardScoreRequest& request,
+                        WireShardScoreResponse* reply) {
+            return Take(frontend_.ScatterScore(request.query, request.ids),
+                        &reply->scores);
+          });
+    case FrameKind::kQueryLookupRequest:
+      return Serve<WireQueryLookupRequest>(
+          frame, [this](WireQueryLookupRequest& request,
+                        WireQueryLookupResponse* reply) {
+            return Take(frontend_.QueryByIndex(request.query_index),
+                        &reply->query);
+          });
+    default:
+      // Reply kinds arriving at a server are a protocol violation.
+      return Status::Internal(
+          "unexpected frame kind " +
+          std::to_string(static_cast<uint32_t>(frame.kind)));
   }
 }
 

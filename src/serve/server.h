@@ -77,6 +77,14 @@ class TcpServer {
 
  private:
   void HandleConnection(int fd);
+  /// The encoded reply frame to `frame`, or the protocol error that ends
+  /// the connection.
+  StatusOr<std::string> Answer(const Frame& frame);
+  /// The one request/reply path of every call: decodes a `Request`, runs
+  /// `handler(request, &reply)` — which fills the reply body and returns
+  /// the status the reply head carries — and encodes the reply.
+  template <typename Request, typename Handler>
+  StatusOr<std::string> Serve(const Frame& frame, Handler handler);
 
   /// Set only by the ExpansionService convenience constructor.
   std::unique_ptr<ServiceHost> owned_host_;

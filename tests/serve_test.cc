@@ -1,5 +1,7 @@
 // Tests for the online expansion service (src/serve/): wire-protocol
-// framing (round trips + the corruption matrix), batching determinism —
+// framing (round trips + the corruption matrix), the call envelope of
+// every frame kind (golden bytes, round trips, fail-closed decoding),
+// batching determinism —
 // a request's ranking must be bit-identical whether it is served alone
 // or coalesced into any batch composition, at any thread count —
 // deadline expiry, overload shedding with correct accepted results, and
@@ -15,9 +17,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <future>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/logging.h"
@@ -224,6 +228,236 @@ TEST(ServeProtocolTest, FrameVersionRejectionMatrix) {
     const StatusOr<Frame> frame = read_back(bad);
     ASSERT_FALSE(frame.ok());
     EXPECT_NE(frame.status().message().find("checksum"), std::string::npos);
+  }
+}
+
+// ------------------------------------------------------ Call envelope.
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 0xf]);
+  }
+  return out;
+}
+
+std::string PayloadOf(const std::string& frame) {
+  return frame.substr(kFrameHeaderBytes,
+                      frame.size() - kFrameHeaderBytes - 4);
+}
+
+/// One message kind of the envelope table: a sample message's encoded
+/// frame, that frame's pinned hex, and a decode-then-re-encode probe.
+struct WireCase {
+  std::string name;
+  std::string frame;
+  std::string golden_hex;
+  bool is_reply = false;
+  /// Decodes `payload` as this kind and re-frames the result with the
+  /// sample's frame options.
+  std::function<StatusOr<std::string>(std::string_view)> reencode;
+  /// Payloads whose framing is sound but whose fields are not; each must
+  /// decode to a non-OK Status.
+  std::vector<std::string> hostile = {};
+};
+
+template <typename Message>
+WireCase MakeCase(std::string name, const Message& sample,
+                  std::string golden_hex, const FrameOptions& options = {}) {
+  WireCase c;
+  c.name = std::move(name);
+  c.frame = EncodeFrame(sample, options);
+  c.golden_hex = std::move(golden_hex);
+  c.is_reply = std::is_base_of_v<ReplyHead, Message>;
+  c.reencode = [options](std::string_view payload) -> StatusOr<std::string> {
+    Message decoded;
+    const Status status = DecodePayload(payload, &decoded);
+    if (!status.ok()) return status;
+    return EncodeFrame(decoded, options);
+  };
+  return c;
+}
+
+/// One frame of every kind. The hex pins the wire format byte for byte:
+/// a change to any of these strings is a protocol change.
+std::vector<WireCase> EnvelopeCases() {
+  Query scatter_query;
+  scatter_query.ultra_class = 1;
+  scatter_query.pos_seeds = {4, 8};
+  scatter_query.neg_seeds = {15};
+  std::vector<WireCase> cases;
+
+  FrameOptions traced;
+  traced.trace_id = 0x0123456789abcdefull;
+  traced.flags = kFrameFlagSample;
+  WireRequest expand;
+  expand.request_id = 77;
+  expand.method = "retexpan";
+  expand.k = 13;
+  expand.timeout_ms = 250;
+  expand.by_index = false;
+  expand.query.ultra_class = 3;
+  expand.query.pos_seeds = {1, 2, 5};
+  expand.query.neg_seeds = {9, 11};
+  cases.push_back(MakeCase(
+      "expand_request", expand,
+      "3146575502000000010000005000000000000000efcdab8967452301010000004d000000"
+      "000000000800000000000000726574657870616e0d000000fa0000000000000000000000"
+      "030000000300000000000000010000000200000005000000020000000000000009000000"
+      "0b000000beaf9171",
+      traced));
+  {
+    // by_index must be 0 or 1.
+    SnapshotWriter writer;
+    writer.PutU64(1);
+    writer.PutString("retexpan");
+    writer.PutU32(5);
+    writer.PutU32(0);
+    writer.PutU32(2);
+    writer.PutU32(0);
+    writer.PutI32(0);
+    writer.PutI32Vec({});
+    writer.PutI32Vec({});
+    cases.back().hostile.push_back(writer.payload());
+  }
+
+  WireResponse ranked;
+  ranked.request_id = 77;
+  ranked.ranking = {7, 12, 30};
+  cases.push_back(MakeCase(
+      "expand_response", ranked,
+      "31465755020000000200000028000000000000000000000000000000000000004d000000"
+      "000000000000000000000000000000000300000000000000070000000c0000001e000000"
+      "47d13feb"));
+
+  WireShardRetrieveRequest retrieve;
+  retrieve.request_id = 5;
+  retrieve.size = 40;
+  retrieve.query = scatter_query;
+  cases.push_back(MakeCase(
+      "shard_retrieve_request", retrieve,
+      "314657550200000005000000300000000000000000000000000000000000000005000000"
+      "000000002800000000000000010000000200000000000000040000000800000001000000"
+      "000000000f000000c8c1fed8"));
+  retrieve.size = kMaxFramePayload + 1;
+  cases.back().hostile.push_back(PayloadOf(EncodeFrame(retrieve)));
+
+  WireShardRetrieveResponse retrieved;
+  retrieved.request_id = 5;
+  retrieved.entities = {{0.5f, 3, 17}, {-1.25f, 900, 2}};
+  cases.push_back(MakeCase(
+      "shard_retrieve_response", retrieved,
+      "3146575502000000060000003c0000000000000000000000000000000000000005000000"
+      "0000000000000000000000000000000002000000000000000000003f0300000000000000"
+      "110000000000a0bf840300000000000002000000dda4a773"));
+  {
+    // An entity count of 2^60: count * 16 wraps to 0 in u64, so only a
+    // division-form cap rejects it before the allocation.
+    SnapshotWriter writer;
+    writer.PutU64(5);
+    writer.PutU32(0);
+    writer.PutString("");
+    writer.PutU64(1ull << 60);
+    cases.back().hostile.push_back(writer.payload());
+  }
+
+  WireShardScoreRequest score;
+  score.request_id = 6;
+  score.ids = {17, 2};
+  score.query = scatter_query;
+  cases.push_back(MakeCase(
+      "shard_score_request", score,
+      "314657550200000007000000380000000000000000000000000000000000000006000000"
+      "000000000200000000000000110000000200000001000000020000000000000004000000"
+      "0800000001000000000000000f0000002140f62a"));
+
+  WireShardScoreResponse scored;
+  scored.request_id = 6;
+  scored.scores.pos = {0.25f, 0.75f};
+  scored.scores.neg = {-0.5f, 1.0f};
+  cases.push_back(MakeCase(
+      "shard_score_response", scored,
+      "314657550200000008000000340000000000000000000000000000000000000006000000"
+      "0000000000000000000000000000000002000000000000000000803e0000403f02000000"
+      "00000000000000bf0000803f9a884058"));
+  scored.scores.neg.pop_back();
+  cases.back().hostile.push_back(PayloadOf(EncodeFrame(scored)));
+
+  WireQueryLookupRequest lookup;
+  lookup.request_id = 7;
+  lookup.query_index = 12;
+  cases.push_back(MakeCase(
+      "query_lookup_request", lookup,
+      "3146575502000000090000000c0000000000000000000000000000000000000007000000"
+      "000000000c000000277e15f9"));
+
+  WireQueryLookupResponse looked;
+  looked.request_id = 7;
+  looked.query.ultra_class = 2;
+  looked.query.pos_seeds = {3};
+  cases.push_back(MakeCase(
+      "query_lookup_response", looked,
+      "31465755020000000a0000002c0000000000000000000000000000000000000007000000"
+      "000000000000000000000000000000000200000001000000000000000300000000000000"
+      "00000000b1105d5c"));
+
+  // An error reply still carries its (empty) body.
+  WireQueryLookupResponse missing;
+  missing.request_id = 8;
+  missing.code = static_cast<uint32_t>(StatusCode::kOutOfRange);
+  missing.message = "query index out of range";
+  cases.push_back(MakeCase(
+      "query_lookup_error", missing,
+      "31465755020000000a000000400000000000000000000000000000000000000008000000"
+      "00000000040000001800000000000000717565727920696e646578206f7574206f662072"
+      "616e6765000000000000000000000000000000000000000012efdc0b"));
+  return cases;
+}
+
+TEST(ServeEnvelopeTest, EveryKindMatchesItsGoldenFrame) {
+  for (const WireCase& c : EnvelopeCases()) {
+    EXPECT_EQ(Hex(c.frame), c.golden_hex) << c.name;
+  }
+  EXPECT_EQ(Hex(EncodeControlFrame(FrameKind::kPing)),
+            "31465755020000000300000000000000000000000000000000000000000000005e"
+            "9119a4");
+  EXPECT_EQ(Hex(EncodeControlFrame(FrameKind::kPong)),
+            "314657550200000004000000000000000000000000000000000000000000000029"
+            "a60195");
+}
+
+TEST(ServeEnvelopeTest, EveryKindRoundTripsAndFailsClosed) {
+  for (const WireCase& c : EnvelopeCases()) {
+    SCOPED_TRACE(c.name);
+    const std::string payload = PayloadOf(c.frame);
+    const StatusOr<std::string> again = c.reencode(payload);
+    ASSERT_TRUE(again.ok()) << again.status();
+    EXPECT_EQ(Hex(*again), Hex(c.frame));
+
+    const Status truncated = c.reencode(payload.substr(0, payload.size() - 1))
+                                 .status();
+    EXPECT_EQ(truncated.code(), StatusCode::kInternal) << truncated;
+    const Status trailing = c.reencode(payload + '\0').status();
+    EXPECT_NE(trailing.message().find("unconsumed"), std::string::npos)
+        << trailing;
+
+    if (c.is_reply) {
+      // The reply code is the u32 after the echoed u64 id.
+      std::string code = payload;
+      code[8] = static_cast<char>(StatusCode::kUnavailable);
+      EXPECT_TRUE(c.reencode(code).ok());
+      code[8] = static_cast<char>(static_cast<int>(StatusCode::kUnavailable) +
+                                  1);
+      const Status out_of_range = c.reencode(code).status();
+      EXPECT_NE(out_of_range.message().find("status code out of range"),
+                std::string::npos)
+          << out_of_range;
+    }
+    for (const std::string& hostile : c.hostile) {
+      EXPECT_EQ(c.reencode(hostile).status().code(), StatusCode::kInternal);
+    }
   }
 }
 
