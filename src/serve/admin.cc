@@ -105,8 +105,6 @@ AdminServer::HttpReply AdminServer::Handle(const std::string& path) const {
     reply.body += std::to_string(shard.count);
     reply.body += ",\"max_queue\":";
     reply.body += std::to_string(config.max_queue);
-    reply.body += ",\"max_batch\":";
-    reply.body += std::to_string(config.max_batch);
     reply.body += ",\"trace_sample\":";
     reply.body += std::to_string(config.trace_sample);
     reply.body += ",\"slow_query_ms\":";

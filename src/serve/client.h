@@ -12,8 +12,9 @@ namespace ultrawiki {
 namespace serve {
 
 /// Synchronous client for the framed TCP protocol: one connection, one
-/// request in flight (the server batches across connections, so load
-/// generators open one client per concurrent stream). Movable, not
+/// request in flight (the server runs requests from different
+/// connections at once, so load generators open one client per
+/// concurrent stream). Movable, not
 /// copyable; the destructor closes the socket.
 class ServeClient {
  public:

@@ -116,7 +116,7 @@ StatusOr<std::string> TcpServer::Answer(const Frame& frame) {
           expand.query = std::move(request.query);
         }
         // Blocking per connection keeps responses in request order; the
-        // service batches across connections, not within one.
+        // service runs requests from different connections at once.
         ExpandResult result = frontend_.Expand(std::move(expand));
         reply->ranking = std::move(result.ranking);
         return result.status;

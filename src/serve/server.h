@@ -20,7 +20,7 @@ class ServiceHost;
 /// plane (shard retrieve/score, query lookup) on one port. One handler
 /// thread per connection; requests on a connection are served in order
 /// (clients that want concurrency open several connections — the
-/// micro-batcher coalesces across all of them).
+/// service's lanes serve all of them at once).
 ///
 /// Connection lifecycle (accept-error survival, fd registry hygiene,
 /// handler reaping) lives in TcpListener.

@@ -23,6 +23,7 @@ struct ServeMetrics {
   obs::Counter& shed = obs::GetCounter("serve.shed");
   obs::Counter& timeout = obs::GetCounter("serve.timeout");
   obs::Counter& rejected = obs::GetCounter("serve.rejected");
+  /// Dispatches; `batch_size` observes the requests each one served.
   obs::Counter& batches = obs::GetCounter("serve.batches");
   obs::Counter& traced = obs::GetCounter("serve.traced");
   obs::Counter& slow_queries = obs::GetCounter("serve.slow_queries");
@@ -49,12 +50,6 @@ ServeMetrics& Metrics() {
   return *metrics;
 }
 
-int64_t ElapsedUs(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - since)
-      .count();
-}
-
 std::future<ExpandResult> ImmediateResult(Status status) {
   std::promise<ExpandResult> promise;
   promise.set_value(ExpandResult{std::move(status), {}});
@@ -65,9 +60,6 @@ std::future<ExpandResult> ImmediateResult(Status status) {
 
 ServeConfig ServeConfig::FromEnv() {
   ServeConfig config;
-  config.max_batch = EnvInt("UW_SERVE_BATCH", config.max_batch, 1);
-  config.batch_wait_ms =
-      EnvInt("UW_SERVE_BATCH_WAIT_MS", config.batch_wait_ms, 0);
   config.max_queue = EnvInt("UW_SERVE_QUEUE", config.max_queue, 1);
   config.default_timeout_ms =
       EnvInt("UW_SERVE_TIMEOUT_MS", config.default_timeout_ms, 0);
@@ -100,7 +92,9 @@ std::unique_ptr<Expander> MakeExpanderByName(Pipeline& pipeline,
 }
 
 ExpansionService::ExpansionService(Pipeline& pipeline, ServeConfig config)
-    : pipeline_(pipeline), config_(config) {
+    : pipeline_(pipeline),
+      config_(config),
+      lanes_(ThreadPool::Global().thread_count()) {
   Metrics();  // register eagerly so snapshots list the serve.* family
   scheduler_ = std::thread([this] { SchedulerLoop(); });
 }
@@ -119,19 +113,23 @@ Status ExpansionService::PrewarmMethods(
 
 Expander* ExpansionService::GetOrBuildExpander(
     const std::string& method) const {
-  std::lock_guard<std::mutex> lock(expander_mutex_);
-  auto it = expanders_.find(method);
-  if (it != expanders_.end()) return it->second.get();
+  // Builds are serialized by `build_mutex_` and run outside `mutex_`; only
+  // the finished expander is published under `mutex_`, so a lane never
+  // waits on a build.
+  std::lock_guard<std::mutex> build(build_mutex_);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (Expander* built = BuiltExpander(method)) return built;
+  }
   std::unique_ptr<Expander> expander = MakeExpanderByName(pipeline_, method);
   if (expander == nullptr) return nullptr;
-  Expander* raw = expander.get();
-  expanders_.emplace(method, std::move(expander));
-  return raw;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return expanders_.emplace(method, std::move(expander)).first->second.get();
 }
 
 std::future<ExpandResult> ExpansionService::Submit(ExpandRequest request) {
   // Validate before admission so malformed requests never consume queue
-  // capacity or batch slots.
+  // capacity.
   const auto& known = KnownMethods();
   if (std::find(known.begin(), known.end(), request.method) == known.end()) {
     Metrics().rejected.Increment();
@@ -193,7 +191,7 @@ std::future<ExpandResult> ExpansionService::Submit(ExpandRequest request) {
     Metrics().queue_depth.Set(static_cast<int64_t>(queue_.size()));
     Metrics().queue_peak.UpdateMax(static_cast<int64_t>(queue_.size()));
   }
-  scheduler_cv_.notify_all();
+  cv_.notify_one();
   return future;
 }
 
@@ -287,146 +285,122 @@ void ExpansionService::Drain() {
       std::lock_guard<std::mutex> lock(mutex_);
       draining_ = true;
     }
-    scheduler_cv_.notify_all();
+    cv_.notify_all();
     if (scheduler_.joinable()) scheduler_.join();
   });
 }
 
 void ExpansionService::SchedulerLoop() {
   while (true) {
-    std::vector<Pending> batch;
+    std::string method;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      scheduler_cv_.wait(lock,
-                         [this] { return draining_ || !queue_.empty(); });
+      cv_.wait(lock, [this] { return draining_ || !queue_.empty(); });
       if (queue_.empty()) return;  // draining and fully served
-      // Dynamic micro-batching: give a partial batch a short window to
-      // fill before running it. Draining skips the window — latency no
-      // longer matters, only finishing the backlog.
-      if (static_cast<int>(queue_.size()) < config_.max_batch &&
-          config_.batch_wait_ms > 0 && !draining_) {
-        scheduler_cv_.wait_for(
-            lock, std::chrono::milliseconds(config_.batch_wait_ms), [this] {
-              return static_cast<int>(queue_.size()) >= config_.max_batch ||
-                     draining_;
-            });
-      }
-      const size_t take = std::min<size_t>(
-          static_cast<size_t>(config_.max_batch), queue_.size());
-      batch.reserve(take);
-      const auto dequeued = std::chrono::steady_clock::now();
-      for (size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        batch.back().dequeued = dequeued;
-        queue_.pop_front();
-      }
-      Metrics().queue_depth.Set(static_cast<int64_t>(queue_.size()));
+      method = queue_.front().request.method;
     }
-    ExecuteBatch(std::move(batch));
+    // A first use may lazily train pipeline substrates, a mutation no
+    // running expander may race, so expanders are built here, between
+    // dispatches, never on a lane.
+    UW_CHECK(GetOrBuildExpander(method) != nullptr)
+        << "Submit admitted unknown method " << method;
+    // One dispatch: every lane pulls requests until nothing runnable is
+    // queued and no lane is busy.
+    std::atomic<int64_t> served{0};
+    lanes_.ParallelFor(0, lanes_.thread_count(), /*grain=*/1, [&](int64_t) {
+      served.fetch_add(RunLane(), std::memory_order_relaxed);
+    });
+    Metrics().batches.Increment();
+    Metrics().batch_size.Observe(served.load(std::memory_order_relaxed));
   }
 }
 
-void ExpansionService::ExecuteBatch(std::vector<Pending> batch) {
-  if (batch.empty()) return;
+Expander* ExpansionService::BuiltExpander(const std::string& method) const {
+  auto it = expanders_.find(method);
+  return it != expanders_.end() ? it->second.get() : nullptr;
+}
+
+int64_t ExpansionService::RunLane() {
+  int64_t served = 0;
+  std::unique_lock<std::mutex> lock(mutex_);
+  while (true) {
+    // An idle lane stays in the dispatch while a sibling is busy, so an
+    // arrival never waits for a lane that is free.
+    Expander* expander = nullptr;
+    cv_.wait(lock, [&] {
+      expander = queue_.empty()
+                     ? nullptr
+                     : BuiltExpander(queue_.front().request.method);
+      return expander != nullptr || busy_lanes_ == 0;
+    });
+    if (expander == nullptr) return served;
+    Pending pending = std::move(queue_.front());
+    queue_.pop_front();
+    pending.dequeued = std::chrono::steady_clock::now();
+    Metrics().queue_depth.Set(static_cast<int64_t>(queue_.size()));
+    ++busy_lanes_;
+    ++served;
+    lock.unlock();
+    Execute(pending, *expander);
+    lock.lock();
+    if (--busy_lanes_ == 0) cv_.notify_all();
+  }
+}
+
+void ExpansionService::Execute(Pending& pending, Expander& expander) {
   if (config_.synthetic_delay_ms > 0) {
     std::this_thread::sleep_for(
         std::chrono::milliseconds(config_.synthetic_delay_ms));
   }
-  Metrics().batches.Increment();
-  Metrics().batch_size.Observe(static_cast<int64_t>(batch.size()));
-
-  // Expired deadlines complete without executing; resolving the expander
-  // happens on the scheduler thread because a first use may lazily train
-  // pipeline substrates (a mutation the parallel section must not race).
-  struct Runnable {
-    Pending* pending;
-    Expander* expander;
-  };
-  std::vector<Runnable> runnable;
-  runnable.reserve(batch.size());
-  const auto now = std::chrono::steady_clock::now();
-  for (Pending& pending : batch) {
-    if (pending.has_deadline && now >= pending.deadline) {
-      Metrics().timeout.Increment();
-      const int64_t latency = ElapsedUs(pending.admitted);
-      Metrics().latency_us.Observe(latency);
-      Metrics().latency_us_1m.Observe(latency);
-      if (pending.trace != nullptr) {
-        pending.trace->AddInterval("queue_wait", pending.admitted,
-                                   pending.dequeued);
-        FinishTrace(pending, std::chrono::steady_clock::now());
-      }
-      inflight_.fetch_sub(1, std::memory_order_relaxed);
-      pending.promise.set_value(ExpandResult{
-          Status::DeadlineExceeded("deadline expired before execution"),
-          {}});
-      continue;
-    }
-    Expander* expander = GetOrBuildExpander(pending.request.method);
-    if (expander == nullptr) {  // unreachable: Submit validates methods
-      inflight_.fetch_sub(1, std::memory_order_relaxed);
-      pending.promise.set_value(ExpandResult{
-          Status::Internal("expander vanished: " + pending.request.method),
-          {}});
-      continue;
-    }
-    runnable.push_back({&pending, expander});
+  obs::RequestTrace* trace = pending.trace.get();
+  const auto start = std::chrono::steady_clock::now();
+  if (trace != nullptr) {
+    // The two waiting stages, then the compute stage opened below;
+    // together with the residual they tile the request end to end.
+    trace->AddInterval("queue_wait", pending.admitted, pending.dequeued);
+    trace->AddInterval("batch_wait", pending.dequeued, start);
   }
-
-  // One lane per request. Expand is logically const, and any parallelism
-  // inside an expander collapses to the exact sequential path when
-  // invoked from a pool task, so rankings are independent of batch
-  // composition and thread count.
-  ThreadPool::Global().ParallelFor(
-      0, static_cast<int64_t>(runnable.size()), /*grain=*/1, [&](int64_t i) {
-        Runnable& item = runnable[static_cast<size_t>(i)];
-        Pending& pending = *item.pending;
-        obs::RequestTrace* trace = pending.trace.get();
-        const auto exec_start = std::chrono::steady_clock::now();
-        if (trace != nullptr) {
-          // The two waiting stages, then the compute stage opened below;
-          // together with the residual they tile the request end to end.
-          trace->AddInterval("queue_wait", pending.admitted,
-                             pending.dequeued);
-          trace->AddInterval("batch_wait", pending.dequeued, exec_start);
-        }
-        ExpandResult result;
-        {
-          // Bind the trace to this lane so every UW_SPAN the expander
-          // opens (retrieval, rerank, beam rounds, ...) records into it.
-          // Nested ParallelFor calls run inline on a pool lane, so the
-          // whole expansion stays on this thread.
-          obs::ScopedRequestBinding binding(trace);
-          const int handle =
-              trace != nullptr ? trace->BeginSpan("execute") : -1;
-          // Thread the request deadline into the expander so anytime
-          // methods (GenExpan) degrade to best-so-far instead of blowing
-          // the tail; budget-blind methods ignore it.
-          ExpandBudget expand_budget;
-          if (pending.has_deadline) expand_budget.deadline = pending.deadline;
-          ExpandOutcome outcome = item.expander->ExpandWithBudget(
-              pending.request.query,
-              static_cast<size_t>(pending.request.k), expand_budget);
-          result.ranking = std::move(outcome.ranking);
-          result.degraded = outcome.degraded;
-          if (trace != nullptr) trace->EndSpan(handle);
-        }
-        result.status = Status::Ok();
-        if (result.degraded) Metrics().degraded.Increment();
-        const auto end = std::chrono::steady_clock::now();
-        const int64_t latency = std::chrono::duration_cast<
-                                    std::chrono::microseconds>(
-                                    end - pending.admitted)
-                                    .count();
-        Metrics().completed.Increment();
-        Metrics().latency_us.Observe(latency);
-        Metrics().latency_us_1m.Observe(latency);
-        // Publish the trace before resolving the future so a client that
-        // observes completion also observes its slow-log entry.
-        FinishTrace(pending, end);
-        inflight_.fetch_sub(1, std::memory_order_relaxed);
-        pending.promise.set_value(std::move(result));
-      });
+  ExpandResult result;
+  if (pending.has_deadline && start >= pending.deadline) {
+    // Expired deadlines complete without executing.
+    Metrics().timeout.Increment();
+    result.status =
+        Status::DeadlineExceeded("deadline expired before execution");
+  } else {
+    // Bind the trace to this lane so every UW_SPAN the expander opens
+    // (retrieval, rerank, beam rounds, ...) records into it. Expand is
+    // logically const, and nested ParallelFor calls run inline on a pool
+    // lane, so the whole expansion stays on this thread and its ranking
+    // is independent of what the other lanes run and of thread count.
+    obs::ScopedRequestBinding binding(trace);
+    const int handle = trace != nullptr ? trace->BeginSpan("execute") : -1;
+    // Thread the request deadline into the expander so anytime methods
+    // (GenExpan) degrade to best-so-far instead of blowing the tail;
+    // budget-blind methods ignore it.
+    ExpandBudget expand_budget;
+    if (pending.has_deadline) expand_budget.deadline = pending.deadline;
+    ExpandOutcome outcome = expander.ExpandWithBudget(
+        pending.request.query, static_cast<size_t>(pending.request.k),
+        expand_budget);
+    if (trace != nullptr) trace->EndSpan(handle);
+    result.status = Status::Ok();
+    result.ranking = std::move(outcome.ranking);
+    result.degraded = outcome.degraded;
+    if (result.degraded) Metrics().degraded.Increment();
+    Metrics().completed.Increment();
+  }
+  const auto end = std::chrono::steady_clock::now();
+  const int64_t latency =
+      std::chrono::duration_cast<std::chrono::microseconds>(end -
+                                                            pending.admitted)
+          .count();
+  Metrics().latency_us.Observe(latency);
+  Metrics().latency_us_1m.Observe(latency);
+  // Publish the trace before resolving the future so a client that
+  // observes completion also observes its slow-log entry.
+  FinishTrace(pending, end);
+  inflight_.fetch_sub(1, std::memory_order_relaxed);
+  pending.promise.set_value(std::move(result));
 }
 
 }  // namespace serve

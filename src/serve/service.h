@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "expand/pipeline.h"
 #include "obs/request_trace.h"
 #include "serve/protocol.h"
@@ -24,20 +25,19 @@ namespace serve {
 /// Knobs of the online expansion service. `FromEnv()` resolves the
 /// production defaults from the environment:
 ///
-///   UW_SERVE_BATCH         max requests coalesced into one batch (16)
-///   UW_SERVE_BATCH_WAIT_MS how long a forming batch waits to fill (1)
 ///   UW_SERVE_QUEUE         admission-controlled queue depth bound (256)
 ///   UW_SERVE_TIMEOUT_MS    default per-request deadline, 0 = none (0)
 ///   UW_TRACE_SAMPLE        trace every Nth accepted request, 0 = off (0)
 ///   UW_SLOW_QUERY_MS       log requests slower than this, 0 = off (0)
+///
+/// The number of requests served at once is the global ThreadPool's lane
+/// count (`UW_THREADS`) when the service is constructed.
 struct ServeConfig {
-  int max_batch = 16;
-  int batch_wait_ms = 1;
   int max_queue = 256;
   int default_timeout_ms = 0;
-  /// Synthetic per-batch execution delay. Load-shaping knob for the
-  /// overload bench and the shedding/deadline tests; leave 0 in
-  /// production.
+  /// Synthetic per-request stall between dequeue and the deadline check
+  /// (traced as `batch_wait`). Load-shaping knob for the overload bench
+  /// and the shedding/deadline tests; leave 0 in production.
   int synthetic_delay_ms = 0;
   /// Trace every Nth accepted request (1 = all, 0 = only forced /
   /// slow-threshold traces). Tracing is passive: rankings are
@@ -89,15 +89,24 @@ std::unique_ptr<Expander> MakeExpanderByName(Pipeline& pipeline,
 ///
 /// Requests enter a bounded MPMC queue (admission control: when
 /// `max_queue` requests are already waiting, new arrivals are shed
-/// immediately with kUnavailable rather than growing the backlog). A
-/// dedicated scheduler thread coalesces up to `max_batch` requests —
-/// waiting at most `batch_wait_ms` for a partial batch to fill — and
-/// executes the batch on the global ThreadPool, one request per lane.
-/// Expired deadlines complete with kDeadlineExceeded without executing.
+/// immediately with kUnavailable rather than growing the backlog).
+/// Dispatch is work-conserving: a scheduler thread sleeps until the queue
+/// is non-empty, then opens one dispatch on the service's own lane pool, in
+/// which every lane pulls the front request the moment it is free. An
+/// idle lane stays in the dispatch while a sibling runs, so no request
+/// waits for a window or for a sibling. The dispatch ends once nothing
+/// runnable is queued and every lane is idle. A request whose method has
+/// no expander yet is not runnable: the scheduler builds the expander
+/// between dispatches, so the pipeline never mutates under a running
+/// expander. A lane checks the deadline when it takes the request;
+/// expired requests complete with kDeadlineExceeded without executing.
+/// The lanes are not global-pool tasks: a ParallelFor elsewhere in the
+/// process (an expander build, a hot-swap rebuild) can neither steal a
+/// lane nor find the global pool's workers parked in a dispatch.
 ///
 /// Determinism: expanders are logically const (expander.h contract), so a
-/// request's ranking is bit-identical whether it is served alone or
-/// coalesced into any batch composition, at any thread count.
+/// request's ranking is bit-identical whatever else runs beside it, at
+/// any thread count.
 ///
 /// `Drain()` (also run by the destructor) stops admission, serves
 /// everything already queued, and joins the scheduler — the graceful
@@ -159,7 +168,7 @@ class ExpansionService {
 
   const ServeConfig& config() const { return config_; }
   const Pipeline& pipeline() const { return pipeline_; }
-  /// Requests currently waiting (excludes the executing batch).
+  /// Requests currently waiting (excludes executing requests).
   int queue_depth() const;
   /// Requests admitted but not yet resolved (queued + executing).
   int inflight() const { return inflight_.load(std::memory_order_relaxed); }
@@ -180,7 +189,13 @@ class ExpansionService {
   };
 
   void SchedulerLoop();
-  void ExecuteBatch(std::vector<Pending> batch);
+  /// One dispatch lane: takes runnable requests until none is queued and
+  /// no lane is busy. Returns how many requests it took.
+  int64_t RunLane();
+  /// Serves one dequeued request on the calling lane and resolves it.
+  void Execute(Pending& pending, Expander& expander);
+  /// The built expander for `method`, or nullptr. Requires `mutex_`.
+  Expander* BuiltExpander(const std::string& method) const;
   Expander* GetOrBuildExpander(const std::string& method) const;
   /// Finishes a traced request: records the trace into the SlowQueryLog
   /// when it is slow or forced, then drops it.
@@ -192,15 +207,23 @@ class ExpansionService {
 
   ShardSpec shard_spec_;
 
-  mutable std::mutex mutex_;  // guards queue_ and draining_
-  std::condition_variable scheduler_cv_;
+  /// Guards queue_, busy_lanes_, draining_ and expanders_. Lanes take no
+  /// other service lock.
+  mutable std::mutex mutex_;
+  /// Wakes the scheduler (arrival, drain) and idle lanes (arrival, last
+  /// busy lane done).
+  std::condition_variable cv_;
   std::deque<Pending> queue_;
+  int busy_lanes_ = 0;
   bool draining_ = false;
 
-  /// Guards expanders_ and pipeline mutation. Mutable: the const scatter
-  /// plane builds the "retexpan" expander lazily too.
-  mutable std::mutex expander_mutex_;
+  /// Serializes expander builds (pipeline mutation); taken before
+  /// `mutex_`, never by a lane. Mutable: the const scatter plane builds
+  /// the "retexpan" expander lazily too.
+  mutable std::mutex build_mutex_;
   mutable std::map<std::string, std::unique_ptr<Expander>> expanders_;
+  /// The dispatch lanes, as many as the global pool has.
+  ThreadPool lanes_;
 
   std::once_flag drain_once_;
   std::thread scheduler_;

@@ -28,6 +28,7 @@
 
 #include "common/env.h"
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/request_trace.h"
 #include "serve/client.h"
@@ -335,11 +336,12 @@ TEST(ServeTracedCounterTest, CountsExactlyThePublishedTraces) {
   // sampled overload burst, traced must equal the served count, not the
   // submitted count.
   {
+    // Two lanes on any host, so at most 2 + 3 of the burst are admitted
+    // before the first 10 ms stall ends.
+    ASSERT_TRUE(ThreadPool::SetGlobalThreadCount(2).ok());
     ServeConfig config;
     config.trace_sample = 1;
     config.max_queue = 3;
-    config.max_batch = 1;
-    config.batch_wait_ms = 0;
     config.synthetic_delay_ms = 10;
     ExpansionService service(TestPipeline(), config);
     const int64_t traced_before = obs::GetCounter("serve.traced").Value();
@@ -361,6 +363,8 @@ TEST(ServeTracedCounterTest, CountsExactlyThePublishedTraces) {
     EXPECT_EQ(obs::GetCounter("serve.traced").Value(),
               traced_before + served)
         << "served=" << served << " shed=" << shed;
+    service.Drain();
+    ASSERT_TRUE(ThreadPool::SetGlobalThreadCount(0).ok());
   }
   obs::SlowQueryLog::Global().ResetForTest();
 }

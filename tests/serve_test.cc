@@ -1,11 +1,12 @@
 // Tests for the online expansion service (src/serve/): wire-protocol
 // framing (round trips + the corruption matrix), the call envelope of
 // every frame kind (golden bytes, round trips, fail-closed decoding),
-// batching determinism —
+// dispatch determinism —
 // a request's ranking must be bit-identical whether it is served alone
-// or coalesced into any batch composition, at any thread count —
-// deadline expiry, overload shedding with correct accepted results, and
-// the TCP loopback path end to end.
+// or beside any mix of other requests, at any thread count —
+// work-conserving dispatch (an idle lane takes an arrival while another
+// lane runs), deadline expiry, overload shedding with correct accepted
+// results, and the TCP loopback path end to end.
 
 #include <gtest/gtest.h>
 
@@ -486,25 +487,27 @@ TEST(ServeServiceTest, RankingBitIdenticalAcrossBatchCompositions) {
 
   for (int threads : {1, 8}) {
     ASSERT_TRUE(ThreadPool::SetGlobalThreadCount(threads).ok());
-    // Served alone: batch size pinned to 1, no coalescing window.
+    // Served alone: one request, one dispatch.
     {
-      ServeConfig solo;
-      solo.max_batch = 1;
-      solo.batch_wait_ms = 0;
-      ExpansionService service(TestPipeline(), solo);
+      ExpansionService service(TestPipeline(), ServeConfig{});
       ExpandRequest request{"retexpan", queries[0], kK, -1};
       EXPECT_EQ(service.ExpandSync(request).ranking, want_ret)
           << "solo, threads=" << threads;
     }
-    // Coalesced into a mixed batch: the same request rides with other
-    // methods and other queries; its ranking must not change.
+    // Served in one mixed dispatch: the same request rides with other
+    // methods and other queries; its ranking must not change. Every
+    // request is held 50 ms on its lane, far longer than submitting the
+    // burst takes, so the dispatch that takes the first request is still
+    // open when the last one arrives.
     {
-      ServeConfig batched;
-      batched.max_batch = 16;
-      batched.batch_wait_ms = 50;  // plenty to coalesce the burst below
-      ExpansionService service(TestPipeline(), batched);
+      ServeConfig held;
+      held.synthetic_delay_ms = 50;
+      ExpansionService service(TestPipeline(), held);
+      ASSERT_TRUE(service.PrewarmMethods({"retexpan", "setexpan"}).ok());
       std::vector<std::future<ExpandResult>> futures;
       std::vector<const std::vector<EntityId>*> want;
+      const int64_t dispatches_before =
+          obs::GetCounter("serve.batches").Value();
       for (int round = 0; round < 4; ++round) {
         futures.push_back(
             service.Submit({"retexpan", queries[0], kK, -1}));
@@ -525,7 +528,12 @@ TEST(ServeServiceTest, RankingBitIdenticalAcrossBatchCompositions) {
               << "slot " << i << ", threads=" << threads;
         }
       }
-      // The burst really was batched, not trickled one by one.
+      // The burst really shared a dispatch, not one dispatch each. Drain
+      // joins the scheduler, which counts a dispatch after its last reply.
+      service.Drain();
+      EXPECT_EQ(obs::GetCounter("serve.batches").Value(),
+                dispatches_before + 1)
+          << "threads=" << threads;
       EXPECT_GT(obs::GetHistogram("serve.batch_size", {}).Aggregate().max, 1);
     }
   }
@@ -535,8 +543,7 @@ TEST(ServeServiceTest, RankingBitIdenticalAcrossBatchCompositions) {
 TEST(ServeServiceTest, ExpiredDeadlineTimesOutWithoutPoisoningTheQueue) {
   const auto& queries = TestPipeline().dataset().queries;
   ServeConfig config;
-  config.max_batch = 8;
-  // Every batch stalls long past the 1 ms deadline below.
+  // Every request stalls long past the 1 ms deadline below.
   config.synthetic_delay_ms = 50;
   ExpansionService service(TestPipeline(), config);
 
@@ -596,15 +603,112 @@ TEST(ServeServiceTest, RequestDeadlineThreadsIntoAnytimeExpanders) {
   }
 }
 
+TEST(ServeServiceTest, IdleLaneTakesAnArrivalWhileAnotherLaneRuns) {
+  // Two lanes, every request held 100 ms on its lane. B arrives 20 ms
+  // after A, while A's lane is busy; the idle lane must take B at once
+  // rather than wait for A, so B completes about 20 ms after A, not a
+  // whole hold later.
+  const auto& queries = TestPipeline().dataset().queries;
+  ASSERT_TRUE(ThreadPool::SetGlobalThreadCount(2).ok());
+  {
+    ServeConfig config;
+    config.synthetic_delay_ms = 100;
+    ExpansionService service(TestPipeline(), config);
+    ASSERT_TRUE(service.PrewarmMethods({"retexpan"}).ok());
+    std::future<ExpandResult> a =
+        service.Submit({"retexpan", queries[0], 10, -1});
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::future<ExpandResult> b =
+        service.Submit({"retexpan", queries[0], 10, -1});
+    ASSERT_TRUE(a.get().status.ok());
+    const auto a_done = std::chrono::steady_clock::now();
+    ASSERT_TRUE(b.get().status.ok());
+    const auto gap = std::chrono::steady_clock::now() - a_done;
+    EXPECT_LT(gap, std::chrono::milliseconds(60))
+        << "B finished "
+        << std::chrono::duration_cast<std::chrono::milliseconds>(gap).count()
+        << " ms after A";
+  }
+  ASSERT_TRUE(ThreadPool::SetGlobalThreadCount(0).ok());
+}
+
+TEST(ServeServiceTest, ExpanderBuildDuringADispatchFindsTheGlobalPoolFree) {
+  // A dispatch keeps every lane in it while any request runs. The lanes
+  // are the service's own threads, so meanwhile the global pool stays
+  // free: a two-index ParallelFor still runs its indices side by side,
+  // and building the IVF-backed "retexpan" through the scatter plane
+  // (IvfIndex::Build fans out on the global pool) neither deadlocks nor
+  // waits for the dispatch, and recalls what the offline expander does.
+  const auto& queries = TestPipeline().dataset().queries;
+  ASSERT_TRUE(ThreadPool::SetGlobalThreadCount(2).ok());
+  setenv("UW_ANN_ENABLE", "1", 1);
+  {
+    ServeConfig config;
+    config.synthetic_delay_ms = 300;
+    ExpansionService service(TestPipeline(), config);
+    ASSERT_TRUE(service.PrewarmMethods({"setexpan"}).ok());
+    std::future<ExpandResult> held =
+        service.Submit({"setexpan", queries[0], 10, -1});
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+    // Each index waits up to 100 ms (well inside the 300 ms hold) for
+    // the other to start.
+    std::atomic<int> started{0};
+    std::atomic<int> side_by_side{0};
+    ThreadPool::Global().ParallelFor(0, 2, /*grain=*/1, [&](int64_t) {
+      started.fetch_add(1);
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
+      while (started.load() < 2 && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      if (started.load() == 2) side_by_side.fetch_add(1);
+    });
+    EXPECT_EQ(held.wait_for(std::chrono::seconds(0)),
+              std::future_status::timeout)
+        << "the dispatch closed before the probe ran";
+    EXPECT_EQ(side_by_side.load(), 2)
+        << "a global-pool worker was held by the open dispatch";
+
+    // The first ANN RetExpan of this process builds the IVF index (the
+    // suite runs without an artifact cache), here inside the dispatch.
+    const int64_t kmeans_before =
+        obs::GetCounter("ann.kmeans_iterations").Value();
+    StatusOr<std::vector<ShardScoredEntity>> recalled =
+        service.ScatterRetrieve(queries[0], 50);
+    ASSERT_TRUE(recalled.ok()) << recalled.status();
+    EXPECT_GT(obs::GetCounter("ann.kmeans_iterations").Value(), kmeans_before);
+    auto offline = MakeExpanderByName(TestPipeline(), "retexpan");
+    const std::vector<ScoredIndex> want =
+        static_cast<const RetExpan&>(*offline).Recall(queries[0], 50);
+    ASSERT_EQ(recalled->size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ((*recalled)[i].position, static_cast<uint64_t>(want[i].index));
+      EXPECT_EQ((*recalled)[i].score, want[i].score);
+    }
+
+    ExpandResult result = held.get();
+    ASSERT_TRUE(result.status.ok()) << result.status;
+    EXPECT_EQ(result.ranking, Reference("setexpan", queries[0], 10));
+    // The retexpan the scatter plane built serves requests too.
+    result = service.ExpandSync({"retexpan", queries[0], 10, -1});
+    ASSERT_TRUE(result.status.ok()) << result.status;
+    EXPECT_EQ(result.ranking, offline->Expand(queries[0], 10));
+  }
+  unsetenv("UW_ANN_ENABLE");
+  ASSERT_TRUE(ThreadPool::SetGlobalThreadCount(0).ok());
+}
+
 TEST(ServeServiceTest, OverloadShedsButAcceptedResultsStayCorrect) {
   const auto& queries = TestPipeline().dataset().queries;
   constexpr int kK = 15;
   const std::vector<EntityId> want = Reference("setexpan", queries[0], kK);
 
+  // Two lanes on any host, so at most 2 + 4 requests are admitted before
+  // the first 10 ms stall ends and the burst must shed.
+  ASSERT_TRUE(ThreadPool::SetGlobalThreadCount(2).ok());
   ServeConfig config;
   config.max_queue = 4;
-  config.max_batch = 2;
-  config.batch_wait_ms = 0;
   config.synthetic_delay_ms = 10;  // drain slower than the burst arrives
   ExpansionService service(TestPipeline(), config);
 
@@ -630,22 +734,24 @@ TEST(ServeServiceTest, OverloadShedsButAcceptedResultsStayCorrect) {
     }
   }
   EXPECT_EQ(served + shed, kBurst);
-  // A 4-deep queue drained 2-at-a-time every 10 ms cannot absorb a
-  // 48-request burst: the bound must have shed some of it.
+  // A 4-deep queue drained one request per lane every 10 ms cannot
+  // absorb a 48-request burst: the bound must have shed some of it.
   EXPECT_GT(shed, 0);
   EXPECT_GT(served, 0);
+  service.Drain();
+  ASSERT_TRUE(ThreadPool::SetGlobalThreadCount(0).ok());
 }
 
 TEST(ServeServiceTest, DrainServesBacklogThenRejectsNewWork) {
   const auto& queries = TestPipeline().dataset().queries;
   ServeConfig config;
-  config.max_batch = 4;
-  config.batch_wait_ms = 20;
+  config.synthetic_delay_ms = 10;  // no request finishes within 10 ms
   ExpansionService service(TestPipeline(), config);
   std::vector<std::future<ExpandResult>> futures;
   for (int i = 0; i < 8; ++i) {
     futures.push_back(service.Submit({"retexpan", queries[0], 10, -1}));
   }
+  EXPECT_GT(service.inflight(), 0);  // Drain below has a backlog to serve
   service.Drain();
   for (auto& future : futures) {
     EXPECT_TRUE(future.get().status.ok());
@@ -695,8 +801,6 @@ TEST(ServeTraceTest, SlowQuerySpanTreeTilesTheEndToEndLatency) {
   obs::SlowQueryLog::Global().ResetForTest();
   const auto& queries = TestPipeline().dataset().queries;
   ServeConfig config;
-  config.max_batch = 1;
-  config.batch_wait_ms = 0;
   // Force the request slow: the synthetic stall lands in batch_wait, so
   // the stage breakdown must account for it.
   config.synthetic_delay_ms = 60;

@@ -5,10 +5,10 @@
 //                [--prewarm=m1,m2,...] [--shard=I/N]
 //
 // Builds the pipeline once (warm-started from UW_CACHE_DIR when set),
-// then serves framed TCP queries (serve/protocol.h) with dynamic
-// micro-batching and admission control (serve/service.h knobs:
-// UW_SERVE_BATCH, UW_SERVE_BATCH_WAIT_MS, UW_SERVE_QUEUE,
-// UW_SERVE_TIMEOUT_MS, UW_TRACE_SAMPLE, UW_SLOW_QUERY_MS). `--port=0`
+// then serves framed TCP queries (serve/protocol.h) with work-conserving
+// dispatch over UW_THREADS service-owned lanes and admission control
+// (serve/service.h knobs: UW_SERVE_QUEUE, UW_SERVE_TIMEOUT_MS,
+// UW_TRACE_SAMPLE, UW_SLOW_QUERY_MS). `--port=0`
 // (default UW_SERVE_PORT or 0) binds an ephemeral port; a port outside
 // 0..65535 or with trailing garbage exits 1. The bound port is printed
 // to stdout as "listening on port N" and, when UW_SERVE_PORT_FILE is
