@@ -174,12 +174,12 @@ StatusOr<IvfIndex> IvfIndex::Restore(
   return index;
 }
 
-std::vector<EntityId> IvfIndex::Candidates(
-    std::span<const float> seed_centroid, int nprobe, size_t k_cand) const {
+std::vector<size_t> IvfIndex::ProbeLists(std::span<const float> seed_centroid,
+                                         int nprobe, size_t k_cand) const {
   UW_SPAN("ann.candidates");
   obs::GetCounter("ann.queries").Increment();
-  std::vector<EntityId> out;
-  if (lists_.empty()) return out;
+  std::vector<size_t> probed;
+  if (lists_.empty()) return probed;
   UW_CHECK_EQ(seed_centroid.size(), dim_);
 
   // First stage scores nlist centroid rows — not the store's `rows_`
@@ -192,30 +192,44 @@ std::vector<EntityId> IvfIndex::Candidates(
   for (size_t c = 0; c < scores.size(); ++c) {
     order[c] = ScoredIndex{scores[c], c};
   }
-  // RanksBefore: score descending, centroid index ascending on ties, NaN
-  // last — the same total order every ranking stage in the repo uses.
-  SortByScoreDescending(order);
-
+  // Probe order is RanksBefore: score descending, centroid index
+  // ascending on ties, NaN last — the same total order every ranking
+  // stage in the repo uses. Being total, any sort yields the same
+  // prefix, so only the `probe_floor` lists that are always probed are
+  // selected up front; the rest are sorted only when `k_cand` asks for
+  // more.
   const size_t probe_floor = std::min<size_t>(
       lists_.size(), static_cast<size_t>(std::max(1, nprobe)));
-  size_t probed = 0;
-  for (const ScoredIndex& pick : order) {
-    if (probed >= probe_floor && out.size() >= k_cand) break;
-    const std::vector<EntityId>& members = lists_[pick.index];
-    out.insert(out.end(), members.begin(), members.end());
-    ++probed;
+  std::partial_sort(order.begin(), order.begin() + probe_floor, order.end(),
+                    RanksBefore);
+  size_t gathered = 0;
+  for (size_t i = 0; i < order.size(); ++i) {
+    if (i >= probe_floor && gathered >= k_cand) break;
+    if (i == probe_floor) {
+      std::sort(order.begin() + i, order.end(), RanksBefore);
+    }
+    probed.push_back(order[i].index);
+    gathered += lists_[order[i].index].size();
   }
-  // Lists are disjoint, so the union is duplicate-free; ascending-id
-  // output gives the rerank a deterministic scoring order.
-  std::sort(out.begin(), out.end());
   obs::GetCounter("ann.lists_probed")
-      .Increment(static_cast<int64_t>(probed));
+      .Increment(static_cast<int64_t>(probed.size()));
   obs::GetCounter("ann.candidates_returned")
-      .Increment(static_cast<int64_t>(out.size()));
+      .Increment(static_cast<int64_t>(gathered));
   if (rows_ > 0) {
     obs::GetGauge("ann.candidate_fraction_x1000")
-        .Set(static_cast<int64_t>(out.size() * 1000 / rows_));
+        .Set(static_cast<int64_t>(gathered * 1000 / rows_));
   }
+  return probed;
+}
+
+std::vector<EntityId> IvfIndex::Candidates(
+    std::span<const float> seed_centroid, int nprobe, size_t k_cand) const {
+  std::vector<EntityId> out;
+  for (const size_t list : ProbeLists(seed_centroid, nprobe, k_cand)) {
+    out.insert(out.end(), lists_[list].begin(), lists_[list].end());
+  }
+  // Lists are disjoint, so the union is duplicate-free.
+  std::sort(out.begin(), out.end());
   return out;
 }
 

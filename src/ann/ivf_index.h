@@ -40,10 +40,11 @@ uint64_t FingerprintConfig(const IvfConfig& config);
 /// and the config — fixed seed, fixed iteration order, ascending-id row
 /// walk, blocked double-accumulation dots — so two builds (or a build and
 /// a snapshot restore) produce bit-identical centroids and lists, and
-/// Candidates() is a pure function of (centroid bytes, query centroid,
-/// nprobe, k_cand) at any UW_THREADS. At nprobe >= nlist the candidate
-/// set is exactly every present entity, which is what the parity test
-/// leans on: ANN first stage + exact rerank == full scan, bit for bit.
+/// ProbeLists() and Candidates() are pure functions of (centroid bytes,
+/// query centroid, nprobe, k_cand) at any UW_THREADS. At nprobe >= nlist
+/// the candidate set is exactly every present entity, which is what the
+/// parity test leans on: ANN first stage + exact rerank == full scan, bit
+/// for bit.
 class IvfIndex {
  public:
   /// Clusters the present rows of `store`. The store must outlive nothing
@@ -64,13 +65,21 @@ class IvfIndex {
   IvfIndex(const IvfIndex&) = delete;
   IvfIndex& operator=(const IvfIndex&) = delete;
 
-  /// First-stage retrieval: scores `seed_centroid` (dim floats, the exact
-  /// fold EntityStore::SeedCentroidOf builds) against every list centroid,
-  /// probes lists in descending score order (centroid-index tie-break),
-  /// and returns the union of their members in ascending-id order. Probes
-  /// at least min(nprobe, nlist) lists and keeps probing past `nprobe`
-  /// while fewer than `k_cand` candidates have been gathered, so the
-  /// exact rerank is never starved below its requested depth.
+  /// The probe rule: scores `seed_centroid` (dim floats, the exact fold
+  /// EntityStore::SeedCentroidOf builds) against every list centroid and
+  /// returns the indices of the lists to probe, in probe order (descending
+  /// score, centroid-index tie-break). Probes at least min(nprobe, nlist)
+  /// lists and keeps probing past `nprobe` while the probed lists hold
+  /// fewer than `k_cand` members, so the exact rerank is never starved
+  /// below its requested depth. The one place that moves the `ann.queries`,
+  /// `ann.lists_probed`, `ann.candidates_returned` and
+  /// `ann.centroid_rows_scored` counters, the
+  /// `ann.candidate_fraction_x1000` gauge and the `ann.candidates` span.
+  std::vector<size_t> ProbeLists(std::span<const float> seed_centroid,
+                                 int nprobe, size_t k_cand) const;
+
+  /// First-stage retrieval: the members of the ProbeLists() lists, as one
+  /// ascending-id union.
   std::vector<EntityId> Candidates(std::span<const float> seed_centroid,
                                    int nprobe, size_t k_cand) const;
 

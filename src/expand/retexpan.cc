@@ -73,29 +73,36 @@ std::vector<ScoredIndex> RetExpan::Recall(const Query& query, size_t size,
   std::vector<float> scores;
   if (use_ann) {
     // ANN recall: probe the IVF lists nearest the seed centroid, then
-    // rerank the retrieved superset with the *exact* centroid kernel —
-    // the very DotBlocked expression the full scan uses — so every
-    // surviving candidate carries its full-scan score, and the only
-    // approximation is which candidates were retrieved at all. The probe
-    // ignores the slice, so every slice retrieves the same superset and
-    // keeps only its own positions of it.
+    // rerank their members with the *exact* centroid kernel — the very
+    // DotBlocked expression the full scan uses — so every surviving
+    // candidate carries its full-scan score, and the only approximation
+    // is which candidates were retrieved at all. The probe ignores the
+    // slice, so every slice retrieves the same lists and keeps only its
+    // own positions of them. Members are scored list by list in probe
+    // order, never sorted by id: the TopKStream result depends only on
+    // the multiset of pushed (score, position) pairs, and positions are
+    // unique, so the walk order cannot change a ranking.
     UW_SPAN("retexpan.initial_expansion_ann");
     const Vec centroid = store_->SeedCentroidOf(query.pos_seeds);
     const int nprobe =
         config_.ann_nprobe > 0 ? config_.ann_nprobe : ann_->config().nprobe;
     // Seeds get filtered out below, so ask the first stage for enough
     // candidates that the rerank depth never starves.
-    const std::vector<EntityId> retrieved =
-        ann_->Candidates(centroid, nprobe, size + seeds.size());
-    positions.reserve(retrieved.size());
-    ids.reserve(retrieved.size());
-    for (const EntityId id : retrieved) {
-      if (static_cast<size_t>(id) >= position_of_.size()) continue;
-      const int64_t pos = position_of_[static_cast<size_t>(id)];
-      if (pos < 0) continue;  // in the store but not a candidate
-      if (!in_slice(static_cast<size_t>(pos)) || is_seed(id)) continue;
-      positions.push_back(static_cast<size_t>(pos));
-      ids.push_back(id);
+    const std::vector<size_t> probed =
+        ann_->ProbeLists(centroid, nprobe, size + seeds.size());
+    size_t members = 0;
+    for (const size_t list : probed) members += ann_->lists()[list].size();
+    positions.reserve(members);
+    ids.reserve(members);
+    for (const size_t list : probed) {
+      for (const EntityId id : ann_->lists()[list]) {
+        if (static_cast<size_t>(id) >= position_of_.size()) continue;
+        const int64_t pos = position_of_[static_cast<size_t>(id)];
+        if (pos < 0) continue;  // in the store but not a candidate
+        if (!in_slice(static_cast<size_t>(pos)) || is_seed(id)) continue;
+        positions.push_back(static_cast<size_t>(pos));
+        ids.push_back(id);
+      }
     }
     scores = store_->CentroidScores(centroid, ids);
     // Candidates absent from the store score exactly 0 in the full scan
@@ -146,15 +153,25 @@ std::vector<EntityId> RetExpan::Expand(const Query& query, size_t k) {
   obs::GetCounter("retexpan.queries").Increment();
   const size_t initial_size = std::max<size_t>(
       k, static_cast<size_t>(config_.initial_list_size));
-  std::vector<EntityId> list = InitialExpansion(query, initial_size);
+  const std::vector<ScoredIndex> recalled = Recall(query, initial_size);
+  std::vector<EntityId> list;
+  std::vector<float> pos_scores;
+  list.reserve(recalled.size());
+  pos_scores.reserve(recalled.size());
+  for (const ScoredIndex& s : recalled) {
+    list.push_back((*candidates_)[s.index]);
+    pos_scores.push_back(s.score);
+  }
   if (config_.use_negative_rerank && !query.neg_seeds.empty()) {
     UW_SPAN("retexpan.rerank");
     obs::GetCounter("retexpan.reranked_lists").Increment();
-    // Both sides' seed similarities come from one batched centroid pass
-    // over the list instead of per-entity per-seed cosines.
+    // The positive side reuses the recall's scores: both are
+    // CentroidScores over SeedCentroidOf(pos_seeds) with the same kernel,
+    // so a present entity gets the same float, and an absent entity (or
+    // any entity under an empty positive seed set) gets +0.0f on both
+    // paths. Only the negative side needs a fresh centroid pass.
     list = NegativeSeedRerank(
-        list, store_->SeedCentroidScores(query.pos_seeds, list),
-        store_->SeedCentroidScores(query.neg_seeds, list),
+        list, pos_scores, store_->SeedCentroidScores(query.neg_seeds, list),
         config_.rerank_segment_length);
   }
   if (list.size() > k) list.resize(k);

@@ -1,6 +1,9 @@
 #include "math/simd_kernels.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "common/logging.h"
 
@@ -9,15 +12,84 @@ namespace {
 
 /// Fixed pairwise tree over the lane accumulators. Written out explicitly
 /// so the reduction order is part of the function's contract, not an
-/// artifact of loop unrolling.
+/// artifact of loop unrolling. A NaN sum comes out as the one canonical
+/// quiet NaN: which input NaN's sign and payload an operation propagates
+/// depends on the operand order the compiler picks and on the ISA, so
+/// only the canonical NaN is the same on every build and machine.
 inline double ReduceLanes(const double lanes[kDotLanes]) {
   static_assert(kDotLanes == 8, "ReduceLanes is written for 8 lanes");
   const double s01 = lanes[0] + lanes[1];
   const double s23 = lanes[2] + lanes[3];
   const double s45 = lanes[4] + lanes[5];
   const double s67 = lanes[6] + lanes[7];
-  return (s01 + s23) + (s45 + s67);
+  const double sum = (s01 + s23) + (s45 + s67);
+  return std::isnan(sum) ? std::numeric_limits<double>::quiet_NaN() : sum;
 }
+
+/// Two adjacent double lanes, combined element-wise: every `+` and `*`
+/// on it is the IEEE double operation of each lane on its own.
+using Double2 = double __attribute__((vector_size(16)));
+
+/// Scores `R` rows in one pass. Row r adds exactly DotBlocked's products
+/// (float widened to double, times the widened query element) into its
+/// own lanes in DotBlocked's element order, so each output is
+/// float(DotBlocked(row r, query)); the R rows only share the loop, which
+/// keeps R independent row loads in flight. The lanes are run as two
+/// halves, 0-3 then 4-7 (the lanes are independent, so this reorders no
+/// addition): R x 4 double accumulators fit the vector registers where
+/// R x 8 would spill to the stack.
+template <size_t R>
+void DotRows(const float* const* rows, const double* query, size_t n,
+             float* out) {
+  constexpr size_t kHalf = kDotLanes / 2;
+  double lanes[R][kDotLanes] = {};
+  const size_t full = n - n % kDotLanes;
+  for (size_t half = 0; half < kDotLanes; half += kHalf) {
+    Double2 low[R] = {};
+    Double2 high[R] = {};
+    for (size_t i = half; i < full; i += kDotLanes) {
+      const Double2 q_low = {query[i], query[i + 1]};
+      const Double2 q_high = {query[i + 2], query[i + 3]};
+#pragma GCC unroll 4
+      for (size_t r = 0; r < R; ++r) {
+        const float* x = rows[r] + i;
+        low[r] += Double2{static_cast<double>(x[0]),
+                          static_cast<double>(x[1])} * q_low;
+        high[r] += Double2{static_cast<double>(x[2]),
+                           static_cast<double>(x[3])} * q_high;
+      }
+    }
+    for (size_t r = 0; r < R; ++r) {
+      lanes[r][half] = low[r][0];
+      lanes[r][half + 1] = low[r][1];
+      lanes[r][half + 2] = high[r][0];
+      lanes[r][half + 3] = high[r][1];
+    }
+  }
+  for (size_t i = full; i < n; ++i) {
+    for (size_t r = 0; r < R; ++r) {
+      lanes[r][i - full] += static_cast<double>(rows[r][i]) * query[i];
+    }
+  }
+  for (size_t r = 0; r < R; ++r) {
+    out[r] = static_cast<float>(ReduceLanes(lanes[r]));
+  }
+}
+
+/// DotGather over a query already widened to double (`n` elements).
+void GatherWidened(std::span<const float* const> rows, const double* query,
+                   size_t n, float* out) {
+  size_t r = 0;
+  for (; r + 4 <= rows.size(); r += 4) {
+    DotRows<4>(rows.data() + r, query, n, out + r);
+  }
+  for (; r < rows.size(); ++r) {
+    DotRows<1>(rows.data() + r, query, n, out + r);
+  }
+}
+
+/// Rows DotBatch gathers per pass (a stack array of row pointers).
+constexpr size_t kBatchBlock = 64;
 
 }  // namespace
 
@@ -61,13 +133,28 @@ double NormBlocked(std::span<const float> x) {
   return std::sqrt(SquaredNormBlocked(x));
 }
 
+void DotGather(std::span<const float* const> rows,
+               std::span<const float> query, std::span<float> out) {
+  UW_CHECK_EQ(rows.size(), out.size());
+  // Widening float to double is exact, so converting the query once
+  // yields the same factors DotBlocked converts per product.
+  const std::vector<double> widened(query.begin(), query.end());
+  GatherWidened(rows, widened.data(), widened.size(), out.data());
+}
+
 void DotBatch(std::span<const float> matrix, size_t dim,
               std::span<const float> query, std::span<float> out) {
   UW_CHECK_EQ(query.size(), dim);
   UW_CHECK_EQ(matrix.size(), out.size() * dim);
-  for (size_t r = 0; r < out.size(); ++r) {
-    out[r] = static_cast<float>(
-        DotBlocked(matrix.subspan(r * dim, dim), query));
+  const std::vector<double> widened(query.begin(), query.end());
+  const float* rows[kBatchBlock] = {};
+  for (size_t begin = 0; begin < out.size(); begin += kBatchBlock) {
+    const size_t count = std::min(kBatchBlock, out.size() - begin);
+    for (size_t j = 0; j < count; ++j) {
+      rows[j] = matrix.data() + (begin + j) * dim;
+    }
+    GatherWidened(std::span<const float* const>(rows, count),
+                  widened.data(), dim, out.data() + begin);
   }
 }
 

@@ -17,7 +17,8 @@ namespace ultrawiki {
 /// SIMD width the compiler picks, the thread count, or the machine — the
 /// result is bit-identical everywhere, while the independent lanes leave
 /// the compiler free to vectorize the inner loop without reassociating
-/// floating-point math.
+/// floating-point math. A NaN result is always the canonical quiet NaN,
+/// never whichever input NaN the operations happened to propagate.
 inline constexpr size_t kDotLanes = 8;
 
 /// Dot product of `a` and `b` with deterministic blocked double
@@ -31,11 +32,23 @@ double SquaredNormBlocked(std::span<const float> x);
 /// L2 norm of `x` via SquaredNormBlocked.
 double NormBlocked(std::span<const float> x);
 
+/// Scores gathered rows against `query`: `rows[r]` points at
+/// `query.size()` floats, and `out[r] = float(DotBlocked(row r, query))`
+/// byte for byte. The query is widened to double once; rows are scored
+/// four per pass, each row keeping its own `kDotLanes` lane accumulators
+/// fed in DotBlocked's element order (the `dim % kDotLanes` tail and a
+/// `rows % 4` remainder use the same lanes), so interleaving rows only
+/// overlaps their loads and never changes an accumulation. Rows may
+/// repeat or alias. `out.size()` must equal `rows.size()`.
+void DotGather(std::span<const float* const> rows,
+               std::span<const float> query, std::span<float> out);
+
 /// Scores every row of the row-major `matrix` (`out.size()` rows of
 /// `dim` floats each; `matrix.size() == out.size() * dim`) against
-/// `query`, writing `out[r] = float(DotBlocked(row r, query))`. Rows are
-/// processed in index order; each output is a pure function of its row
-/// and the query, so the batch is deterministic at any thread count.
+/// `query` through DotGather, writing
+/// `out[r] = float(DotBlocked(row r, query))`. Each output is a pure
+/// function of its row and the query, so the batch is deterministic at
+/// any thread count.
 void DotBatch(std::span<const float> matrix, size_t dim,
               std::span<const float> query, std::span<float> out);
 

@@ -10,13 +10,16 @@
 
 #include "ann/ivf_index.h"
 #include "ann/scaled_store.h"
+#include "common/rng.h"
 #include "corpus/generator.h"
 #include "embedding/entity_store.h"
 #include "expand/pipeline.h"
 #include "expand/retexpan.h"
 #include "io/artifact_cache.h"
 #include "io/snapshot.h"
+#include "math/simd_kernels.h"
 #include "math/topk.h"
+#include "obs/metrics.h"
 
 namespace ultrawiki {
 namespace {
@@ -205,6 +208,244 @@ TEST(AnnRetExpanTest, SlicedRecallMergesToTheUnslicedRecall) {
       }
     }
   }
+}
+
+/// The recall as it was computed before RetExpan walked the probed lists
+/// in probe order: the ascending-id Candidates() superset, filtered to the
+/// slice's non-seed candidate positions, scored with CentroidScores, plus
+/// the exact 0 of every absent candidate, top-`size` by RanksBefore.
+/// Candidates are `0..n-1` followed by ids absent from the store, so an
+/// id below n is its own position.
+std::vector<ScoredIndex> ReferenceRecall(
+    const EntityStore& store, const IvfIndex& index,
+    const std::vector<EntityId>& candidates, const Query& query, size_t size,
+    int nprobe, const ShardSpec& slice) {
+  const std::vector<EntityId> seeds = SortedSeedsOf(query);
+  const auto keep = [&](size_t pos) {
+    return static_cast<int>(pos) % slice.count == slice.index &&
+           !std::binary_search(seeds.begin(), seeds.end(), candidates[pos]);
+  };
+  const Vec centroid = store.SeedCentroidOf(query.pos_seeds);
+  std::vector<EntityId> ids;
+  for (const EntityId id :
+       index.Candidates(centroid, nprobe, size + seeds.size())) {
+    if (keep(static_cast<size_t>(id))) ids.push_back(id);
+  }
+  const std::vector<float> scores = store.CentroidScores(centroid, ids);
+  TopKStream stream(size);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    stream.Push(scores[i], static_cast<size_t>(ids[i]));
+  }
+  for (size_t pos = 0; pos < candidates.size(); ++pos) {
+    if (!store.Has(candidates[pos]) && keep(pos)) stream.Push(0.0f, pos);
+  }
+  return stream.TakeSortedDescending();
+}
+
+/// Expand as it was computed before the rerank reused the recall's
+/// scores: the reference recall, then both seed sides rescored over the
+/// recalled list.
+std::vector<EntityId> ReferenceExpand(const EntityStore& store,
+                                      const IvfIndex& index,
+                                      const std::vector<EntityId>& candidates,
+                                      const RetExpanConfig& config,
+                                      const Query& query, size_t k,
+                                      int nprobe) {
+  const size_t size =
+      std::max<size_t>(k, static_cast<size_t>(config.initial_list_size));
+  std::vector<EntityId> list;
+  for (const ScoredIndex& s : ReferenceRecall(store, index, candidates, query,
+                                              size, nprobe, ShardSpec{})) {
+    list.push_back(candidates[s.index]);
+  }
+  if (!query.neg_seeds.empty()) {
+    list = NegativeSeedRerank(list,
+                              store.SeedCentroidScores(query.pos_seeds, list),
+                              store.SeedCentroidScores(query.neg_seeds, list),
+                              config.rerank_segment_length);
+  }
+  if (list.size() > k) list.resize(k);
+  return list;
+}
+
+/// Seeds drawn from one scaled class (ids congruent mod 64), sometimes
+/// with an id absent from a `present`-entity store mixed in.
+std::vector<EntityId> ClassSeeds(Rng& rng, int present, int count) {
+  const int cls = static_cast<int>(rng.UniformUint64(64));
+  std::vector<EntityId> seeds;
+  for (int s = 0; s < count; ++s) {
+    seeds.push_back(cls + 64 * static_cast<int>(rng.UniformUint64(
+                                   static_cast<uint64_t>(present / 64))));
+  }
+  if (count > 0 && rng.UniformUint64(8) == 0) seeds.push_back(present + 7);
+  return seeds;
+}
+
+TEST(AnnRetExpanTest, ProbeOrderRecallMatchesSortedCandidateReference) {
+  constexpr int kPresent = 4000;
+  const EntityStore store = MakeScaledStore(kPresent);
+  std::vector<EntityId> candidates(kPresent);
+  std::iota(candidates.begin(), candidates.end(), 0);
+  candidates.push_back(kPresent + 5000);  // absent from the store
+  const IvfIndex index = IvfIndex::Build(store);
+  ASSERT_LT(4, index.config().nprobe);
+  ASSERT_LT(index.config().nprobe, index.nlist());
+
+  Rng rng(43);
+  std::vector<Query> queries(200);
+  for (Query& query : queries) {
+    query.pos_seeds = ClassSeeds(rng, kPresent,
+                                 static_cast<int>(rng.UniformUint64(6)));
+    query.neg_seeds = ClassSeeds(rng, kPresent,
+                                 static_cast<int>(rng.UniformUint64(4)));
+  }
+  for (const int nprobe : {1, 4, index.config().nprobe, index.nlist()}) {
+    RetExpanConfig config;
+    config.ann_min_candidates = 0;
+    config.ann_nprobe = nprobe;
+    RetExpan ann(&store, &candidates, config);
+    ann.SetAnnIndex(&index);
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const Query& query = queries[q];
+      for (const ShardSpec slice : {ShardSpec{0, 1}, ShardSpec{1, 3}}) {
+        for (const size_t size : {10u, 200u}) {
+          EXPECT_EQ(ann.Recall(query, size, slice),
+                    ReferenceRecall(store, index, candidates, query, size,
+                                    nprobe, slice))
+              << "query " << q << " nprobe " << nprobe << " slice "
+              << slice.index << "/" << slice.count << " size " << size;
+        }
+      }
+      EXPECT_EQ(ann.Expand(query, 50),
+                ReferenceExpand(store, index, candidates, config, query, 50,
+                                nprobe))
+          << "query " << q << " nprobe " << nprobe;
+    }
+  }
+}
+
+TEST(AnnRetExpanTest, SeedHeavyQueryProbesPastNprobe) {
+  constexpr int kPresent = 4000;
+  const EntityStore store = MakeScaledStore(kPresent);
+  std::vector<EntityId> candidates(kPresent);
+  std::iota(candidates.begin(), candidates.end(), 0);
+  const IvfIndex index = IvfIndex::Build(store);
+  // 300 seeds: the first stage is asked for 200 + 300 ids, far more than
+  // one list holds, so nprobe = 1 must keep probing.
+  Query query;
+  for (int s = 0; s < 300; ++s) query.pos_seeds.push_back(3 + 64 * (s % 62));
+  for (int s = 0; s < 300; s += 62) query.pos_seeds.push_back(s);
+  query.neg_seeds = {7, 71, 135};
+  constexpr int kNprobe = 1;
+  const Vec centroid = store.SeedCentroidOf(query.pos_seeds);
+  ASSERT_GT(index
+                .ProbeLists(centroid, kNprobe,
+                            200 + SortedSeedsOf(query).size())
+                .size(),
+            1u);
+
+  RetExpanConfig config;
+  config.ann_min_candidates = 0;
+  config.ann_nprobe = kNprobe;
+  RetExpan ann(&store, &candidates, config);
+  ann.SetAnnIndex(&index);
+  EXPECT_EQ(ann.Recall(query, 200),
+            ReferenceRecall(store, index, candidates, query, 200, kNprobe,
+                            ShardSpec{}));
+  EXPECT_EQ(ann.Expand(query, 50),
+            ReferenceExpand(store, index, candidates, config, query, 50,
+                            kNprobe));
+}
+
+/// The probe rule written out: every list centroid scored with
+/// DotBlocked, all lists sorted by RanksBefore, lists taken in that order
+/// until both `nprobe` lists and `k_cand` members are reached.
+std::vector<size_t> ReferenceProbe(const IvfIndex& index,
+                                   std::span<const float> centroid,
+                                   int nprobe, size_t k_cand) {
+  const size_t dim = index.dim();
+  std::vector<ScoredIndex> order;
+  for (size_t l = 0; l < index.lists().size(); ++l) {
+    order.push_back(ScoredIndex{
+        static_cast<float>(
+            DotBlocked(index.centroids().subspan(l * dim, dim), centroid)),
+        l});
+  }
+  SortByScoreDescending(order);
+  std::vector<size_t> probed;
+  size_t gathered = 0;
+  for (const ScoredIndex& pick : order) {
+    if (probed.size() >= static_cast<size_t>(nprobe) && gathered >= k_cand) {
+      break;
+    }
+    probed.push_back(pick.index);
+    gathered += index.lists()[pick.index].size();
+  }
+  return probed;
+}
+
+TEST(IvfIndexTest, ProbeListsFollowsTheRuleAndCandidatesUnionsThem) {
+  const EntityStore store = MakeScaledStore(2000);
+  const IvfIndex index = IvfIndex::Build(store);
+  Rng rng(47);
+  for (int q = 0; q < 20; ++q) {
+    const Vec centroid =
+        store.SeedCentroidOf(ClassSeeds(rng, 2000, 1 + q % 5));
+    for (const int nprobe : {1, 4, index.config().nprobe, index.nlist()}) {
+      for (const size_t k_cand : {1u, 100u, 900u}) {
+        const std::vector<size_t> probed =
+            index.ProbeLists(centroid, nprobe, k_cand);
+        EXPECT_EQ(probed, ReferenceProbe(index, centroid, nprobe, k_cand))
+            << "query " << q << " nprobe " << nprobe << " k_cand " << k_cand;
+        std::vector<EntityId> members;
+        for (const size_t list : probed) {
+          members.insert(members.end(), index.lists()[list].begin(),
+                         index.lists()[list].end());
+        }
+        std::sort(members.begin(), members.end());
+        EXPECT_EQ(index.Candidates(centroid, nprobe, k_cand), members)
+            << "query " << q << " nprobe " << nprobe << " k_cand " << k_cand;
+      }
+    }
+  }
+}
+
+TEST(AnnRetExpanTest, OneExpandCountsOneProbe) {
+  const EntityStore store = MakeScaledStore(4000);
+  std::vector<EntityId> candidates(4000);
+  std::iota(candidates.begin(), candidates.end(), 0);
+  const IvfIndex index = IvfIndex::Build(store);
+  RetExpanConfig config;
+  config.ann_min_candidates = 0;
+  RetExpan ann(&store, &candidates, config);
+  ann.SetAnnIndex(&index);
+  const Query query = SameClassQuery();
+  const std::vector<size_t> probed = index.ProbeLists(
+      store.SeedCentroidOf(query.pos_seeds), index.config().nprobe,
+      static_cast<size_t>(config.initial_list_size) +
+          SortedSeedsOf(query).size());
+
+  obs::Counter& queries = obs::GetCounter("ann.queries");
+  obs::Counter& lists = obs::GetCounter("ann.lists_probed");
+  obs::Counter& returned = obs::GetCounter("ann.candidates_returned");
+  const int64_t queries_before = queries.Value();
+  const int64_t lists_before = lists.Value();
+  const int64_t returned_before = returned.Value();
+  ann.Expand(query, 50);
+  EXPECT_EQ(queries.Value() - queries_before, 1);
+  EXPECT_EQ(lists.Value() - lists_before,
+            static_cast<int64_t>(probed.size()));
+  size_t members = 0;
+  for (const size_t list : probed) members += index.lists()[list].size();
+  EXPECT_EQ(returned.Value() - returned_before,
+            static_cast<int64_t>(members));
+
+  // Candidates() is ProbeLists() plus a gather: it counts once too.
+  const int64_t queries_mid = queries.Value();
+  const int64_t lists_mid = lists.Value();
+  index.Candidates(store.SeedCentroidOf(query.pos_seeds), 4, 1);
+  EXPECT_EQ(queries.Value() - queries_mid, 1);
+  EXPECT_EQ(lists.Value() - lists_mid, 4);
 }
 
 TEST(AnnRetExpanTest, SmallVocabularyFallsBackToExactScan) {

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
 #include <limits>
+#include <numeric>
+#include <string>
 
 #include "common/rng.h"
 #include "math/matrix.h"
@@ -442,6 +446,146 @@ TEST(SimdKernelsTest, DotBatchScoresEveryRow) {
   for (size_t r = 0; r < rows; ++r) {
     const std::span<const float> row(matrix.data() + r * dim, dim);
     EXPECT_EQ(out[r], static_cast<float>(DotBlocked(row, query)));
+  }
+}
+
+/// Input regimes of the byte-identity tests.
+enum class Inputs {
+  /// Ordinary values mixed with ±0 and denormals.
+  kFinite,
+  /// Ordinary values mixed with NaN and ±inf, so inf * 0 makes the
+  /// default NaN and NaN meets NaN of the other sign inside the lanes.
+  kNonfinite,
+  /// Order-revealing rows against an all-ones query: a few 1s plus a
+  /// +2^60/-2^60 pair in one lane. A 1 added to a nonzero 2^60 partial
+  /// sum is lost and the pair cancels, so the result counts the 1s that
+  /// survived, and adding any element to another lane or in another
+  /// order changes it. (Sums of a few ordinary products are exact in
+  /// double and round alike in float, so they would not show this.)
+  kCancel,
+};
+
+float KernelInput(Rng& rng, Inputs inputs) {
+  const float kSpecials[] = {0.0f,
+                             -0.0f,
+                             std::numeric_limits<float>::denorm_min(),
+                             -3e-40f,
+                             std::numeric_limits<float>::max(),
+                             std::numeric_limits<float>::quiet_NaN(),
+                             std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity()};
+  const bool nonfinite = inputs == Inputs::kNonfinite;
+  if (rng.UniformUint64(nonfinite ? 32 : 6) == 0) {
+    return kSpecials[rng.UniformUint64(nonfinite ? std::size(kSpecials)
+                                                 : 4)];
+  }
+  return rng.UniformFloat(-1.0f, 1.0f);
+}
+
+/// Fills the row-major `matrix` (rows of `query.size()` floats) and
+/// `query` for one regime (see Inputs).
+void FillKernelInputs(Rng& rng, Inputs inputs, std::vector<float>& matrix,
+                      Vec& query) {
+  if (inputs != Inputs::kCancel) {
+    for (float& v : matrix) v = KernelInput(rng, inputs);
+    for (float& v : query) v = KernelInput(rng, inputs);
+    return;
+  }
+  const size_t dim = query.size();
+  std::fill(query.begin(), query.end(), 1.0f);
+  std::fill(matrix.begin(), matrix.end(), 0.0f);
+  if (dim == 0) return;
+  for (size_t begin = 0; begin < matrix.size(); begin += dim) {
+    float* row = matrix.data() + begin;
+    for (int one = 0; one < 8; ++one) row[rng.UniformUint64(dim)] = 1.0f;
+    // Lane l holds elements l, l + kDotLanes, ...
+    const size_t lane = rng.UniformUint64(std::min(dim, kDotLanes));
+    const size_t members = (dim - lane + kDotLanes - 1) / kDotLanes;
+    if (members < 2) continue;
+    const size_t a = rng.UniformUint64(members);
+    const size_t b = (a + 1 + rng.UniformUint64(members - 1)) % members;
+    row[lane + a * kDotLanes] = std::ldexp(1.0f, 60);
+    row[lane + b * kDotLanes] = -std::ldexp(1.0f, 60);
+  }
+}
+
+/// memcmp, not ==: -0.0f against +0.0f, or two NaNs with different bits,
+/// count as a mismatch.
+bool SameBytes(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+TEST(SimdKernelsTest, DotGatherAndDotBatchMatchDotBlockedByteForByte) {
+  Rng rng(37);
+  size_t nan_outputs = 0;
+  for (const Inputs inputs :
+       {Inputs::kFinite, Inputs::kNonfinite, Inputs::kCancel}) {
+    for (const size_t dim : {0u, 1u, 7u, 8u, 9u, 63u, 64u, 65u, 1000u}) {
+      for (const size_t rows : {0u, 1u, 3u, 4u, 5u, 67u}) {
+        std::vector<float> matrix(rows * dim);
+        Vec query(dim);
+        FillKernelInputs(rng, inputs, matrix, query);
+        const auto row = [&](size_t r) {
+          return std::span<const float>(matrix.data() + r * dim, dim);
+        };
+        std::vector<float> want(rows);
+        for (size_t r = 0; r < rows; ++r) {
+          want[r] = static_cast<float>(DotBlocked(row(r), query));
+          if (std::isnan(want[r])) ++nan_outputs;
+        }
+        const std::string what = "dim " + std::to_string(dim) + " rows " +
+                                 std::to_string(rows) + " inputs " +
+                                 std::to_string(static_cast<int>(inputs));
+        std::vector<float> batch(rows, 1.0f);
+        DotBatch(matrix, dim, query, batch);
+        EXPECT_TRUE(SameBytes(batch, want)) << "DotBatch " << what;
+        if (dim > 0) {
+          EXPECT_TRUE(SameBytes(ScoreMany(matrix, dim, query), want))
+              << "ScoreMany " << what;
+        }
+        // Gather the rows in a shuffled order.
+        std::vector<size_t> order(rows);
+        std::iota(order.begin(), order.end(), 0);
+        rng.Shuffle(order);
+        std::vector<const float*> pointers;
+        std::vector<float> want_gathered;
+        for (const size_t r : order) {
+          pointers.push_back(row(r).data());
+          want_gathered.push_back(want[r]);
+        }
+        std::vector<float> gathered(rows, 1.0f);
+        DotGather(pointers, query, gathered);
+        EXPECT_TRUE(SameBytes(gathered, want_gathered)) << "DotGather " << what;
+      }
+    }
+  }
+  EXPECT_GT(nan_outputs, 0u) << "the nonfinite inputs must reach NaN sums";
+}
+
+TEST(SimdKernelsTest, DotGatherTakesRepeatedAndAliasedRows) {
+  Rng rng(41);
+  for (const size_t dim : {1u, 9u, 64u, 65u}) {
+    std::vector<float> buffer(4 * dim + 3);
+    for (float& v : buffer) v = KernelInput(rng, Inputs::kFinite);
+    const std::span<const float> query(buffer.data(), dim);
+    // Repeated rows, rows overlapping each other one float apart, and the
+    // query buffer itself as a row.
+    std::vector<const float*> pointers;
+    for (size_t r = 0; r < 13; ++r) {
+      pointers.push_back(buffer.data() + (r % 5 == 0 ? 0 : r % 4));
+    }
+    pointers.push_back(buffer.data() + 2 * dim);
+    pointers.push_back(query.data());
+    std::vector<float> want;
+    for (const float* row : pointers) {
+      want.push_back(static_cast<float>(
+          DotBlocked(std::span<const float>(row, dim), query)));
+    }
+    std::vector<float> gathered(pointers.size());
+    DotGather(pointers, query, gathered);
+    EXPECT_TRUE(SameBytes(gathered, want)) << "dim " << dim;
   }
 }
 
