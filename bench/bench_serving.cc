@@ -4,8 +4,9 @@
 //   1. Closed loop — N client connections over loopback TCP, each
 //      fire-and-wait, mixing retexpan and setexpan across the dataset's
 //      queries (>= 1000 requests total).
-//   2. Open loop — in-process Submit at a fixed arrival rate, so queue
-//      pressure comes from the clock instead of client round trips.
+//   2. Open loop — in-process requests at a fixed arrival rate, each on a
+//      thread of its own, so queue pressure comes from the clock instead
+//      of client round trips.
 //   3. Forced overload — a separate service with a 4-deep queue and a
 //      synthetic per-request delay; the burst must shed, and every
 //      accepted result must stay bit-identical to the offline expander.
@@ -133,19 +134,25 @@ int RunClosedLoop(Pipeline& pipeline, const ReferenceSet& reference) {
   obs::GetGauge("serve.bench.closed.qps").Set(qps);
   std::fprintf(stderr,
                "[serving] closed loop: %d requests over %d connections in "
-               "%.2fs (%lld qps), most requests in one dispatch %lld\n",
-               total, kClients, seconds, static_cast<long long>(qps),
-               static_cast<long long>(
-                   obs::GetHistogram("serve.batch_size", {})
-                       .Aggregate()
-                       .max));
+               "%.2fs (%lld qps)\n",
+               total, kClients, seconds, static_cast<long long>(qps));
   std::printf("closed loop: %d requests across %zu methods, %d verified "
               "mismatches\n",
               total, kMethods.size(), mismatches.load());
   return mismatches.load();
 }
 
-/// Phase 2: open-loop in-process submission at a fixed arrival rate.
+/// Serves `request` on a thread of its own, as a TCP connection handler
+/// would.
+std::future<ExpandResult> ExpandOnThread(ExpansionService& service,
+                                         ExpandRequest request) {
+  return std::async(std::launch::async,
+                    [&service, request = std::move(request)]() mutable {
+                      return service.Expand(std::move(request));
+                    });
+}
+
+/// Phase 2: open-loop in-process arrivals at a fixed rate.
 int RunOpenLoop(Pipeline& pipeline, const ReferenceSet& reference) {
   ExpansionService service(pipeline);
   UW_CHECK_OK(service.PrewarmMethods(kMethods));
@@ -165,9 +172,9 @@ int RunOpenLoop(Pipeline& pipeline, const ReferenceSet& reference) {
     const size_t method_index = i % kMethods.size();
     const size_t query_index = static_cast<size_t>(i) % query_count;
     labels.emplace_back(method_index, query_index);
-    futures.push_back(service.Submit(
-        {kMethods[method_index],
-         pipeline.dataset().queries[query_index], kK, -1}));
+    futures.push_back(ExpandOnThread(
+        service, {kMethods[method_index],
+                  pipeline.dataset().queries[query_index], kK, -1}));
   }
 
   int ok = 0;
@@ -211,7 +218,7 @@ int RunOpenLoop(Pipeline& pipeline, const ReferenceSet& reference) {
 /// Phase 3: forced overload. Returns the mismatch count among accepted
 /// results; aborts if nothing was shed (the phase would be vacuous).
 int RunOverload(Pipeline& pipeline, const ReferenceSet& reference) {
-  // Two lanes on any host, so at most 2 + 4 of the burst are admitted
+  // Two slots on any host, so at most 2 + 4 of the burst are admitted
   // before the first 10 ms stall ends; the pool is restored afterwards.
   const int threads = ThreadPool::Global().thread_count();
   UW_CHECK_OK(ThreadPool::SetGlobalThreadCount(2));
@@ -225,8 +232,8 @@ int RunOverload(Pipeline& pipeline, const ReferenceSet& reference) {
   std::vector<std::future<ExpandResult>> futures;
   futures.reserve(kBurst);
   for (int i = 0; i < kBurst; ++i) {
-    futures.push_back(service.Submit(
-        {kMethods[1], pipeline.dataset().queries[0], kK, -1}));
+    futures.push_back(ExpandOnThread(
+        service, {kMethods[1], pipeline.dataset().queries[0], kK, -1}));
   }
   int served = 0;
   int shed = 0;

@@ -98,6 +98,12 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
+ThreadPool::TaskScope::TaskScope() : outer_(tl_inside_pool_task) {
+  tl_inside_pool_task = true;
+}
+
+ThreadPool::TaskScope::~TaskScope() { tl_inside_pool_task = outer_; }
+
 bool ThreadPool::TryRunOneTask(int self) {
   Task task;
   const int n = static_cast<int>(queues_.size());
@@ -125,9 +131,8 @@ bool ThreadPool::TryRunOneTask(int self) {
   }
   if (!task) return false;
   Metrics().tasks_run.Increment();
-  tl_inside_pool_task = true;
+  TaskScope scope;
   task();
-  tl_inside_pool_task = false;
   return true;
 }
 

@@ -74,6 +74,21 @@ class ThreadPool {
   void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                    const std::function<void(int64_t)>& fn);
 
+  /// Marks the calling thread as inside a pool task while it lives, so
+  /// every ParallelFor the thread calls meanwhile runs inline, exactly as
+  /// on a pool worker. For a thread that is itself one unit of bounded
+  /// concurrency, such as a serving thread holding an execution slot.
+  class TaskScope {
+   public:
+    TaskScope();
+    ~TaskScope();
+    TaskScope(const TaskScope&) = delete;
+    TaskScope& operator=(const TaskScope&) = delete;
+
+   private:
+    bool outer_;
+  };
+
   /// Ordered-reduction map: returns {fn(0), fn(1), ..., fn(n-1)} with each
   /// slot written by exactly one task, so the output order — and any
   /// fold the caller performs over it — is independent of scheduling.

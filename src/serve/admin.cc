@@ -96,6 +96,8 @@ AdminServer::HttpReply AdminServer::Handle(const std::string& path) const {
     reply.body += ",\"inflight\":";
     reply.body +=
         std::to_string(service != nullptr ? service->inflight() : 0);
+    reply.body += ",\"slots\":";
+    reply.body += std::to_string(service != nullptr ? service->slots() : 0);
     reply.body += ",\"generation\":";
     reply.body +=
         std::to_string(generation != nullptr ? generation->id : 0);

@@ -22,8 +22,8 @@ namespace serve {
 ///             (uw_serve_latency_us_1m quantile series).
 ///   /healthz  "ok" while serving, 503 "draining" once drain started.
 ///   /statusz  one-line JSON: draining flag, queue depth, in-flight
-///             count, serving generation, shard scope, config knobs,
-///             slow-log totals. The router's health poller keys its
+///             count, execution slots, serving generation, shard scope,
+///             config knobs, slow-log totals. The router's health poller keys its
 ///             replica load-balancing off the draining / queue_depth /
 ///             inflight fields.
 ///   /slow     the slow-query log as Chrome trace-event JSON — save and

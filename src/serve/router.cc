@@ -393,17 +393,9 @@ StatusOr<Query> ClusterRouter::QueryByIndex(uint32_t index) {
 }
 
 ExpandResult ClusterRouter::Expand(ExpandRequest request) {
-  // Mirror ExpansionService::Submit's validation so a router front-end
-  // rejects exactly what a single-process server rejects.
-  const auto& known = KnownMethods();
-  if (std::find(known.begin(), known.end(), request.method) == known.end()) {
+  if (Status invalid = ValidateRequest(request); !invalid.ok()) {
     Metrics().rejected.Increment();
-    return ExpandResult{
-        Status::InvalidArgument("unknown method: " + request.method), {}};
-  }
-  if (request.k <= 0) {
-    Metrics().rejected.Increment();
-    return ExpandResult{Status::InvalidArgument("k must be positive"), {}};
+    return ExpandResult{std::move(invalid), {}};
   }
   Metrics().expands.Increment();
   if (request.method == "retexpan") return ScatterExpand(request);

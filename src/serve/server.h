@@ -18,9 +18,9 @@ class ServiceHost;
 /// loopback-reachable port and speaks the framed protocol of
 /// serve/protocol.h — the request plane (expand, ping) and the scatter
 /// plane (shard retrieve/score, query lookup) on one port. One handler
-/// thread per connection; requests on a connection are served in order
-/// (clients that want concurrency open several connections — the
-/// service's lanes serve all of them at once).
+/// thread per connection, which also runs the connection's requests, in
+/// order (clients that want concurrency open several connections — the
+/// service's execution slots serve that many at once).
 ///
 /// Connection lifecycle (accept-error survival, fd registry hygiene,
 /// handler reaping) lives in TcpListener.

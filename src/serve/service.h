@@ -2,15 +2,13 @@
 #define ULTRAWIKI_SERVE_SERVICE_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <deque>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -30,12 +28,13 @@ namespace serve {
 ///   UW_TRACE_SAMPLE        trace every Nth accepted request, 0 = off (0)
 ///   UW_SLOW_QUERY_MS       log requests slower than this, 0 = off (0)
 ///
-/// The number of requests served at once is the global ThreadPool's lane
-/// count (`UW_THREADS`) when the service is constructed.
+/// The number of requests served at once (execution slots) is the global
+/// ThreadPool's lane count (`UW_THREADS`) when the service is constructed.
 struct ServeConfig {
   int max_queue = 256;
   int default_timeout_ms = 0;
-  /// Synthetic per-request stall between dequeue and the deadline check
+  /// Synthetic per-request stall after the request takes its slot and
+  /// before the deadline check, holding the slot and the pipeline lock
   /// (traced as `batch_wait`). Load-shaping knob for the overload bench
   /// and the shedding/deadline tests; leave 0 in production.
   int synthetic_delay_ms = 0;
@@ -85,32 +84,38 @@ const std::vector<std::string>& KnownMethods();
 std::unique_ptr<Expander> MakeExpanderByName(Pipeline& pipeline,
                                              const std::string& method);
 
+/// kInvalidArgument for an unknown method or a non-positive k, else OK.
+/// The one request check of every front-end (service and router), so each
+/// rejects exactly what the other does.
+Status ValidateRequest(const ExpandRequest& request);
+
 /// Long-lived serving front-end over a resident Pipeline.
 ///
-/// Requests enter a bounded MPMC queue (admission control: when
-/// `max_queue` requests are already waiting, new arrivals are shed
-/// immediately with kUnavailable rather than growing the backlog).
-/// Dispatch is work-conserving: a scheduler thread sleeps until the queue
-/// is non-empty, then opens one dispatch on the service's own lane pool, in
-/// which every lane pulls the front request the moment it is free. An
-/// idle lane stays in the dispatch while a sibling runs, so no request
-/// waits for a window or for a sibling. The dispatch ends once nothing
-/// runnable is queued and every lane is idle. A request whose method has
-/// no expander yet is not runnable: the scheduler builds the expander
-/// between dispatches, so the pipeline never mutates under a running
-/// expander. A lane checks the deadline when it takes the request;
-/// expired requests complete with kDeadlineExceeded without executing.
-/// The lanes are not global-pool tasks: a ParallelFor elsewhere in the
-/// process (an expander build, a hot-swap rebuild) can neither steal a
-/// lane nor find the global pool's workers parked in a dispatch.
+/// Run to completion: a request runs on the caller's own thread (a TCP
+/// connection handler, a test thread) once that thread holds one of
+/// `slots()` execution slots, as many as the global ThreadPool has lanes
+/// (`UW_THREADS`) at construction. Callers waiting for a slot form a
+/// bounded FIFO (admission control: when `max_queue` callers already wait,
+/// the next one is shed at once with kUnavailable rather than growing the
+/// backlog). A finishing call hands its slot straight to the head waiter
+/// and wakes that thread only. After the slot, the deadline is checked;
+/// an expired request completes with kDeadlineExceeded without executing.
+/// The scatter calls take slots the same way.
+///
+/// A method's expander is built on first use. A build may train pipeline
+/// substrates, so it holds the pipeline lock exclusively and an executing
+/// call holds it shared: a build waits for the running calls, and calls
+/// admitted meanwhile wait for the build. An executing call marks its
+/// thread as a pool task (ThreadPool::TaskScope), so its nested
+/// ParallelFors run inline and it uses no thread but its own.
 ///
 /// Determinism: expanders are logically const (expander.h contract), so a
 /// request's ranking is bit-identical whatever else runs beside it, at
 /// any thread count.
 ///
-/// `Drain()` (also run by the destructor) stops admission, serves
-/// everything already queued, and joins the scheduler — the graceful
-/// SIGINT/SIGTERM path of `uw_serve`.
+/// `Drain()` (also run by the destructor) closes admission and returns
+/// once every admitted call, waiting ones included, has finished: the
+/// graceful SIGINT/SIGTERM path of `uw_serve`.
 class ExpansionService {
  public:
   /// `pipeline` must outlive the service. Expander instances are created
@@ -126,16 +131,12 @@ class ExpansionService {
   /// Builds the expanders for `methods` now. Unknown names fail.
   Status PrewarmMethods(const std::vector<std::string>& methods);
 
-  /// Asynchronous submission; the future resolves when the request is
-  /// served, shed, or timed out. Unknown methods and invalid k fail
-  /// immediately with kInvalidArgument.
-  std::future<ExpandResult> Submit(ExpandRequest request);
+  /// Serves `request` on the calling thread and returns when it is
+  /// served, shed, rejected or timed out. Invalid requests
+  /// (ValidateRequest) fail at once and never take a queue place.
+  ExpandResult Expand(ExpandRequest request);
 
-  /// Blocking convenience over Submit.
-  ExpandResult ExpandSync(ExpandRequest request);
-
-  /// Stops admission, serves the backlog, joins the scheduler.
-  /// Idempotent.
+  /// Closes admission and waits until `inflight()` is 0. Idempotent.
   void Drain();
 
   // --- Shard role (cluster serving; see serve/router.h). ---
@@ -152,14 +153,14 @@ class ExpansionService {
   /// the same RetExpan that serves "retexpan" requests (so UW_ANN_ENABLE
   /// applies), carrying *global* candidate positions so the router's
   /// TopKStream merge reproduces the unsharded ranking bit for bit.
-  StatusOr<std::vector<ShardScoredEntity>> ScatterRetrieve(
-      const Query& query, size_t size) const;
+  StatusOr<std::vector<ShardScoredEntity>> ScatterRetrieve(const Query& query,
+                                                           size_t size);
 
   /// Scatter rerank support: pos/neg seed-centroid scores for explicit
   /// ids, on the full store (ids the store lacks score 0, exactly as the
   /// full scan scores them).
   StatusOr<ShardScores> ScatterScore(const Query& query,
-                                     const std::vector<EntityId>& ids) const;
+                                     const std::vector<EntityId>& ids);
 
   /// Resolves a dataset query index (the wire `by_index` path).
   StatusOr<Query> QueryByIndex(uint32_t index) const;
@@ -168,70 +169,80 @@ class ExpansionService {
 
   const ServeConfig& config() const { return config_; }
   const Pipeline& pipeline() const { return pipeline_; }
-  /// Requests currently waiting (excludes executing requests).
+  /// Execution slots: calls that run at once.
+  int slots() const { return slots_; }
+  /// Callers waiting for a slot (excludes executing calls).
   int queue_depth() const;
-  /// Requests admitted but not yet resolved (queued + executing).
-  int inflight() const { return inflight_.load(std::memory_order_relaxed); }
+  /// Calls admitted but not finished (waiting + executing).
+  int inflight() const;
   /// True once Drain() has started (admission is closed).
   bool draining() const;
 
  private:
-  struct Pending {
-    ExpandRequest request;
-    std::chrono::steady_clock::time_point admitted;
-    std::chrono::steady_clock::time_point dequeued;
-    std::chrono::steady_clock::time_point deadline;
-    bool has_deadline = false;
-    std::promise<ExpandResult> promise;
-    /// Non-null only for traced requests (sampled / forced / slow-query
-    /// threshold armed). Epoch = `admitted`.
-    std::unique_ptr<obs::RequestTrace> trace;
+  /// One caller waiting for a slot, on its own stack.
+  struct Waiter {
+    std::condition_variable wake;
+    bool granted = false;
   };
 
-  void SchedulerLoop();
-  /// One dispatch lane: takes runnable requests until none is queued and
-  /// no lane is busy. Returns how many requests it took.
-  int64_t RunLane();
-  /// Serves one dequeued request on the calling lane and resolves it.
-  void Execute(Pending& pending, Expander& expander);
-  /// The built expander for `method`, or nullptr. Requires `mutex_`.
-  Expander* BuiltExpander(const std::string& method) const;
-  Expander* GetOrBuildExpander(const std::string& method) const;
-  /// Finishes a traced request: records the trace into the SlowQueryLog
-  /// when it is slow or forced, then drops it.
-  void FinishTrace(Pending& pending,
-                   std::chrono::steady_clock::time_point end);
+  /// An execution slot the calling thread holds; handed on when it goes.
+  class Slot {
+   public:
+    explicit Slot(ExpansionService& service) : service_(service) {}
+    ~Slot() { service_.ReleaseSlot(); }
+    Slot(const Slot&) = delete;
+    Slot& operator=(const Slot&) = delete;
+
+   private:
+    ExpansionService& service_;
+  };
+
+  /// What an executing call holds: the pipeline lock shared, and the pool
+  /// task mark that keeps its nested ParallelFors inline.
+  struct Execution {
+    std::shared_lock<std::shared_mutex> pipeline;
+    ThreadPool::TaskScope inline_parallel;
+  };
+
+  /// Admits the calling thread and returns once it holds a slot (then
+  /// guard it with a Slot). kUnavailable when draining or shed.
+  Status AcquireSlot();
+  /// Hands the caller's slot to the head waiter, or frees it. The last
+  /// touch of the service by a finishing call: Drain may return after it.
+  void ReleaseSlot();
+  /// The expander for `method`, built under the exclusive pipeline lock
+  /// on first use; nullptr for an unknown name. Call without an Execution.
+  Expander* GetOrBuildExpander(const std::string& method);
+  /// Waits for any pending build, then takes the pipeline lock shared.
+  Execution Enter();
+  /// Records a finished trace into the SlowQueryLog when it is slow or
+  /// sampled; otherwise drops it.
+  void FinishTrace(obs::RequestTraceData data, bool sampled) const;
 
   Pipeline& pipeline_;
   const ServeConfig config_;
+  const int slots_;
 
   ShardSpec shard_spec_;
 
-  /// Guards queue_, busy_lanes_, draining_ and expanders_. Lanes take no
-  /// other service lock.
+  /// Guards free_slots_, waiters_, inflight_, draining_ and expanders_.
   mutable std::mutex mutex_;
-  /// Wakes the scheduler (arrival, drain) and idle lanes (arrival, last
-  /// busy lane done).
-  std::condition_variable cv_;
-  std::deque<Pending> queue_;
-  int busy_lanes_ = 0;
+  int free_slots_;
+  std::deque<Waiter*> waiters_;
+  int inflight_ = 0;
   bool draining_ = false;
+  /// Signalled when the last call finishes after Drain() started.
+  std::condition_variable drained_;
+  std::map<std::string, std::unique_ptr<Expander>> expanders_;
 
-  /// Serializes expander builds (pipeline mutation); taken before
-  /// `mutex_`, never by a lane. Mutable: the const scatter plane builds
-  /// the "retexpan" expander lazily too.
-  mutable std::mutex build_mutex_;
-  mutable std::map<std::string, std::unique_ptr<Expander>> expanders_;
-  /// The dispatch lanes, as many as the global pool has.
-  ThreadPool lanes_;
+  /// Held exclusively by a build, shared by every executing call.
+  std::shared_mutex pipeline_mutex_;
+  /// Serializes builds, and gives a waiting build priority: a call passes
+  /// through it before taking `pipeline_mutex_` shared.
+  std::mutex build_mutex_;
 
-  std::once_flag drain_once_;
-  std::thread scheduler_;
-
-  /// Admission sequence (drives the every-Nth sampling decision) and the
-  /// live in-flight gauge for the admin endpoint.
+  /// Admission sequence: drives the every-Nth sampling decision.
   std::atomic<uint64_t> sequence_{0};
-  std::atomic<int> inflight_{0};
 };
 
 }  // namespace serve

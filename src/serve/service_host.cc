@@ -62,7 +62,7 @@ ExpandResult ServiceHost::Expand(ExpandRequest request) {
   if (generation == nullptr) {
     return ExpandResult{Status::Unavailable("no generation installed"), {}};
   }
-  return generation->service->ExpandSync(std::move(request));
+  return generation->service->Expand(std::move(request));
 }
 
 StatusOr<Query> ServiceHost::QueryByIndex(uint32_t index) {

@@ -19,7 +19,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <future>
 #include <memory>
 #include <set>
 #include <string>
@@ -310,7 +309,7 @@ TEST(ServeTracedCounterTest, CountsExactlyThePublishedTraces) {
     constexpr int kN = 5;
     for (int i = 0; i < kN; ++i) {
       ASSERT_TRUE(
-          service.ExpandSync({"setexpan", query, 10, -1}).status.ok());
+          service.Expand({"setexpan", query, 10, -1}).status.ok());
     }
     EXPECT_EQ(obs::GetCounter("serve.traced").Value(), traced_before + kN);
     EXPECT_EQ(obs::SlowQueryLog::Global().total_recorded(),
@@ -327,7 +326,7 @@ TEST(ServeTracedCounterTest, CountsExactlyThePublishedTraces) {
     const int64_t traced_before = obs::GetCounter("serve.traced").Value();
     for (int i = 0; i < 4; ++i) {
       ASSERT_TRUE(
-          service.ExpandSync({"setexpan", query, 10, -1}).status.ok());
+          service.Expand({"setexpan", query, 10, -1}).status.ok());
     }
     EXPECT_EQ(obs::GetCounter("serve.traced").Value(), traced_before);
   }
@@ -336,7 +335,7 @@ TEST(ServeTracedCounterTest, CountsExactlyThePublishedTraces) {
   // sampled overload burst, traced must equal the served count, not the
   // submitted count.
   {
-    // Two lanes on any host, so at most 2 + 3 of the burst are admitted
+    // Two slots on any host, so at most 2 + 3 of the burst are admitted
     // before the first 10 ms stall ends.
     ASSERT_TRUE(ThreadPool::SetGlobalThreadCount(2).ok());
     ServeConfig config;
@@ -346,14 +345,18 @@ TEST(ServeTracedCounterTest, CountsExactlyThePublishedTraces) {
     ExpansionService service(TestPipeline(), config);
     const int64_t traced_before = obs::GetCounter("serve.traced").Value();
     constexpr int kBurst = 24;
-    std::vector<std::future<ExpandResult>> futures;
+    std::vector<ExpandResult> results(kBurst);
+    std::vector<std::thread> burst;
     for (int i = 0; i < kBurst; ++i) {
-      futures.push_back(service.Submit({"setexpan", query, 10, -1}));
+      burst.emplace_back([&service, &query, &results, i] {
+        results[i] = service.Expand({"setexpan", query, 10, -1});
+      });
     }
+    for (std::thread& thread : burst) thread.join();
     int served = 0;
     int shed = 0;
-    for (auto& future : futures) {
-      if (future.get().status.ok()) {
+    for (const ExpandResult& result : results) {
+      if (result.status.ok()) {
         ++served;
       } else {
         ++shed;

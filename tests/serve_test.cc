@@ -1,12 +1,12 @@
 // Tests for the online expansion service (src/serve/): wire-protocol
 // framing (round trips + the corruption matrix), the call envelope of
 // every frame kind (golden bytes, round trips, fail-closed decoding),
-// dispatch determinism —
-// a request's ranking must be bit-identical whether it is served alone
-// or beside any mix of other requests, at any thread count —
-// work-conserving dispatch (an idle lane takes an arrival while another
-// lane runs), deadline expiry, overload shedding with correct accepted
-// results, and the TCP loopback path end to end.
+// serving determinism — a request's ranking must be bit-identical whether
+// it is served alone or beside any mix of other requests, at any thread
+// count — execution slots (an idle slot takes an arrival while another
+// runs; a build waits for running requests), deadline expiry, overload
+// shedding of requests and scatter calls with correct accepted results,
+// and the TCP loopback path end to end.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -50,6 +51,23 @@ Pipeline& TestPipeline() {
     return new Pipeline(Pipeline::Build(config));
   }();
   return *pipeline;
+}
+
+/// Serves `request` on a thread of its own, as a TCP connection handler
+/// would.
+std::future<ExpandResult> ExpandOnThread(ExpansionService& service,
+                                         ExpandRequest request) {
+  return std::async(std::launch::async,
+                    [&service, request = std::move(request)]() mutable {
+                      return service.Expand(std::move(request));
+                    });
+}
+
+/// Waits up to 2 s for `service` to have `n` calls admitted.
+void AwaitInflight(const ExpansionService& service, int n) {
+  for (int spin = 0; spin < 2000 && service.inflight() < n; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 }
 
 std::vector<EntityId> Reference(const std::string& method,
@@ -469,16 +487,16 @@ TEST(ServeServiceTest, UnknownMethodAndBadKRejectImmediately) {
   ExpandRequest request;
   request.method = "no-such-method";
   request.query = TestPipeline().dataset().queries.at(0);
-  ExpandResult result = service.ExpandSync(request);
+  ExpandResult result = service.Expand(request);
   EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);
 
   request.method = "retexpan";
   request.k = 0;
-  result = service.ExpandSync(request);
+  result = service.Expand(request);
   EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ServeServiceTest, RankingBitIdenticalAcrossBatchCompositions) {
+TEST(ServeServiceTest, RankingBitIdenticalWhateverRunsBesideIt) {
   const auto& queries = TestPipeline().dataset().queries;
   ASSERT_GE(queries.size(), 2u);
   constexpr int kK = 25;
@@ -487,18 +505,17 @@ TEST(ServeServiceTest, RankingBitIdenticalAcrossBatchCompositions) {
 
   for (int threads : {1, 8}) {
     ASSERT_TRUE(ThreadPool::SetGlobalThreadCount(threads).ok());
-    // Served alone: one request, one dispatch.
+    // Served alone.
     {
       ExpansionService service(TestPipeline(), ServeConfig{});
       ExpandRequest request{"retexpan", queries[0], kK, -1};
-      EXPECT_EQ(service.ExpandSync(request).ranking, want_ret)
+      EXPECT_EQ(service.Expand(request).ranking, want_ret)
           << "solo, threads=" << threads;
     }
-    // Served in one mixed dispatch: the same request rides with other
+    // Served in a mixed burst: the same request runs beside other
     // methods and other queries; its ranking must not change. Every
-    // request is held 50 ms on its lane, far longer than submitting the
-    // burst takes, so the dispatch that takes the first request is still
-    // open when the last one arrives.
+    // request is held 50 ms on its slot, far longer than starting the
+    // burst takes, so the burst overlaps.
     {
       ServeConfig held;
       held.synthetic_delay_ms = 50;
@@ -506,20 +523,27 @@ TEST(ServeServiceTest, RankingBitIdenticalAcrossBatchCompositions) {
       ASSERT_TRUE(service.PrewarmMethods({"retexpan", "setexpan"}).ok());
       std::vector<std::future<ExpandResult>> futures;
       std::vector<const std::vector<EntityId>*> want;
-      const int64_t dispatches_before =
-          obs::GetCounter("serve.batches").Value();
       for (int round = 0; round < 4; ++round) {
         futures.push_back(
-            service.Submit({"retexpan", queries[0], kK, -1}));
+            ExpandOnThread(service, {"retexpan", queries[0], kK, -1}));
         want.push_back(&want_ret);
         futures.push_back(
-            service.Submit({"setexpan", queries[0], kK, -1}));
+            ExpandOnThread(service, {"setexpan", queries[0], kK, -1}));
         want.push_back(&want_set);
-        futures.push_back(service.Submit(
+        futures.push_back(ExpandOnThread(
+            service,
             {"retexpan", queries[1 + (round % (queries.size() - 1))], kK,
              -1}));
         want.push_back(nullptr);  // filler traffic, not checked
       }
+      // The burst really overlapped: some request waited for a slot while
+      // the others executed (12 requests, at most 8 slots).
+      int most_waiting = 0;
+      for (int spin = 0; spin < 2000 && most_waiting == 0; ++spin) {
+        most_waiting = std::max(most_waiting, service.queue_depth());
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      EXPECT_GT(most_waiting, 0) << "threads=" << threads;
       for (size_t i = 0; i < futures.size(); ++i) {
         ExpandResult result = futures[i].get();
         ASSERT_TRUE(result.status.ok()) << result.status;
@@ -528,13 +552,6 @@ TEST(ServeServiceTest, RankingBitIdenticalAcrossBatchCompositions) {
               << "slot " << i << ", threads=" << threads;
         }
       }
-      // The burst really shared a dispatch, not one dispatch each. Drain
-      // joins the scheduler, which counts a dispatch after its last reply.
-      service.Drain();
-      EXPECT_EQ(obs::GetCounter("serve.batches").Value(),
-                dispatches_before + 1)
-          << "threads=" << threads;
-      EXPECT_GT(obs::GetHistogram("serve.batch_size", {}).Aggregate().max, 1);
     }
   }
   ASSERT_TRUE(ThreadPool::SetGlobalThreadCount(0).ok());
@@ -548,13 +565,13 @@ TEST(ServeServiceTest, ExpiredDeadlineTimesOutWithoutPoisoningTheQueue) {
   ExpansionService service(TestPipeline(), config);
 
   ExpandRequest doomed{"retexpan", queries[0], 10, /*timeout_ms=*/1};
-  ExpandResult timed_out = service.ExpandSync(doomed);
+  ExpandResult timed_out = service.Expand(doomed);
   EXPECT_EQ(timed_out.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_TRUE(timed_out.ranking.empty());
 
   // The queue keeps serving correct results afterwards.
   ExpandRequest fine{"retexpan", queries[0], 10, /*timeout_ms=*/0};
-  ExpandResult ok = service.ExpandSync(fine);
+  ExpandResult ok = service.Expand(fine);
   ASSERT_TRUE(ok.status.ok()) << ok.status;
   EXPECT_EQ(ok.ranking, Reference("retexpan", queries[0], 10));
 }
@@ -570,7 +587,7 @@ TEST(ServeServiceTest, DegradedExpansionPropagatesThroughService) {
   const int64_t degraded_before =
       obs::GetCounter("serve.degraded").Value();
   ExpandResult result =
-      service.ExpandSync({"genexpan", queries[0], 20, /*timeout_ms=*/0});
+      service.Expand({"genexpan", queries[0], 20, /*timeout_ms=*/0});
   unsetenv("UW_GENEXPAN_MAX_EXPANSIONS");
   ASSERT_TRUE(result.status.ok()) << result.status;
   EXPECT_TRUE(result.degraded);
@@ -579,7 +596,7 @@ TEST(ServeServiceTest, DegradedExpansionPropagatesThroughService) {
   // An unbudgeted service never degrades and matches the offline path.
   ExpansionService fresh(TestPipeline(), ServeConfig{});
   ExpandResult full =
-      fresh.ExpandSync({"genexpan", queries[0], 20, /*timeout_ms=*/0});
+      fresh.Expand({"genexpan", queries[0], 20, /*timeout_ms=*/0});
   ASSERT_TRUE(full.status.ok()) << full.status;
   EXPECT_FALSE(full.degraded);
   EXPECT_EQ(full.ranking, Reference("genexpan", queries[0], 20));
@@ -594,7 +611,7 @@ TEST(ServeServiceTest, RequestDeadlineThreadsIntoAnytimeExpanders) {
   const auto& queries = TestPipeline().dataset().queries;
   ExpansionService service(TestPipeline(), ServeConfig{});
   ExpandResult result =
-      service.ExpandSync({"genexpan", queries[0], 30, /*timeout_ms=*/1});
+      service.Expand({"genexpan", queries[0], 30, /*timeout_ms=*/1});
   if (!result.status.ok()) {
     EXPECT_EQ(result.status.code(), StatusCode::kDeadlineExceeded);
     EXPECT_TRUE(result.ranking.empty());
@@ -603,9 +620,9 @@ TEST(ServeServiceTest, RequestDeadlineThreadsIntoAnytimeExpanders) {
   }
 }
 
-TEST(ServeServiceTest, IdleLaneTakesAnArrivalWhileAnotherLaneRuns) {
-  // Two lanes, every request held 100 ms on its lane. B arrives 20 ms
-  // after A, while A's lane is busy; the idle lane must take B at once
+TEST(ServeServiceTest, IdleSlotTakesAnArrivalWhileAnotherSlotRuns) {
+  // Two slots, every request held 100 ms on its slot. B arrives 20 ms
+  // after A, while A's slot is busy; the idle slot must take B at once
   // rather than wait for A, so B completes about 20 ms after A, not a
   // whole hold later.
   const auto& queries = TestPipeline().dataset().queries;
@@ -616,10 +633,10 @@ TEST(ServeServiceTest, IdleLaneTakesAnArrivalWhileAnotherLaneRuns) {
     ExpansionService service(TestPipeline(), config);
     ASSERT_TRUE(service.PrewarmMethods({"retexpan"}).ok());
     std::future<ExpandResult> a =
-        service.Submit({"retexpan", queries[0], 10, -1});
+        ExpandOnThread(service, {"retexpan", queries[0], 10, -1});
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     std::future<ExpandResult> b =
-        service.Submit({"retexpan", queries[0], 10, -1});
+        ExpandOnThread(service, {"retexpan", queries[0], 10, -1});
     ASSERT_TRUE(a.get().status.ok());
     const auto a_done = std::chrono::steady_clock::now();
     ASSERT_TRUE(b.get().status.ok());
@@ -632,13 +649,14 @@ TEST(ServeServiceTest, IdleLaneTakesAnArrivalWhileAnotherLaneRuns) {
   ASSERT_TRUE(ThreadPool::SetGlobalThreadCount(0).ok());
 }
 
-TEST(ServeServiceTest, ExpanderBuildDuringADispatchFindsTheGlobalPoolFree) {
-  // A dispatch keeps every lane in it while any request runs. The lanes
-  // are the service's own threads, so meanwhile the global pool stays
-  // free: a two-index ParallelFor still runs its indices side by side,
-  // and building the IVF-backed "retexpan" through the scatter plane
-  // (IvfIndex::Build fans out on the global pool) neither deadlocks nor
-  // waits for the dispatch, and recalls what the offline expander does.
+TEST(ServeServiceTest, GlobalPoolStaysFreeWhileRequestsRun) {
+  // A request runs on its caller's thread and keeps its nested
+  // ParallelFors inline, so while one runs the global pool stays free: a
+  // two-index ParallelFor still runs its indices side by side. Building
+  // the IVF-backed "retexpan" through the scatter plane (IvfIndex::Build
+  // fans out on the global pool) waits for the running request under the
+  // exclusive pipeline lock, does not deadlock, and recalls what the
+  // offline expander does.
   const auto& queries = TestPipeline().dataset().queries;
   ASSERT_TRUE(ThreadPool::SetGlobalThreadCount(2).ok());
   setenv("UW_ANN_ENABLE", "1", 1);
@@ -648,7 +666,7 @@ TEST(ServeServiceTest, ExpanderBuildDuringADispatchFindsTheGlobalPoolFree) {
     ExpansionService service(TestPipeline(), config);
     ASSERT_TRUE(service.PrewarmMethods({"setexpan"}).ok());
     std::future<ExpandResult> held =
-        service.Submit({"setexpan", queries[0], 10, -1});
+        ExpandOnThread(service, {"setexpan", queries[0], 10, -1});
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
 
     // Each index waits up to 100 ms (well inside the 300 ms hold) for
@@ -666,12 +684,13 @@ TEST(ServeServiceTest, ExpanderBuildDuringADispatchFindsTheGlobalPoolFree) {
     });
     EXPECT_EQ(held.wait_for(std::chrono::seconds(0)),
               std::future_status::timeout)
-        << "the dispatch closed before the probe ran";
+        << "the held request finished before the probe ran";
     EXPECT_EQ(side_by_side.load(), 2)
-        << "a global-pool worker was held by the open dispatch";
+        << "a global-pool worker was held by the running request";
 
     // The first ANN RetExpan of this process builds the IVF index (the
-    // suite runs without an artifact cache), here inside the dispatch.
+    // suite runs without an artifact cache), here once the held request
+    // has left the pipeline.
     const int64_t kmeans_before =
         obs::GetCounter("ann.kmeans_iterations").Value();
     StatusOr<std::vector<ShardScoredEntity>> recalled =
@@ -691,7 +710,7 @@ TEST(ServeServiceTest, ExpanderBuildDuringADispatchFindsTheGlobalPoolFree) {
     ASSERT_TRUE(result.status.ok()) << result.status;
     EXPECT_EQ(result.ranking, Reference("setexpan", queries[0], 10));
     // The retexpan the scatter plane built serves requests too.
-    result = service.ExpandSync({"retexpan", queries[0], 10, -1});
+    result = service.Expand({"retexpan", queries[0], 10, -1});
     ASSERT_TRUE(result.status.ok()) << result.status;
     EXPECT_EQ(result.ranking, offline->Expand(queries[0], 10));
   }
@@ -704,7 +723,7 @@ TEST(ServeServiceTest, OverloadShedsButAcceptedResultsStayCorrect) {
   constexpr int kK = 15;
   const std::vector<EntityId> want = Reference("setexpan", queries[0], kK);
 
-  // Two lanes on any host, so at most 2 + 4 requests are admitted before
+  // Two slots on any host, so at most 2 + 4 requests are admitted before
   // the first 10 ms stall ends and the burst must shed.
   ASSERT_TRUE(ThreadPool::SetGlobalThreadCount(2).ok());
   ServeConfig config;
@@ -716,7 +735,8 @@ TEST(ServeServiceTest, OverloadShedsButAcceptedResultsStayCorrect) {
   std::vector<std::future<ExpandResult>> futures;
   futures.reserve(kBurst);
   for (int i = 0; i < kBurst; ++i) {
-    futures.push_back(service.Submit({"setexpan", queries[0], kK, -1}));
+    futures.push_back(
+        ExpandOnThread(service, {"setexpan", queries[0], kK, -1}));
   }
   int served = 0;
   int shed = 0;
@@ -734,12 +754,147 @@ TEST(ServeServiceTest, OverloadShedsButAcceptedResultsStayCorrect) {
     }
   }
   EXPECT_EQ(served + shed, kBurst);
-  // A 4-deep queue drained one request per lane every 10 ms cannot
+  // A 4-deep queue drained one request per slot every 10 ms cannot
   // absorb a 48-request burst: the bound must have shed some of it.
   EXPECT_GT(shed, 0);
   EXPECT_GT(served, 0);
   service.Drain();
   ASSERT_TRUE(ThreadPool::SetGlobalThreadCount(0).ok());
+}
+
+TEST(ServeServiceTest, ScatterCallsTakeSlotsAndShedAtTheQueueBound) {
+  // Scatter calls share the execution slots and the admission bound of
+  // Expand. Both slots of a 2-slot service are held by stalled requests,
+  // so a scatter burst past max_queue must shed some calls, and every
+  // accepted call answers exactly what the offline RetExpan recalls and
+  // the store scores.
+  const auto& queries = TestPipeline().dataset().queries;
+  ASSERT_TRUE(ThreadPool::SetGlobalThreadCount(2).ok());
+  {
+    ServeConfig config;
+    config.max_queue = 4;
+    config.synthetic_delay_ms = 100;
+    ExpansionService service(TestPipeline(), config);
+    ASSERT_TRUE(service.PrewarmMethods({"setexpan"}).ok());
+    std::vector<std::future<ExpandResult>> held;
+    for (int i = 0; i < 2; ++i) {
+      held.push_back(ExpandOnThread(service, {"setexpan", queries[0], 10, -1}));
+    }
+    AwaitInflight(service, 2);
+    ASSERT_EQ(service.queue_depth(), 0);
+
+    constexpr int kBurst = 16;
+    const std::vector<EntityId> ids = Reference("setexpan", queries[0], 30);
+    std::vector<StatusOr<std::vector<ShardScoredEntity>>> recalled(
+        kBurst, Status::Unavailable("not run"));
+    std::vector<StatusOr<ShardScores>> scored(kBurst,
+                                              Status::Unavailable("not run"));
+    std::vector<std::thread> burst;
+    for (int i = 0; i < kBurst; ++i) {
+      burst.emplace_back([&, i] {
+        if (i % 2 == 0) {
+          recalled[i] = service.ScatterRetrieve(queries[0], 50);
+        } else {
+          scored[i] = service.ScatterScore(queries[0], ids);
+        }
+      });
+    }
+    for (std::thread& thread : burst) thread.join();
+
+    auto offline = MakeExpanderByName(TestPipeline(), "retexpan");
+    const std::vector<ScoredIndex> want =
+        static_cast<const RetExpan&>(*offline).Recall(queries[0], 50);
+    const EntityStore& store = TestPipeline().store();
+    const std::vector<float> want_pos =
+        store.SeedCentroidScores(queries[0].pos_seeds, ids);
+    const std::vector<float> want_neg =
+        store.SeedCentroidScores(queries[0].neg_seeds, ids);
+    // Per call kind (0 = retrieve, 1 = score): at most 4 of the burst wait,
+    // so each kind of 8 sheds some.
+    int served[2] = {0, 0};
+    int shed[2] = {0, 0};
+    for (int i = 0; i < kBurst; ++i) {
+      const Status status =
+          i % 2 == 0 ? recalled[i].status() : scored[i].status();
+      if (!status.ok()) {
+        EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status;
+        ++shed[i % 2];
+        continue;
+      }
+      ++served[i % 2];
+      if (i % 2 == 0) {
+        ASSERT_EQ(recalled[i]->size(), want.size());
+        for (size_t j = 0; j < want.size(); ++j) {
+          EXPECT_EQ((*recalled[i])[j].position,
+                    static_cast<uint64_t>(want[j].index));
+          EXPECT_EQ((*recalled[i])[j].score, want[j].score);
+        }
+      } else {
+        EXPECT_EQ(scored[i]->pos, want_pos);
+        EXPECT_EQ(scored[i]->neg, want_neg);
+      }
+    }
+    EXPECT_EQ(served[0] + served[1] + shed[0] + shed[1], kBurst);
+    EXPECT_GT(shed[0], 0);
+    EXPECT_GT(shed[1], 0);
+    EXPECT_GT(served[0] + served[1], 0);
+    for (auto& future : held) {
+      ExpandResult result = future.get();
+      ASSERT_TRUE(result.status.ok()) << result.status;
+      EXPECT_EQ(result.ranking, Reference("setexpan", queries[0], 10));
+    }
+  }
+  ASSERT_TRUE(ThreadPool::SetGlobalThreadCount(0).ok());
+}
+
+TEST(ServeServiceTest, BuildWaitsForExecutingRequests) {
+  // Runs at the slot count UW_THREADS gives. Requests on all slots but
+  // one stall 300 ms each, holding the pipeline lock shared. Then a
+  // retexpan request arrives, whose expander this service has not built:
+  // its build takes the lock exclusively, so it starts only once every
+  // held request has left, and the request's own 300 ms stall follows the
+  // build. It therefore finishes at least ~300 ms after the last held
+  // request; a build beside them would finish it ~20 ms after. Every
+  // ranking equals the offline expander's.
+  using Clock = std::chrono::steady_clock;
+  const auto& queries = TestPipeline().dataset().queries;
+  constexpr int kHoldMs = 300;
+  ServeConfig config;
+  config.synthetic_delay_ms = kHoldMs;
+  ExpansionService service(TestPipeline(), config);
+  ASSERT_TRUE(service.PrewarmMethods({"setexpan"}).ok());
+
+  const int held_count = std::max(1, service.slots() - 1);
+  std::vector<ExpandResult> held(static_cast<size_t>(held_count));
+  std::vector<Clock::time_point> held_done(static_cast<size_t>(held_count));
+  std::vector<std::thread> threads;
+  for (int i = 0; i < held_count; ++i) {
+    threads.emplace_back([&, i] {
+      held[i] = service.Expand({"setexpan", queries[0], 10, -1});
+      held_done[i] = Clock::now();
+    });
+  }
+  AwaitInflight(service, held_count);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ExpandResult built;
+  Clock::time_point built_done;
+  threads.emplace_back([&] {
+    built = service.Expand({"retexpan", queries[0], 10, -1});
+    built_done = Clock::now();
+  });
+  for (std::thread& thread : threads) thread.join();
+
+  const std::vector<EntityId> want_set = Reference("setexpan", queries[0], 10);
+  for (const ExpandResult& result : held) {
+    ASSERT_TRUE(result.status.ok()) << result.status;
+    EXPECT_EQ(result.ranking, want_set);
+  }
+  ASSERT_TRUE(built.status.ok()) << built.status;
+  EXPECT_EQ(built.ranking, Reference("retexpan", queries[0], 10));
+  const auto last_held = *std::max_element(held_done.begin(), held_done.end());
+  EXPECT_GE(built_done - last_held, std::chrono::milliseconds(kHoldMs - 50))
+      << "slots=" << service.slots() << ": the build ran beside the "
+      << "held requests";
 }
 
 TEST(ServeServiceTest, DrainServesBacklogThenRejectsNewWork) {
@@ -749,14 +904,17 @@ TEST(ServeServiceTest, DrainServesBacklogThenRejectsNewWork) {
   ExpansionService service(TestPipeline(), config);
   std::vector<std::future<ExpandResult>> futures;
   for (int i = 0; i < 8; ++i) {
-    futures.push_back(service.Submit({"retexpan", queries[0], 10, -1}));
+    futures.push_back(
+        ExpandOnThread(service, {"retexpan", queries[0], 10, -1}));
   }
+  AwaitInflight(service, 8);  // every caller admitted before Drain closes
   EXPECT_GT(service.inflight(), 0);  // Drain below has a backlog to serve
   service.Drain();
+  EXPECT_EQ(service.inflight(), 0);  // Drain returns once all have finished
   for (auto& future : futures) {
     EXPECT_TRUE(future.get().status.ok());
   }
-  ExpandResult rejected = service.ExpandSync({"retexpan", queries[0], 10, -1});
+  ExpandResult rejected = service.Expand({"retexpan", queries[0], 10, -1});
   EXPECT_EQ(rejected.status.code(), StatusCode::kUnavailable);
   EXPECT_EQ(service.queue_depth(), 0);
 }
@@ -783,8 +941,8 @@ TEST(ServeTraceTest, RankingsBitIdenticalAcrossTracingModes) {
     ExpandRequest ret{"retexpan", queries[0], kK, -1};
     ExpandRequest set{"setexpan", queries[0], kK, -1};
     set.force_trace = true;  // exercise the forced path too
-    ExpandResult ret_result = service.ExpandSync(ret);
-    ExpandResult set_result = service.ExpandSync(set);
+    ExpandResult ret_result = service.Expand(ret);
+    ExpandResult set_result = service.Expand(set);
     ASSERT_TRUE(ret_result.status.ok()) << ret_result.status;
     ASSERT_TRUE(set_result.status.ok()) << set_result.status;
     EXPECT_EQ(ret_result.ranking, want_ret)
@@ -809,7 +967,7 @@ TEST(ServeTraceTest, SlowQuerySpanTreeTilesTheEndToEndLatency) {
 
   ExpandRequest request{"retexpan", queries[0], 20, -1};
   request.trace_id = 4242;
-  ExpandResult result = service.ExpandSync(request);
+  ExpandResult result = service.Expand(request);
   ASSERT_TRUE(result.status.ok()) << result.status;
   EXPECT_EQ(result.ranking, Reference("retexpan", queries[0], 20));
 
@@ -1015,6 +1173,10 @@ TEST(AdminServerTest, RoutesAnswerAndUnknownPathIs404) {
   EXPECT_NE(statusz.find("\"draining\":0"), std::string::npos) << statusz;
   EXPECT_NE(statusz.find("\"queue_depth\":"), std::string::npos);
   EXPECT_NE(statusz.find("\"inflight\":"), std::string::npos);
+  EXPECT_NE(statusz.find("\"slots\":" +
+                         std::to_string(ThreadPool::Global().thread_count())),
+            std::string::npos)
+      << statusz;
 
   const std::string slow = AdminGet(admin.port(), "/slow");
   EXPECT_NE(slow.find("\"traceEvents\":["), std::string::npos);
@@ -1051,7 +1213,7 @@ TEST(AdminServerTest, ScrapesCleanlyUnderConcurrentServingLoad) {
         ExpandRequest request{"retexpan",
                               queries[static_cast<size_t>(i) % queries.size()],
                               10, -1};
-        if (!service.ExpandSync(request).status.ok()) {
+        if (!service.Expand(request).status.ok()) {
           failures.fetch_add(1);
         }
       }

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <numeric>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "common/logging.h"
@@ -105,6 +108,34 @@ TEST(ThreadPoolTest, NestedParallelForRunsInlineWithoutDeadlock) {
     return inner;
   });
   for (int64_t total : totals) EXPECT_EQ(total, 4950);
+}
+
+TEST(ThreadPoolTest, TaskScopeKeepsParallelForOnTheCallingThread) {
+  ThreadPool pool(4);
+  const auto threads_used = [&pool] {
+    std::vector<std::thread::id> ids(64);
+    pool.ParallelFor(0, 64, /*grain=*/1, [&](int64_t i) {
+      ids[static_cast<size_t>(i)] = std::this_thread::get_id();
+      // Long enough that the workers take chunks while the caller runs.
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    });
+    return std::set<std::thread::id>(ids.begin(), ids.end());
+  };
+  const int64_t submitted_before =
+      obs::GetCounter("pool.tasks_submitted").Value();
+  {
+    ThreadPool::TaskScope scope;
+    {
+      // Scopes nest: leaving the inner one keeps the outer mark.
+      ThreadPool::TaskScope inner;
+    }
+    EXPECT_EQ(threads_used(),
+              std::set<std::thread::id>{std::this_thread::get_id()});
+  }
+  EXPECT_EQ(obs::GetCounter("pool.tasks_submitted").Value(),
+            submitted_before);
+  // Outside the scope the loop fans out again.
+  EXPECT_GT(threads_used().size(), 1u);
 }
 
 TEST(ThreadPoolTest, SingleLanePoolSpawnsNoWorkers) {

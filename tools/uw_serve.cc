@@ -5,10 +5,10 @@
 //                [--prewarm=m1,m2,...] [--shard=I/N]
 //
 // Builds the pipeline once (warm-started from UW_CACHE_DIR when set),
-// then serves framed TCP queries (serve/protocol.h) with work-conserving
-// dispatch over UW_THREADS service-owned lanes and admission control
-// (serve/service.h knobs: UW_SERVE_QUEUE, UW_SERVE_TIMEOUT_MS,
-// UW_TRACE_SAMPLE, UW_SLOW_QUERY_MS). `--port=0`
+// then serves framed TCP queries (serve/protocol.h), each run on its
+// connection's thread in one of UW_THREADS execution slots, with
+// admission control (serve/service.h knobs: UW_SERVE_QUEUE,
+// UW_SERVE_TIMEOUT_MS, UW_TRACE_SAMPLE, UW_SLOW_QUERY_MS). `--port=0`
 // (default UW_SERVE_PORT or 0) binds an ephemeral port; a port outside
 // 0..65535 or with trailing garbage exits 1. The bound port is printed
 // to stdout as "listening on port N" and, when UW_SERVE_PORT_FILE is
@@ -26,7 +26,7 @@
 // /statusz, so cluster shards should always set UW_ADMIN_PORT.
 //
 // SIGINT/SIGTERM trigger a graceful drain: stop accepting, serve every
-// queued request, report lifetime stats, exit 0. SIGUSR1 dumps a
+// admitted request, report lifetime stats, exit 0. SIGUSR1 dumps a
 // metrics + profile snapshot to UW_METRICS_DUMP_PATH (default
 // "uw_serve_metrics.json") and keeps serving. SIGHUP hot-swaps to a
 // fresh generation: the pipeline is rebuilt (warm from the artifact
