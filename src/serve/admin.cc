@@ -29,6 +29,16 @@ std::string ParseRequestPath(const std::string& request) {
   return path;
 }
 
+/// Appends `"key":value` to a JSON object under construction, after a
+/// comma unless the object was just opened.
+void AppendField(std::string& json, const char* key, int64_t value) {
+  if (json.back() != '{') json += ',';
+  json += '"';
+  json += key;
+  json += "\":";
+  json += std::to_string(value);
+}
+
 const char* ReasonPhrase(int status) {
   switch (status) {
     case 200:
@@ -72,13 +82,12 @@ AdminServer::HttpReply AdminServer::Handle(const std::string& path) const {
   const std::shared_ptr<ServiceHost::Generation> generation = host_.Current();
   const ExpansionService* service =
       generation != nullptr ? generation->service : nullptr;
+  const HealthReport health = ServiceHost::HealthOf(generation.get());
   if (path == "/healthz") {
-    if (service == nullptr || service->draining()) {
-      reply.status = 503;
-      reply.body = service == nullptr ? "no generation\n" : "draining\n";
-    } else {
-      reply.body = "ok\n";
-    }
+    if (health.draining) reply.status = 503;
+    reply.body = !health.draining          ? "ok\n"
+                 : health.generation == 0 ? "no generation\n"
+                                          : "draining\n";
     return reply;
   }
   if (path == "/statusz") {
@@ -88,53 +97,34 @@ AdminServer::HttpReply AdminServer::Handle(const std::string& path) const {
     const ShardSpec shard =
         service != nullptr ? service->shard_spec() : ShardSpec{};
     reply.content_type = "application/json";
-    reply.body = "{\"draining\":";
-    reply.body += (service == nullptr || service->draining()) ? "1" : "0";
-    reply.body += ",\"queue_depth\":";
-    reply.body += std::to_string(service != nullptr ? service->queue_depth()
-                                                    : 0);
-    reply.body += ",\"inflight\":";
-    reply.body +=
-        std::to_string(service != nullptr ? service->inflight() : 0);
-    reply.body += ",\"slots\":";
-    reply.body += std::to_string(service != nullptr ? service->slots() : 0);
-    reply.body += ",\"generation\":";
-    reply.body +=
-        std::to_string(generation != nullptr ? generation->id : 0);
-    reply.body += ",\"shard_index\":";
-    reply.body += std::to_string(shard.index);
-    reply.body += ",\"shard_count\":";
-    reply.body += std::to_string(shard.count);
-    reply.body += ",\"max_queue\":";
-    reply.body += std::to_string(config.max_queue);
-    reply.body += ",\"trace_sample\":";
-    reply.body += std::to_string(config.trace_sample);
-    reply.body += ",\"slow_query_ms\":";
-    reply.body += std::to_string(config.slow_query_ms);
-    reply.body += ",\"slow_log_recorded\":";
-    reply.body += std::to_string(slow_log.total_recorded());
-    reply.body += ",\"slow_log_capacity\":";
-    reply.body += std::to_string(slow_log.capacity());
+    std::string& json = reply.body;
+    json = "{";
+    AppendField(json, "draining", health.draining ? 1 : 0);
+    AppendField(json, "queue_depth", health.queue_depth);
+    AppendField(json, "inflight", health.inflight);
+    AppendField(json, "slots", service != nullptr ? service->slots() : 0);
+    AppendField(json, "generation", static_cast<int64_t>(health.generation));
+    AppendField(json, "shard_index", shard.index);
+    AppendField(json, "shard_count", shard.count);
+    AppendField(json, "max_queue", config.max_queue);
+    AppendField(json, "default_timeout_ms", config.default_timeout_ms);
+    AppendField(json, "trace_sample", config.trace_sample);
+    AppendField(json, "slow_query_ms", config.slow_query_ms);
+    AppendField(json, "slow_log_recorded", slow_log.total_recorded());
+    AppendField(json, "slow_log_capacity", slow_log.capacity());
     // ANN first-stage health: whether the knob is on for this process,
     // index shape, and the query/probe counters that show how much of the
     // store the IVF path is actually touching.
-    reply.body += ",\"ann\":{\"enabled\":";
-    reply.body += AnnEnabledFromEnv() ? "1" : "0";
-    reply.body += ",\"nlist\":";
-    reply.body += std::to_string(obs::GetGauge("ann.nlist").Value());
-    reply.body += ",\"rows\":";
-    reply.body += std::to_string(obs::GetGauge("ann.rows").Value());
-    reply.body += ",\"queries\":";
-    reply.body += std::to_string(obs::GetCounter("ann.queries").Value());
-    reply.body += ",\"lists_probed\":";
-    reply.body += std::to_string(obs::GetCounter("ann.lists_probed").Value());
-    reply.body += ",\"candidates_returned\":";
-    reply.body +=
-        std::to_string(obs::GetCounter("ann.candidates_returned").Value());
-    reply.body += ",\"fallback_exact\":";
-    reply.body +=
-        std::to_string(obs::GetCounter("ann.fallback_exact").Value());
-    reply.body += "}}\n";
+    json += ",\"ann\":{";
+    AppendField(json, "enabled", AnnEnabledFromEnv() ? 1 : 0);
+    AppendField(json, "nlist", obs::GetGauge("ann.nlist").Value());
+    AppendField(json, "rows", obs::GetGauge("ann.rows").Value());
+    for (const char* counter : {"queries", "lists_probed",
+                                "candidates_returned", "fallback_exact"}) {
+      AppendField(json, counter,
+                  obs::GetCounter(std::string("ann.") + counter).Value());
+    }
+    json += "}}\n";
     return reply;
   }
   if (path == "/slow") {

@@ -13,9 +13,9 @@ namespace serve {
 
 /// Live telemetry sidecar for uw_serve and the shard servers: a second
 /// listener (bound by `UW_ADMIN_PORT`) speaking just enough HTTP/1.0 for
-/// curl, a Prometheus scraper, and the cluster router's health poller, so
-/// the serving process can be inspected mid-load without touching the
-/// request plane. Routes:
+/// curl and a Prometheus scraper, so the serving process can be inspected
+/// mid-load without touching the request plane. The cluster router does
+/// not use it: it polls the UWF1 Health call on the request port. Routes:
 ///
 ///   /metrics  Prometheus text exposition of every registered metric,
 ///             including the sliding-window serving percentiles
@@ -23,15 +23,15 @@ namespace serve {
 ///   /healthz  "ok" while serving, 503 "draining" once drain started.
 ///   /statusz  one-line JSON: draining flag, queue depth, in-flight
 ///             count, execution slots, serving generation, shard scope,
-///             config knobs, slow-log totals. The router's health poller keys its
-///             replica load-balancing off the draining / queue_depth /
-///             inflight fields.
+///             config knobs, slow-log totals. Its draining,
+///             queue_depth, inflight and generation fields are
+///             ServiceHost::HealthOf, what the Health call reports.
 ///   /slow     the slow-query log as Chrome trace-event JSON — save and
 ///             load into chrome://tracing or Perfetto.
 ///   /slowz    the same traces as plain structured JSON for scripts.
 ///
 /// One short-lived handler thread per connection (TcpListener; admin
-/// traffic is a human, a scraper, or the router's poller — not a fleet).
+/// traffic is a human or a scraper — not a fleet).
 /// Responses are built from lock-free metric snapshots and the
 /// mutex-guarded slow-log ring, so scraping under full serving load is
 /// safe — asserted by the concurrent-scrape test under TSan. Status

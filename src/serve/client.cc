@@ -11,9 +11,9 @@
 namespace ultrawiki {
 namespace serve {
 
-StatusOr<ServeClient> ServeClient::Connect(const std::string& host,
-                                           int port) {
-  StatusOr<int> fd = Dial(host, port);
+StatusOr<ServeClient> ServeClient::Connect(const std::string& host, int port,
+                                           int timeout_ms) {
+  StatusOr<int> fd = Dial(host, port, timeout_ms);
   if (!fd.ok()) return fd.status();
   const int enable = 1;
   ::setsockopt(*fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
@@ -58,41 +58,35 @@ FrameOptions ServeClient::MakeFrameOptions(uint64_t request_id) {
   return options;
 }
 
-Status ServeClient::Ping() {
-  return FrameRoundTrip(EncodeControlFrame(FrameKind::kPing),
-                        FrameKind::kPong)
-      .status();
-}
-
-StatusOr<Frame> ServeClient::FrameRoundTrip(const std::string& encoded,
-                                            FrameKind expected) {
-  if (fd_ < 0) return Status::FailedPrecondition("not connected");
-  Status status = WriteAll(fd_, encoded.data(), encoded.size());
-  if (!status.ok()) return status;
-  StatusOr<Frame> frame = ReadFrame(fd_);
-  if (!frame.ok()) return frame.status();
-  if (frame->kind != expected) {
-    return Status::Internal("expected frame kind " +
-                            std::to_string(static_cast<int>(expected)) +
-                            ", got " +
-                            std::to_string(static_cast<int>(frame->kind)));
-  }
-  return frame;
-}
-
 template <typename Request, typename Reply, typename Body>
 StatusOr<Body> ServeClient::Call(Request request, Body Reply::*body) {
   static_assert(std::is_same_v<Reply, typename Request::Reply>);
+  if (fd_ < 0) return Status::FailedPrecondition("not connected");
+  const auto fail = [this](Status status) {
+    Close();
+    return status;
+  };
   request.request_id = next_request_id_++;
-  StatusOr<Frame> frame = FrameRoundTrip(
-      EncodeFrame(request, MakeFrameOptions(request.request_id)),
-      Reply::kKind);
-  if (!frame.ok()) return frame.status();
+  const std::string encoded =
+      EncodeFrame(request, MakeFrameOptions(request.request_id));
+  if (Status sent = WriteAll(fd_, encoded.data(), encoded.size());
+      !sent.ok()) {
+    return fail(std::move(sent));
+  }
+  StatusOr<Frame> frame = ReadFrame(fd_);
+  if (!frame.ok()) return fail(frame.status());
+  if (frame->kind != Reply::kKind) {
+    return fail(Status::Internal(
+        "expected frame kind " +
+        std::to_string(static_cast<int>(Reply::kKind)) + ", got " +
+        std::to_string(static_cast<int>(frame->kind))));
+  }
   Reply reply;
-  const Status status = DecodePayload(frame->payload, &reply);
-  if (!status.ok()) return status;
+  if (Status decoded = DecodePayload(frame->payload, &reply); !decoded.ok()) {
+    return fail(std::move(decoded));
+  }
   if (reply.request_id != request.request_id) {
-    return Status::Internal("response id mismatch");
+    return fail(Status::Internal("response id mismatch"));
   }
   if (reply.code != 0) return reply.ToStatus();
   return std::move(reply.*body);
@@ -144,6 +138,7 @@ StatusOr<ShardScores> ServeClient::ScatterScore(
   StatusOr<ShardScores> scores =
       Call(std::move(request), &WireShardScoreResponse::scores);
   if (scores.ok() && scores->pos.size() != ids.size()) {
+    Close();  // a reply this client cannot use, like an undecodable one
     return Status::Internal("score count mismatch");
   }
   return scores;
@@ -153,6 +148,10 @@ StatusOr<Query> ServeClient::QueryLookup(uint32_t query_index) {
   WireQueryLookupRequest request;
   request.query_index = query_index;
   return Call(std::move(request), &WireQueryLookupResponse::query);
+}
+
+StatusOr<HealthReport> ServeClient::Health() {
+  return Call(WireHealthRequest{}, &WireHealthResponse::health);
 }
 
 }  // namespace serve

@@ -14,11 +14,16 @@ namespace serve {
 /// Synchronous client for the framed TCP protocol: one connection, one
 /// request in flight (the server runs requests from different
 /// connections at once, so load generators open one client per
-/// concurrent stream). Movable, not
-/// copyable; the destructor closes the socket.
+/// concurrent stream). Movable, not copyable; the destructor closes the
+/// socket. A call that fails before a well-formed reply arrives closes the
+/// connection (the stream may be out of step); a non-OK reply status
+/// leaves it open. So after a failed call, `connected()` tells a peer
+/// that answered from a transport fault.
 class ServeClient {
  public:
-  static StatusOr<ServeClient> Connect(const std::string& host, int port);
+  /// A positive `timeout_ms` bounds connect, send and receive (Dial).
+  static StatusOr<ServeClient> Connect(const std::string& host, int port,
+                                       int timeout_ms = 0);
 
   ServeClient() = default;
   ServeClient(ServeClient&& other) noexcept;
@@ -29,8 +34,8 @@ class ServeClient {
 
   bool connected() const { return fd_ >= 0; }
 
-  /// Round-trips a ping frame.
-  Status Ping();
+  /// The server's load and serving state (the router's health poll).
+  StatusOr<HealthReport> Health();
 
   /// Expands the server-side query at `query_index`. `timeout_ms` 0 means
   /// the server default. Non-OK server statuses (shed, timeout, bad
@@ -74,13 +79,10 @@ class ServeClient {
   uint64_t last_trace_id() const { return last_trace_id_; }
 
  private:
-  /// Sends an already-encoded frame and reads back one frame of
-  /// `expected` kind (shared by ping and every call).
-  StatusOr<Frame> FrameRoundTrip(const std::string& encoded,
-                                 FrameKind expected);
   /// The one round trip of every call: stamps the next request id, sends
-  /// `request`, checks the reply's kind and echoed id, turns a non-OK
-  /// reply code into its Status, and otherwise returns the reply's `body`.
+  /// `request`, checks the reply's kind and echoed id (closing the
+  /// connection when any of that fails), turns a non-OK reply code into
+  /// its Status, and otherwise returns the reply's `body`.
   template <typename Request, typename Reply, typename Body>
   StatusOr<Body> Call(Request request, Body Reply::*body);
   FrameOptions MakeFrameOptions(uint64_t request_id);

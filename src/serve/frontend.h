@@ -33,6 +33,10 @@ class Frontend {
       const Query& /*query*/, const std::vector<EntityId>& /*ids*/) {
     return Status::Unimplemented("not a shard");
   }
+  /// Load and serving state for the router's health poll. Reads counters
+  /// only, never a slot, so it answers while every slot is busy. The
+  /// default (the router front) reports all zeros.
+  virtual StatusOr<HealthReport> Health() { return HealthReport{}; }
   /// Graceful-drain hook, run by TcpServer::Shutdown after every handler
   /// has exited. Must be idempotent.
   virtual void Drain() = 0;

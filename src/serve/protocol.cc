@@ -59,8 +59,10 @@ std::string FramePayload(FrameKind kind, std::string_view payload,
 }
 
 bool KnownFrameKind(uint32_t kind) {
+  // 3 and 4 are the retired ping/pong kinds.
   return kind >= static_cast<uint32_t>(FrameKind::kExpandRequest) &&
-         kind <= static_cast<uint32_t>(FrameKind::kQueryLookupResponse);
+         kind <= static_cast<uint32_t>(FrameKind::kHealthResponse) &&
+         kind != 3 && kind != 4;
 }
 
 // --- The envelope: the only code that knows the head layouts. ---
@@ -209,6 +211,29 @@ void ReadBody(SnapshotReader& reader, WireQueryLookupResponse* response) {
   ReadQuery(reader, &response->query);
 }
 
+void PutBody(SnapshotWriter&, const WireHealthRequest&) {}
+
+void ReadBody(SnapshotReader&, WireHealthRequest*) {}
+
+void PutBody(SnapshotWriter& writer, const WireHealthResponse& response) {
+  writer.PutU64(response.health.generation);
+  writer.PutU32(response.health.draining ? 1 : 0);
+  writer.PutU32(response.health.queue_depth);
+  writer.PutU32(response.health.inflight);
+}
+
+void ReadBody(SnapshotReader& reader, WireHealthResponse* response) {
+  uint32_t draining = 0;
+  reader.ReadU64(&response->health.generation);
+  reader.ReadU32(&draining);
+  reader.ReadU32(&response->health.queue_depth);
+  reader.ReadU32(&response->health.inflight);
+  if (reader.ok() && draining > 1) {
+    reader.Corrupt("draining flag out of range");
+  }
+  response->health.draining = draining == 1;
+}
+
 }  // namespace
 
 template <typename Message>
@@ -239,11 +264,9 @@ UW_WIRE_MESSAGE(WireShardScoreRequest);
 UW_WIRE_MESSAGE(WireShardScoreResponse);
 UW_WIRE_MESSAGE(WireQueryLookupRequest);
 UW_WIRE_MESSAGE(WireQueryLookupResponse);
+UW_WIRE_MESSAGE(WireHealthRequest);
+UW_WIRE_MESSAGE(WireHealthResponse);
 #undef UW_WIRE_MESSAGE
-
-std::string EncodeControlFrame(FrameKind kind, const FrameOptions& options) {
-  return FramePayload(kind, {}, options);
-}
 
 Status ReadExact(int fd, void* buffer, size_t bytes) {
   char* cursor = static_cast<char*>(buffer);

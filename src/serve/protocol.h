@@ -35,13 +35,14 @@ namespace serve {
 /// trusted. The CRC covers the trace-context bytes, so a corrupted trace
 /// id is caught like any payload flip.
 ///
-/// Besides ping/pong (empty payloads), the protocol has four calls, each
-/// one request frame answered by one reply frame of the paired kind:
+/// The protocol has five calls, each one request frame answered by one
+/// reply frame of the paired kind:
 ///
 ///   Expand         WireRequest              -> WireResponse
 ///   ShardRetrieve  WireShardRetrieveRequest -> WireShardRetrieveResponse
 ///   ShardScore     WireShardScoreRequest    -> WireShardScoreResponse
 ///   QueryLookup    WireQueryLookupRequest   -> WireQueryLookupResponse
+///   Health         WireHealthRequest        -> WireHealthResponse
 ///
 /// Every call shares one envelope. A request payload is a u64 request id
 /// (RequestHead), then the call's body. A reply payload is the echoed u64
@@ -62,11 +63,12 @@ inline constexpr uint32_t kFrameFlagSample = 1u << 0;
 /// thousand ranked ids; 16 MiB bounds a hostile length field.
 inline constexpr uint64_t kMaxFramePayload = 16ull << 20;
 
+/// Every kind is one side of a call. Kinds 3 and 4 (the retired
+/// payload-free ping/pong) are never reused: a frame of either kind fails
+/// closed as an unknown kind.
 enum class FrameKind : uint32_t {
   kExpandRequest = 1,
   kExpandResponse = 2,
-  kPing = 3,
-  kPong = 4,
   // --- Scatter plane (cluster serving, serve/router.h). Shard servers
   // answer these alongside the request plane; the router never needs a
   // second port or protocol. ---
@@ -76,6 +78,9 @@ enum class FrameKind : uint32_t {
   kShardScoreResponse = 8,
   kQueryLookupRequest = 9,
   kQueryLookupResponse = 10,
+  // --- Replica health, the router's poll (serve/router.h). ---
+  kHealthRequest = 11,
+  kHealthResponse = 12,
 };
 
 /// Envelope head of every request payload: the id the reply echoes.
@@ -99,6 +104,7 @@ struct WireResponse;
 struct WireShardRetrieveResponse;
 struct WireShardScoreResponse;
 struct WireQueryLookupResponse;
+struct WireHealthResponse;
 
 /// One query over the wire. Either `by_index` (resolve against the
 /// server's dataset — the common scripting path) or an explicit Query
@@ -180,6 +186,25 @@ struct WireQueryLookupResponse : ReplyHead {
   Query query;
 };
 
+/// A replica's load and serving state: the Health call's reply body.
+struct HealthReport {
+  uint64_t generation = 0;  // 0 = no generation installed
+  bool draining = false;    // refusing new work (or nothing installed)
+  uint32_t queue_depth = 0;
+  uint32_t inflight = 0;
+};
+
+/// Health request: the envelope head only, no body.
+struct WireHealthRequest : RequestHead {
+  static constexpr FrameKind kKind = FrameKind::kHealthRequest;
+  using Reply = WireHealthResponse;
+};
+
+struct WireHealthResponse : ReplyHead {
+  static constexpr FrameKind kKind = FrameKind::kHealthResponse;
+  HealthReport health;
+};
+
 /// The trace context carried in the frame header. The defaults frame a
 /// request with no trace context.
 struct FrameOptions {
@@ -188,7 +213,7 @@ struct FrameOptions {
 };
 
 /// Serializes `message` (envelope head, then body) and frames it as
-/// `Message::kKind` (header + CRC32). Defined for the eight Wire* message
+/// `Message::kKind` (header + CRC32). Defined for the ten Wire* message
 /// types above.
 template <typename Message>
 std::string EncodeFrame(const Message& message,
@@ -200,32 +225,20 @@ std::string EncodeFrame(const Message& message,
 template <typename Message>
 Status DecodePayload(std::string_view payload, Message* message);
 
-/// The Expand call's codec under its established names.
+/// Two Expand codec aliases the benchmark's client still calls.
 inline std::string EncodeRequestFrame(const WireRequest& request,
                                       const FrameOptions& options = {}) {
   return EncodeFrame(request, options);
-}
-inline std::string EncodeResponseFrame(const WireResponse& response,
-                                       const FrameOptions& options = {}) {
-  return EncodeFrame(response, options);
-}
-inline Status DecodeRequestPayload(std::string_view payload,
-                                   WireRequest* request) {
-  return DecodePayload(payload, request);
 }
 inline Status DecodeResponsePayload(std::string_view payload,
                                     WireResponse* response) {
   return DecodePayload(payload, response);
 }
 
-/// Payload-free control frames (ping/pong).
-std::string EncodeControlFrame(FrameKind kind,
-                               const FrameOptions& options = {});
-
 /// A verified frame read off a socket: kind + raw payload bytes, plus
 /// the trace context from its header.
 struct Frame {
-  FrameKind kind = FrameKind::kPing;
+  FrameKind kind = FrameKind::kExpandRequest;
   std::string payload;
   uint64_t trace_id = 0;
   uint32_t flags = 0;

@@ -1,19 +1,14 @@
 #include "serve/router.h"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <unordered_map>
 #include <utility>
 
 #include "common/env.h"
 #include "common/logging.h"
+#include "common/string_util.h"
 #include "math/topk.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -42,61 +37,13 @@ RouterMetrics& Metrics() {
   return *metrics;
 }
 
-/// Minimal HTTP/1.0 GET for the admin plane: numeric-host connect with
-/// send/receive timeouts (a hung replica must not wedge the poller), one
-/// request, read to EOF. Returns the full response (headers + body).
-StatusOr<std::string> HttpGet(const std::string& host, int port,
-                              const std::string& path, int timeout_ms) {
-  StatusOr<int> dialed = Dial(host, port, timeout_ms);
-  if (!dialed.ok()) return dialed.status();
-  const int fd = *dialed;
-  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-  if (::send(fd, request.data(), request.size(), MSG_NOSIGNAL) !=
-      static_cast<ssize_t>(request.size())) {
-    const Status status =
-        Status::Unavailable(std::string("send: ") + std::strerror(errno));
-    ::close(fd);
-    return status;
-  }
-  std::string response;
-  char buffer[4096];
-  while (true) {
-    const ssize_t got = ::recv(fd, buffer, sizeof(buffer), 0);
-    if (got < 0) {
-      const Status status =
-          Status::Unavailable(std::string("recv: ") + std::strerror(errno));
-      ::close(fd);
-      return status;
-    }
-    if (got == 0) break;
-    response.append(buffer, static_cast<size_t>(got));
-  }
-  ::close(fd);
-  return response;
-}
-
-/// Value of `"key":<integer>` in a flat JSON blob; `fallback` if absent.
-int64_t JsonIntField(const std::string& json, const std::string& key,
-                     int64_t fallback) {
-  const std::string needle = "\"" + key + "\":";
-  const size_t at = json.find(needle);
-  if (at == std::string::npos) return fallback;
-  return std::strtoll(json.c_str() + at + needle.size(), nullptr, 10);
-}
-
 }  // namespace
 
 StatusOr<RouterConfig> RouterConfig::ParseTopology(
     const std::string& topology) {
   RouterConfig config;
-  size_t start = 0;
-  while (start <= topology.size()) {
-    size_t end = topology.find(',', start);
-    if (end == std::string::npos) end = topology.size();
-    const std::string entry = topology.substr(start, end - start);
-    start = end + 1;
-    if (entry.empty()) continue;
-    // "shard@host:port" or "shard@host:port/admin_port".
+  for (const std::string& entry : SplitString(topology, ',')) {
+    // "shard@host:port[/admin_port]"; the admin port is never dialed.
     const size_t at = entry.find('@');
     const size_t colon = entry.rfind(':');
     if (at == std::string::npos || colon == std::string::npos ||
@@ -113,29 +60,25 @@ StatusOr<RouterConfig> RouterConfig::ParseTopology(
     if (endpoint.host.empty()) {
       return Status::InvalidArgument("empty host in: " + entry);
     }
-    std::string port_part = entry.substr(colon + 1);
-    const size_t slash = port_part.find('/');
+    const size_t slash = entry.find('/', colon);
     if (slash != std::string::npos) {
-      const std::optional<int> admin =
-          ParsePortStrict(port_part.substr(slash + 1));
+      const std::optional<int> admin = ParsePortStrict(entry.substr(slash + 1));
       if (!admin.has_value() || *admin <= 0) {
         return Status::InvalidArgument("bad admin port in: " + entry);
       }
       endpoint.admin_port = *admin;
-      port_part.resize(slash);
     }
-    const std::optional<int> port = ParsePortStrict(port_part);
+    const std::optional<int> port =
+        ParsePortStrict(entry.substr(colon + 1, slash - colon - 1));
     if (!port.has_value() || *port <= 0) {
       return Status::InvalidArgument("bad port in: " + entry);
     }
     endpoint.port = *port;
+    config.shard_count = std::max(config.shard_count, endpoint.shard + 1);
     config.replicas.push_back(std::move(endpoint));
   }
   if (config.replicas.empty()) {
     return Status::InvalidArgument("empty topology");
-  }
-  for (const ReplicaEndpoint& endpoint : config.replicas) {
-    config.shard_count = std::max(config.shard_count, endpoint.shard + 1);
   }
   return config;
 }
@@ -198,26 +141,22 @@ ClusterRouter::ReplicaState ClusterRouter::replica_state(
 }
 
 void ClusterRouter::PollReplica(Replica& replica) {
-  if (replica.endpoint.admin_port <= 0) return;  // transport signals only
   Metrics().health_polls.Increment();
-  StatusOr<std::string> response =
-      HttpGet(replica.endpoint.host, replica.endpoint.admin_port, "/statusz",
-              config_.health_timeout_ms);
-  if (!response.ok()) {
+  StatusOr<ServeClient> client =
+      ServeClient::Connect(replica.endpoint.host, replica.endpoint.port,
+                           config_.health_timeout_ms);
+  const StatusOr<HealthReport> health =
+      client.ok() ? client->Health() : client.status();
+  if (!health.ok()) {
     Metrics().health_errors.Increment();
     replica.reachable.store(false, std::memory_order_relaxed);
     return;
   }
   replica.reachable.store(true, std::memory_order_relaxed);
-  replica.draining.store(JsonIntField(*response, "draining", 1) != 0,
-                         std::memory_order_relaxed);
-  const int64_t queue_depth = JsonIntField(*response, "queue_depth", 0);
-  const int64_t inflight = JsonIntField(*response, "inflight", 0);
-  replica.load.store(static_cast<int>(queue_depth + inflight),
+  replica.draining.store(health->draining, std::memory_order_relaxed);
+  replica.load.store(static_cast<int>(health->queue_depth + health->inflight),
                      std::memory_order_relaxed);
-  replica.generation.store(
-      static_cast<uint64_t>(JsonIntField(*response, "generation", 0)),
-      std::memory_order_relaxed);
+  replica.generation.store(health->generation, std::memory_order_relaxed);
 }
 
 void ClusterRouter::PollHealthNow() {
@@ -272,9 +211,9 @@ std::vector<size_t> ClusterRouter::ReplicaOrder(int shard) const {
     all = shard_replicas_[static_cast<size_t>(shard)];
   }
   // Healthy (reachable, not draining) replicas by ascending load — the
-  // backpressure signal scraped from /statusz — with config order as the
+  // backpressure signal of the health poll — with config order as the
   // tie-break; then the unhealthy rest in config order as last-resort
-  // probes (the scrape may be stale; a "dead" replica that answers is
+  // probes (the poll may be stale; a "dead" replica that answers is
   // better than an error).
   std::vector<size_t> healthy;
   std::vector<size_t> rest;
@@ -330,6 +269,7 @@ StatusOr<Result> ClusterRouter::CallWithFailover(
     StatusOr<Result> result = call(*client);
     if (result.ok()) {
       replica.reachable.store(true, std::memory_order_relaxed);
+      replica.draining.store(false, std::memory_order_relaxed);
       ReleaseClient(replica, std::move(*client));
       return result;
     }
@@ -340,14 +280,12 @@ StatusOr<Result> ClusterRouter::CallWithFailover(
       ReleaseClient(replica, std::move(*client));
       return status;
     }
-    // kUnavailable with a well-formed response means the replica is up
-    // but refusing work (draining / no generation yet): keep the
-    // connection, mark it draining so the health order demotes it.
-    // Anything else is a transport fault: drop the connection and mark
-    // the replica unreachable until a scrape or a success revives it.
-    if (status.code() == StatusCode::kUnavailable &&
-        (status.message() == "service draining" ||
-         status.message() == "no generation installed")) {
+    // The client closes on every failure but a well-formed reply status.
+    // Still connected, the replica is up but refused the work (shed,
+    // draining, no generation yet): keep the connection and demote it in
+    // the health order. Closed, it was a transport fault: mark the
+    // replica unreachable until a poll or a success revives it.
+    if (client->connected()) {
       replica.draining.store(true, std::memory_order_relaxed);
       ReleaseClient(replica, std::move(*client));
     } else {

@@ -20,14 +20,16 @@
 namespace ultrawiki {
 namespace serve {
 
-/// One shard replica the router can reach: the shard it serves, its
-/// request-plane port, and (optionally) its admin port for health
-/// scraping. `admin_port` 0 disables scraping — the replica is then
-/// assumed healthy until the transport says otherwise.
+/// One shard replica the router can reach: the shard it serves and its
+/// request-plane port, which carries the health poll too. A replica
+/// needs no admin port to be routed.
 struct ReplicaEndpoint {
   int shard = 0;
   std::string host = "127.0.0.1";
   int port = 0;
+  /// Unused by the router. Kept only because the benchmark's cluster
+  /// replay still sets it and still sends the "/admin_port" topology
+  /// suffix; delete both with those.
   int admin_port = 0;
 };
 
@@ -37,20 +39,21 @@ struct RouterConfig {
   /// max(replica.shard) + 1.
   int shard_count = 0;
   std::vector<ReplicaEndpoint> replicas;
-  /// Health-scrape period (UW_ROUTER_HEALTH_MS). 0 disables the poller;
-  /// routing then runs on transport signals alone.
+  /// Health-poll period (UW_ROUTER_HEALTH_MS). 0 disables the poller
+  /// thread; routing then runs on the poll Start() makes and on call
+  /// outcomes alone.
   int health_poll_ms = 200;
-  /// Socket send/receive timeout for health scrapes.
+  /// Connect, send and receive timeout of a health poll.
   int health_timeout_ms = 1000;
   /// RetExpan knobs mirrored on the router for the scatter-gather path.
   /// Must match the shard servers' config (both default-construct) or
   /// the merged ranking diverges from the single-process one.
   RetExpanConfig retexpan;
 
-  /// Parses a topology string: comma-separated replicas, each
-  /// "shard@host:port" or "shard@host:port/admin_port", e.g.
-  /// "0@127.0.0.1:5000/5001,0@127.0.0.1:5002,1@127.0.0.1:5004/5005".
-  /// The UW_ROUTER_SHARDS wire format.
+  /// Parses a topology string: comma-separated "shard@host:port"
+  /// replicas, e.g. "0@127.0.0.1:5000,0@127.0.0.1:5002,1@127.0.0.1:5004".
+  /// The UW_ROUTER_SHARDS wire format. A "/admin_port" suffix on a
+  /// replica is still accepted into `admin_port` and otherwise ignored.
   static StatusOr<RouterConfig> ParseTopology(const std::string& topology);
 };
 
@@ -68,14 +71,15 @@ struct RouterConfig {
 /// least-loaded replica (every shard process holds the full pipeline, so
 /// any replica can serve any method).
 ///
-/// Replica choice is health-driven: a poller thread scrapes each
-/// replica's admin `/statusz` every `health_poll_ms` for draining /
-/// queue_depth / inflight, and the per-shard pick is the reachable,
-/// non-draining replica with the least load (backpressure balancing).
-/// Transport failures mark a replica unreachable immediately and the
-/// request fails over to the next replica of the same shard, so killing
-/// a replica mid-load costs retries, not errors, as long as each shard
-/// keeps one live replica.
+/// Replica choice is health-driven: a poller thread calls each replica's
+/// UWF1 `Health` on its request port every `health_poll_ms` for draining
+/// / queue_depth / inflight / generation, and the per-shard pick is the
+/// reachable, non-draining replica with the least load (backpressure
+/// balancing). A failed call fails over to the next replica of the same
+/// shard. A replica that answered with a refusal (shed, draining) is
+/// demoted and keeps its connection; a transport fault marks it
+/// unreachable. So killing a replica mid-load costs retries, not errors,
+/// as long as each shard keeps one live replica.
 class ClusterRouter : public Frontend {
  public:
   explicit ClusterRouter(RouterConfig config);
@@ -100,8 +104,8 @@ class ClusterRouter : public Frontend {
   };
   ReplicaState replica_state(size_t replica_index) const;
 
-  /// One synchronous scrape of every replica with an admin port (the
-  /// poller thread does this on its own cadence).
+  /// One synchronous health poll of every replica (the poller thread
+  /// does this on its own cadence).
   void PollHealthNow();
 
   // --- Frontend ---
@@ -138,8 +142,10 @@ class ClusterRouter : public Frontend {
 
   /// Runs `call` against successive replicas of `shard` (all replicas
   /// when shard < 0, health-ordered) until one answers with a
-  /// non-retryable result; marks replicas unreachable/draining as their
-  /// failures reveal. The shared failover engine of every remote call.
+  /// non-retryable result. A retryable failure that left the client
+  /// connected was a refusal, which demotes the replica (draining); one
+  /// that closed it was a transport fault, which marks it unreachable.
+  /// The shared failover engine of every remote call.
   template <typename Result>
   StatusOr<Result> CallWithFailover(
       int shard, const std::function<StatusOr<Result>(ServeClient&)>& call);

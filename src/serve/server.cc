@@ -95,8 +95,6 @@ StatusOr<std::string> TcpServer::Serve(const Frame& frame, Handler handler) {
 
 StatusOr<std::string> TcpServer::Answer(const Frame& frame) {
   switch (frame.kind) {
-    case FrameKind::kPing:
-      return EncodeControlFrame(FrameKind::kPong);
     case FrameKind::kExpandRequest:
       return Serve<WireRequest>(frame, [&](WireRequest& request,
                                            WireResponse* reply) {
@@ -142,6 +140,11 @@ StatusOr<std::string> TcpServer::Answer(const Frame& frame) {
                         WireQueryLookupResponse* reply) {
             return Take(frontend_.QueryByIndex(request.query_index),
                         &reply->query);
+          });
+    case FrameKind::kHealthRequest:
+      return Serve<WireHealthRequest>(
+          frame, [this](WireHealthRequest&, WireHealthResponse* reply) {
+            return Take(frontend_.Health(), &reply->health);
           });
     default:
       // Reply kinds arriving at a server are a protocol violation.

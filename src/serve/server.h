@@ -16,7 +16,7 @@ class ServiceHost;
 
 /// TCP front-end over a Frontend: accepts connections on a
 /// loopback-reachable port and speaks the framed protocol of
-/// serve/protocol.h — the request plane (expand, ping) and the scatter
+/// serve/protocol.h — the request plane (expand, health) and the scatter
 /// plane (shard retrieve/score, query lookup) on one port. One handler
 /// thread per connection, which also runs the connection's requests, in
 /// order (clients that want concurrency open several connections — the

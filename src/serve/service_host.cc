@@ -91,6 +91,18 @@ StatusOr<ShardScores> ServiceHost::ScatterScore(
   return generation->service->ScatterScore(query, ids);
 }
 
+HealthReport ServiceHost::HealthOf(const Generation* generation) {
+  if (generation == nullptr) return HealthReport{0, true, 0, 0};
+  const ExpansionService& service = *generation->service;
+  return HealthReport{generation->id, service.draining(),
+                      static_cast<uint32_t>(service.queue_depth()),
+                      static_cast<uint32_t>(service.inflight())};
+}
+
+StatusOr<HealthReport> ServiceHost::Health() {
+  return HealthOf(Current().get());
+}
+
 void ServiceHost::Drain() {
   const std::shared_ptr<Generation> generation = Current();
   if (generation != nullptr) generation->service->Drain();

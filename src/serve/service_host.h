@@ -60,6 +60,11 @@ class ServiceHost : public Frontend {
   /// Id of the current generation (0 before the first Install).
   uint64_t generation_id() const;
 
+  /// The health poll's values for `generation`: its id, draining flag,
+  /// queue depth and in-flight count. Null (nothing installed) reports
+  /// draining with generation 0.
+  static HealthReport HealthOf(const Generation* generation);
+
   /// Completed swaps (Installs beyond the first).
   int64_t swaps() const { return swaps_.load(std::memory_order_relaxed); }
 
@@ -70,6 +75,8 @@ class ServiceHost : public Frontend {
       const Query& query, size_t size) override;
   StatusOr<ShardScores> ScatterScore(
       const Query& query, const std::vector<EntityId>& ids) override;
+  /// HealthOf(Current()).
+  StatusOr<HealthReport> Health() override;
   void Drain() override;
 
  private:

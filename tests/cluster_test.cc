@@ -3,7 +3,8 @@
 // TcpListener bookkeeping under churn and fd
 // exhaustion, the published-traces-only `serve.traced` counter, shard
 // scatter-gather bit-identity against the single-process rankings,
-// router failover when a replica dies, and the ServiceHost hot swap
+// router failover when a replica dies, the router's Health poll (draining,
+// load order, stopped replicas, generations), and the ServiceHost hot swap
 // shedding nothing under load.
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <future>
 #include <memory>
 #include <set>
 #include <string>
@@ -191,14 +193,15 @@ TEST(TcpLifecycleTest, ConnectionChurnKeepsFdAndThreadBookkeepingBounded) {
   TcpServer server(service);
   ASSERT_TRUE(server.Start(0).ok());
 
-  // Dozens of short-lived sessions: each connects, pings, disconnects.
+  // Dozens of short-lived sessions: each connects, polls health,
+  // disconnects.
   // The old implementation leaked one fd-registry entry and one
   // un-joined thread per session; the listener must keep both bounded.
   constexpr int kChurn = 40;
   for (int i = 0; i < kChurn; ++i) {
     auto client = ServeClient::Connect("127.0.0.1", server.port());
     ASSERT_TRUE(client.ok()) << client.status();
-    ASSERT_TRUE(client->Ping().ok()) << "session " << i;
+    ASSERT_TRUE(client->Health().ok()) << "session " << i;
     client->Close();
   }
   EXPECT_EQ(server.connections_accepted(), kChurn);
@@ -216,7 +219,7 @@ TEST(TcpLifecycleTest, ConnectionChurnKeepsFdAndThreadBookkeepingBounded) {
   // The server is still fully alive after the churn.
   auto survivor = ServeClient::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(survivor.ok()) << survivor.status();
-  EXPECT_TRUE(survivor->Ping().ok());
+  EXPECT_TRUE(survivor->Health().ok());
   survivor->Close();
   server.Shutdown();
   EXPECT_EQ(server.protocol_errors(), 0);
@@ -287,7 +290,7 @@ TEST(TcpLifecycleTest, AcceptLoopSurvivesFdExhaustion) {
   // With fds available again the very same listener serves new clients.
   auto client = ServeClient::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(client.ok()) << client.status();
-  EXPECT_TRUE(client->Ping().ok());
+  EXPECT_TRUE(client->Health().ok());
   client->Close();
   server.Shutdown();
 }
@@ -380,10 +383,11 @@ struct ShardProcess {
   std::unique_ptr<ExpansionService> service;
   std::unique_ptr<TcpServer> server;
 
-  static std::unique_ptr<ShardProcess> Start(const ShardSpec& spec) {
+  static std::unique_ptr<ShardProcess> Start(const ShardSpec& spec,
+                                             const ServeConfig& config = {}) {
     auto shard = std::make_unique<ShardProcess>();
     shard->service =
-        std::make_unique<ExpansionService>(TestPipeline(), ServeConfig{});
+        std::make_unique<ExpansionService>(TestPipeline(), config);
     UW_CHECK(shard->service->EnableSharding(spec).ok());
     shard->server = std::make_unique<TcpServer>(*shard->service);
     UW_CHECK(shard->server->Start(0).ok());
@@ -506,6 +510,174 @@ TEST(ClusterTest, RouterFailsOverWhenAReplicaDies) {
 
   router.Drain();
   replicas[1]->server->Shutdown();
+}
+
+// ------------------------------------------------------ Health polling.
+
+TEST(ClusterHealthTest, PollDemotesADrainingReplicaBeforeAnyRequestReachesIt) {
+  const auto& queries = TestPipeline().dataset().queries;
+  std::vector<std::unique_ptr<ShardProcess>> replicas;
+  replicas.push_back(ShardProcess::Start({0, 1}));
+  replicas.push_back(ShardProcess::Start({0, 1}));
+  ClusterRouter router(TopologyOf(replicas, /*shard_count=*/1));
+  ASSERT_TRUE(router.Start().ok());
+  EXPECT_FALSE(router.replica_state(0).draining);
+
+  // Replica 0's service drains while its server stays up.
+  replicas[0]->service->Drain();
+  router.PollHealthNow();
+  EXPECT_TRUE(router.replica_state(0).reachable);
+  EXPECT_TRUE(router.replica_state(0).draining);
+  EXPECT_FALSE(router.replica_state(1).draining);
+
+  // The health order sends the request straight to replica 1: no
+  // failover, and replica 0 never sees it.
+  const int64_t failovers = obs::GetCounter("router.failovers").Value();
+  const int64_t served0 = replicas[0]->server->requests_served();
+  const ExpandResult result = router.Expand({"retexpan", queries[0], 15, -1});
+  ASSERT_TRUE(result.status.ok()) << result.status;
+  EXPECT_EQ(result.ranking, Reference("retexpan", queries[0], 15));
+  EXPECT_EQ(obs::GetCounter("router.failovers").Value(), failovers);
+  EXPECT_EQ(replicas[0]->server->requests_served(), served0);
+
+  router.Drain();
+  for (auto& replica : replicas) replica->server->Shutdown();
+}
+
+TEST(ClusterHealthTest, PollOrdersABusyReplicaAfterAnIdleSibling) {
+  const auto& queries = TestPipeline().dataset().queries;
+  ServeConfig stalled;
+  stalled.synthetic_delay_ms = 300;
+  std::vector<std::unique_ptr<ShardProcess>> replicas;
+  replicas.push_back(ShardProcess::Start({0, 1}, stalled));
+  replicas.push_back(ShardProcess::Start({0, 1}));
+  ClusterRouter router(TopologyOf(replicas, /*shard_count=*/1));
+  ASSERT_TRUE(router.Start().ok());
+
+  // Two stalled requests held on replica 0, which comes first in config
+  // order.
+  ExpansionService& busy = *replicas[0]->service;
+  std::vector<std::future<ExpandResult>> held;
+  for (int i = 0; i < 2; ++i) {
+    held.push_back(std::async(std::launch::async, [&busy, &queries] {
+      return busy.Expand({"setexpan", queries[0], 10, -1});
+    }));
+  }
+  for (int spin = 0; spin < 2000 && busy.inflight() < 2; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  router.PollHealthNow();
+  EXPECT_GE(router.replica_state(0).load, 2);
+  EXPECT_EQ(router.replica_state(1).load, 0);
+
+  // A proxied request goes to the idle replica.
+  const int64_t served0 = replicas[0]->server->requests_served();
+  const int64_t served1 = replicas[1]->server->requests_served();
+  const ExpandResult proxied = router.Expand({"setexpan", queries[0], 10, -1});
+  ASSERT_TRUE(proxied.status.ok()) << proxied.status;
+  EXPECT_EQ(proxied.ranking, Reference("setexpan", queries[0], 10));
+  EXPECT_EQ(replicas[0]->server->requests_served(), served0);
+  EXPECT_EQ(replicas[1]->server->requests_served(), served1 + 1);
+  for (auto& future : held) ASSERT_TRUE(future.get().status.ok());
+
+  router.Drain();
+  for (auto& replica : replicas) replica->server->Shutdown();
+}
+
+TEST(ClusterHealthTest, AShedDemotesALiveReplicaAndKeepsItsConnection) {
+  // Replica 0 has two slots and lets nobody wait. With both slots held, a
+  // proxied request is shed there: a well-formed refusal, so the router
+  // demotes replica 0 (draining), keeps it reachable and keeps its pooled
+  // connection, and fails over to replica 1.
+  const auto& queries = TestPipeline().dataset().queries;
+  ASSERT_TRUE(ThreadPool::SetGlobalThreadCount(2).ok());
+  {
+    ServeConfig refusing;
+    refusing.max_queue = 0;
+    refusing.synthetic_delay_ms = 200;
+    std::vector<std::unique_ptr<ShardProcess>> replicas;
+    replicas.push_back(ShardProcess::Start({0, 1}, refusing));
+    replicas.push_back(ShardProcess::Start({0, 1}));
+    ClusterRouter router(TopologyOf(replicas, /*shard_count=*/1));
+    ASSERT_TRUE(router.Start().ok());
+    const std::vector<EntityId> want = Reference("setexpan", queries[0], 10);
+
+    ExpansionService& busy = *replicas[0]->service;
+    std::vector<std::future<ExpandResult>> held;
+    for (int i = 0; i < 2; ++i) {
+      held.push_back(std::async(std::launch::async, [&busy, &queries] {
+        return busy.Expand({"setexpan", queries[0], 10, -1});
+      }));
+    }
+    for (int spin = 0; spin < 2000 && busy.inflight() < 2; ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const int64_t failovers = obs::GetCounter("router.failovers").Value();
+    const ExpandResult failed_over =
+        router.Expand({"setexpan", queries[0], 10, -1});
+    ASSERT_TRUE(failed_over.status.ok()) << failed_over.status;
+    EXPECT_EQ(failed_over.ranking, want);
+    EXPECT_EQ(obs::GetCounter("router.failovers").Value(), failovers + 1);
+    EXPECT_TRUE(router.replica_state(0).reachable);
+    EXPECT_TRUE(router.replica_state(0).draining);
+    for (auto& future : held) ASSERT_TRUE(future.get().status.ok());
+
+    // Once a poll sees it idle, replica 0 leads again and serves on the
+    // connection the shed left in the pool: no new connection.
+    router.PollHealthNow();
+    EXPECT_FALSE(router.replica_state(0).draining);
+    const int64_t accepted = replicas[0]->server->connections_accepted();
+    const int64_t served = replicas[0]->server->requests_served();
+    const ExpandResult pooled = router.Expand({"setexpan", queries[0], 10, -1});
+    ASSERT_TRUE(pooled.status.ok()) << pooled.status;
+    EXPECT_EQ(pooled.ranking, want);
+    EXPECT_EQ(replicas[0]->server->requests_served(), served + 1);
+    EXPECT_EQ(replicas[0]->server->connections_accepted(), accepted);
+
+    router.Drain();
+    for (auto& replica : replicas) replica->server->Shutdown();
+  }
+  ASSERT_TRUE(ThreadPool::SetGlobalThreadCount(0).ok());
+}
+
+TEST(ClusterHealthTest, PollerReportsGenerationsAndSeesAStoppedReplica) {
+  // Replica 1 serves a host that has swapped once, so it reports
+  // generation 2; replica 0 reports its boot generation 1.
+  std::vector<std::unique_ptr<ShardProcess>> replicas;
+  replicas.push_back(ShardProcess::Start({0, 1}));
+  ExpansionService first(TestPipeline(), ServeConfig{});
+  ExpansionService second(TestPipeline(), ServeConfig{});
+  ServiceHost host;
+  host.Install(ServiceHost::Borrow(first));
+  host.Install(ServiceHost::Borrow(second));
+  TcpServer swapped(static_cast<Frontend&>(host));
+  ASSERT_TRUE(swapped.Start(0).ok());
+
+  RouterConfig config = TopologyOf(replicas, /*shard_count=*/1);
+  ReplicaEndpoint endpoint;
+  endpoint.port = swapped.port();
+  config.replicas.push_back(endpoint);
+  config.health_poll_ms = 20;  // the poller thread, not PollHealthNow
+  ClusterRouter router(std::move(config));
+  ASSERT_TRUE(router.Start().ok());
+  EXPECT_EQ(router.replica_state(0).generation, 1u);
+  EXPECT_EQ(router.replica_state(1).generation, 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_TRUE(router.replica_state(i).reachable) << i;
+    EXPECT_FALSE(router.replica_state(i).draining) << i;
+  }
+
+  // Stop replica 0: with no request sent, the poller marks it unreachable.
+  replicas[0]->server->Shutdown();
+  for (int spin = 0; spin < 1000 && router.replica_state(0).reachable;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_FALSE(router.replica_state(0).reachable);
+  EXPECT_TRUE(router.replica_state(1).reachable);
+
+  router.Drain();
+  swapped.Shutdown();
 }
 
 // ------------------------------------------------- ServiceHost hot swap.

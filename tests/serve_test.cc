@@ -6,7 +6,9 @@
 // count — execution slots (an idle slot takes an arrival while another
 // runs; a build waits for running requests), deadline expiry, overload
 // shedding of requests and scatter calls with correct accepted results,
-// and the TCP loopback path end to end.
+// the TCP loopback path end to end (a shed reply keeps the client
+// connected, a broken stream closes it), and the Health call, which
+// answers while every slot is busy.
 
 #include <gtest/gtest.h>
 
@@ -36,6 +38,7 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/service.h"
+#include "serve/service_host.h"
 
 namespace ultrawiki {
 namespace serve {
@@ -98,7 +101,7 @@ TEST(ServeProtocolTest, RequestFrameRoundTripsThroughASocketPair) {
   ASSERT_TRUE(frame.ok()) << frame.status();
   EXPECT_EQ(frame->kind, FrameKind::kExpandRequest);
   WireRequest decoded;
-  ASSERT_TRUE(DecodeRequestPayload(frame->payload, &decoded).ok());
+  ASSERT_TRUE(DecodePayload(frame->payload, &decoded).ok());
   EXPECT_EQ(decoded.request_id, 77u);
   EXPECT_EQ(decoded.method, "retexpan");
   EXPECT_EQ(decoded.k, 13u);
@@ -117,7 +120,7 @@ TEST(ServeProtocolTest, ResponsePayloadRoundTrips) {
   response.code = static_cast<uint32_t>(StatusCode::kDeadlineExceeded);
   response.message = "deadline expired before execution";
   response.ranking = {7, -1, 12};
-  const std::string frame = EncodeResponseFrame(response);
+  const std::string frame = EncodeFrame(response);
   // Slice the payload out of the framed bytes (header 32 bytes, CRC 4).
   ASSERT_GT(frame.size(), kFrameHeaderBytes + 4);
   const std::string_view payload(frame.data() + kFrameHeaderBytes,
@@ -183,15 +186,12 @@ TEST(ServeProtocolTest, CorruptionMatrixFailsClosed) {
   EXPECT_EQ(read_back("").message(), "eof");
 }
 
-/// Re-frames `frame` (a current-version encoding) under header version
-/// `version`. Version 1 drops the trace-context bytes 20..31, as the
-/// retired v1 layout did. The CRC is recomputed, so the version is the
-/// only thing wrong with the result.
-std::string Reframe(std::string frame, uint32_t version) {
-  frame.resize(frame.size() - 4);
-  if (version == 1) frame.erase(20, kFrameHeaderBytes - 20);
+/// Overwrites the little-endian u32 at `offset` of `frame` (an encoding
+/// without its CRC) and appends the recomputed CRC.
+std::string PatchU32AndSeal(std::string frame, size_t offset,
+                            uint32_t value) {
   for (int i = 0; i < 4; ++i) {
-    frame[4 + i] = static_cast<char>((version >> (8 * i)) & 0xff);
+    frame[offset + i] = static_cast<char>((value >> (8 * i)) & 0xff);
   }
   const uint32_t crc = Crc32(frame);
   for (int i = 0; i < 4; ++i) {
@@ -200,18 +200,51 @@ std::string Reframe(std::string frame, uint32_t version) {
   return frame;
 }
 
-TEST(ServeProtocolTest, FrameVersionRejectionMatrix) {
-  auto read_back = [](const std::string& bytes) {
-    int fds[2];
-    UW_CHECK_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-    UW_CHECK(WriteAll(fds[0], bytes.data(), bytes.size()).ok());
-    ::shutdown(fds[0], SHUT_WR);
-    StatusOr<Frame> frame = ReadFrame(fds[1]);
-    ::close(fds[0]);
-    ::close(fds[1]);
-    return frame;
-  };
+/// Re-frames `frame` (a current-version encoding) under header version
+/// `version`. Version 1 drops the trace-context bytes 20..31, as the
+/// retired v1 layout did. The CRC is recomputed, so the version is the
+/// only thing wrong with the result.
+std::string Reframe(std::string frame, uint32_t version) {
+  frame.resize(frame.size() - 4);
+  if (version == 1) frame.erase(20, kFrameHeaderBytes - 20);
+  return PatchU32AndSeal(std::move(frame), 4, version);
+}
 
+/// `frame` with its kind tag set to `kind` and a recomputed CRC, so the
+/// kind is the only thing wrong with the result.
+std::string WithKind(std::string frame, uint32_t kind) {
+  frame.resize(frame.size() - 4);
+  return PatchU32AndSeal(std::move(frame), 8, kind);
+}
+
+/// Reads one frame back from `bytes` written to a half-closed socket pair.
+StatusOr<Frame> ReadBack(const std::string& bytes) {
+  int fds[2];
+  UW_CHECK_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  UW_CHECK(WriteAll(fds[0], bytes.data(), bytes.size()).ok());
+  ::shutdown(fds[0], SHUT_WR);
+  StatusOr<Frame> frame = ReadFrame(fds[1]);
+  ::close(fds[0]);
+  ::close(fds[1]);
+  return frame;
+}
+
+TEST(ServeProtocolTest, RetiredAndUnknownKindsFailClosed) {
+  const std::string health = EncodeFrame(WireHealthRequest{});
+  EXPECT_TRUE(ReadBack(health).ok());
+  EXPECT_TRUE(ReadBack(WithKind(health, 12)).ok());
+  // 3 and 4 are the retired ping/pong; 0 and 13 were never assigned.
+  for (const uint32_t kind : {0u, 3u, 4u, 13u}) {
+    const StatusOr<Frame> frame = ReadBack(WithKind(health, kind));
+    ASSERT_FALSE(frame.ok()) << "kind " << kind;
+    EXPECT_NE(frame.status().message().find("unknown frame kind " +
+                                            std::to_string(kind)),
+              std::string::npos)
+        << frame.status();
+  }
+}
+
+TEST(ServeProtocolTest, FrameVersionRejectionMatrix) {
   WireRequest request;
   request.method = "retexpan";
 
@@ -220,19 +253,19 @@ TEST(ServeProtocolTest, FrameVersionRejectionMatrix) {
     FrameOptions options;
     options.trace_id = 0xabcdef0123456789ull;
     options.flags = kFrameFlagSample;
-    StatusOr<Frame> frame = read_back(EncodeRequestFrame(request, options));
+    StatusOr<Frame> frame = ReadBack(EncodeRequestFrame(request, options));
     ASSERT_TRUE(frame.ok()) << frame.status();
     EXPECT_EQ(frame->trace_id, 0xabcdef0123456789ull);
     EXPECT_EQ(frame->flags, kFrameFlagSample);
     WireRequest decoded;
-    ASSERT_TRUE(DecodeRequestPayload(frame->payload, &decoded).ok());
+    ASSERT_TRUE(DecodePayload(frame->payload, &decoded).ok());
     EXPECT_EQ(decoded.method, "retexpan");
   }
   // Every other version fails closed: the retired 20-byte v1 header and
   // an unknown future version alike.
   for (const uint32_t version : {1u, 3u}) {
     const StatusOr<Frame> frame =
-        read_back(Reframe(EncodeRequestFrame(request), version));
+        ReadBack(Reframe(EncodeRequestFrame(request), version));
     ASSERT_FALSE(frame.ok()) << "version " << version;
     EXPECT_NE(frame.status().message().find("unsupported frame version " +
                                             std::to_string(version)),
@@ -244,7 +277,7 @@ TEST(ServeProtocolTest, FrameVersionRejectionMatrix) {
   {
     std::string bad = EncodeRequestFrame(request);
     bad[20 + 3] ^= 0x20;  // inside the trace_id field
-    const StatusOr<Frame> frame = read_back(bad);
+    const StatusOr<Frame> frame = ReadBack(bad);
     ASSERT_FALSE(frame.ok());
     EXPECT_NE(frame.status().message().find("checksum"), std::string::npos);
   }
@@ -432,6 +465,47 @@ std::vector<WireCase> EnvelopeCases() {
       "31465755020000000a000000400000000000000000000000000000000000000008000000"
       "00000000040000001800000000000000717565727920696e646578206f7574206f662072"
       "616e6765000000000000000000000000000000000000000012efdc0b"));
+
+  WireHealthRequest health;
+  health.request_id = 9;
+  cases.push_back(MakeCase(
+      "health_request", health,
+      "31465755020000000b000000080000000000000000000000000000000000000009000000"
+      "0000000087eebb3c"));
+
+  WireHealthResponse report;
+  report.request_id = 9;
+  report.health.generation = 3;
+  report.health.draining = true;
+  report.health.queue_depth = 5;
+  report.health.inflight = 6;
+  cases.push_back(MakeCase(
+      "health_response", report,
+      "31465755020000000c000000280000000000000000000000000000000000000009000000"
+      "000000000000000000000000000000000300000000000000010000000500000006000000"
+      "8bc8cc0d"));
+  {
+    // draining must be 0 or 1.
+    SnapshotWriter writer;
+    writer.PutU64(9);
+    writer.PutU32(0);
+    writer.PutString("");
+    writer.PutU64(3);
+    writer.PutU32(2);
+    writer.PutU32(5);
+    writer.PutU32(6);
+    cases.back().hostile.push_back(writer.payload());
+  }
+
+  WireHealthResponse refused;
+  refused.request_id = 10;
+  refused.code = static_cast<uint32_t>(StatusCode::kUnavailable);
+  refused.message = "busy";
+  cases.push_back(MakeCase(
+      "health_error", refused,
+      "31465755020000000c0000002c000000000000000000000000000000000000000a000000"
+      "000000000800000004000000000000006275737900000000000000000000000000000000"
+      "00000000716209c7"));
   return cases;
 }
 
@@ -439,12 +513,6 @@ TEST(ServeEnvelopeTest, EveryKindMatchesItsGoldenFrame) {
   for (const WireCase& c : EnvelopeCases()) {
     EXPECT_EQ(Hex(c.frame), c.golden_hex) << c.name;
   }
-  EXPECT_EQ(Hex(EncodeControlFrame(FrameKind::kPing)),
-            "31465755020000000300000000000000000000000000000000000000000000005e"
-            "9119a4");
-  EXPECT_EQ(Hex(EncodeControlFrame(FrameKind::kPong)),
-            "314657550200000004000000000000000000000000000000000000000000000029"
-            "a60195");
 }
 
 TEST(ServeEnvelopeTest, EveryKindRoundTripsAndFailsClosed) {
@@ -1028,7 +1096,7 @@ TEST(ServeTcpTest, LoopbackEndToEndMatchesLocalRankings) {
 
   auto client = ServeClient::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(client.ok()) << client.status();
-  ASSERT_TRUE(client->Ping().ok());
+  ASSERT_TRUE(client->Health().ok());
 
   for (const std::string method : {"retexpan", "setexpan"}) {
     const auto remote = client->ExpandByIndex(method, 0, 20);
@@ -1062,13 +1130,15 @@ TEST(ServeTcpTest, GarbageBytesCountAsProtocolErrorAndCloseTheSession) {
   TcpServer server(service);
   ASSERT_TRUE(server.Start(0).ok());
 
-  // Raw sockets feed the server a ping frame with a flipped CRC byte and
-  // a well-formed ping in the retired v1 framing. The v1 ping is shorter
-  // than the 32-byte header, so the peer half-closes to show it is done.
-  std::string bad_crc = EncodeControlFrame(FrameKind::kPing);
+  // Raw sockets feed the server a health request with a flipped CRC byte,
+  // a well-formed health request in the retired v1 framing, and a sound
+  // frame of the retired ping kind 3. The v1 frame is shorter than the
+  // 32-byte header, so the peer half-closes to show it is done.
+  const std::string health = EncodeFrame(WireHealthRequest{});
+  std::string bad_crc = health;
   bad_crc.back() = static_cast<char>(bad_crc.back() ^ 0x1);
-  const std::vector<std::string> inputs = {
-      bad_crc, Reframe(EncodeControlFrame(FrameKind::kPing), 1)};
+  const std::vector<std::string> inputs = {bad_crc, Reframe(health, 1),
+                                           WithKind(health, 3)};
   for (size_t i = 0; i < inputs.size(); ++i) {
     int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     ASSERT_GE(fd, 0);
@@ -1081,10 +1151,16 @@ TEST(ServeTcpTest, GarbageBytesCountAsProtocolErrorAndCloseTheSession) {
     ASSERT_TRUE(WriteAll(fd, inputs[i].data(), inputs[i].size()).ok());
     ::shutdown(fd, SHUT_WR);
     // The server must drop the session: the next read sees EOF, not a
-    // pong.
+    // reply. The kind-3 frame is rejected at its header, and closing with
+    // its payload and CRC unread makes the kernel reset the connection
+    // instead of sending EOF.
     char byte;
-    EXPECT_EQ(ReadExact(fd, &byte, 1).code(), StatusCode::kUnavailable)
-        << "input " << i;
+    const Status read = ReadExact(fd, &byte, 1);
+    if (i < 2) {
+      EXPECT_EQ(read.code(), StatusCode::kUnavailable) << "input " << i;
+    } else {
+      EXPECT_FALSE(read.ok()) << "input " << i;
+    }
     ::close(fd);
 
     // The error is counted.
@@ -1099,7 +1175,7 @@ TEST(ServeTcpTest, GarbageBytesCountAsProtocolErrorAndCloseTheSession) {
   // Healthy clients are unaffected.
   auto client = ServeClient::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(client.ok()) << client.status();
-  EXPECT_TRUE(client->Ping().ok());
+  EXPECT_TRUE(client->Health().ok());
   client->Close();
   server.Shutdown();
 }
@@ -1130,6 +1206,133 @@ TEST(ServeTcpTest, ForcedTraceLandsInSlowLogWithClientTraceId) {
   obs::SlowQueryLog::Global().ResetForTest();
 }
 
+TEST(ServeTcpTest, ShedReplyLeavesTheClientConnected) {
+  // A 2-slot service that lets nobody wait, both slots held by stalled
+  // requests: a request over TCP is shed. The shed is a well-formed
+  // reply, so the client stays connected and its next call succeeds.
+  const auto& queries = TestPipeline().dataset().queries;
+  ASSERT_TRUE(ThreadPool::SetGlobalThreadCount(2).ok());
+  {
+    ServeConfig config;
+    config.max_queue = 0;
+    config.synthetic_delay_ms = 200;
+    ExpansionService service(TestPipeline(), config);
+    ASSERT_TRUE(service.PrewarmMethods({"setexpan"}).ok());
+    TcpServer server(service);
+    ASSERT_TRUE(server.Start(0).ok());
+    std::vector<std::future<ExpandResult>> held;
+    for (int i = 0; i < 2; ++i) {
+      held.push_back(ExpandOnThread(service, {"setexpan", queries[0], 10, -1}));
+    }
+    AwaitInflight(service, 2);
+
+    auto client = ServeClient::Connect("127.0.0.1", server.port());
+    ASSERT_TRUE(client.ok()) << client.status();
+    const auto shed = client->ExpandByIndex("setexpan", 0, 10);
+    ASSERT_EQ(shed.status().code(), StatusCode::kUnavailable) << shed.status();
+    EXPECT_TRUE(client->connected());
+
+    for (auto& future : held) ASSERT_TRUE(future.get().status.ok());
+    const auto served = client->ExpandByIndex("setexpan", 0, 10);
+    ASSERT_TRUE(served.ok()) << served.status();
+    EXPECT_EQ(*served, Reference("setexpan", queries[0], 10));
+    client->Close();
+    server.Shutdown();
+  }
+  ASSERT_TRUE(ThreadPool::SetGlobalThreadCount(0).ok());
+}
+
+TEST(ServeTcpTest, ServerClosingMidFrameDisconnectsTheClient) {
+  // A fake server reads the request, sends the first half of a reply
+  // frame and closes. The stream is broken, so the client closes too.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  std::thread fake([listener] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    UW_CHECK_GE(fd, 0);
+    UW_CHECK(ReadFrame(fd).ok());
+    const std::string reply = EncodeFrame(WireHealthResponse{});
+    UW_CHECK(WriteAll(fd, reply.data(), reply.size() / 2).ok());
+    ::close(fd);
+  });
+
+  auto client = ServeClient::Connect("127.0.0.1", ntohs(addr.sin_port));
+  ASSERT_TRUE(client.ok()) << client.status();
+  const StatusOr<HealthReport> health = client->Health();
+  fake.join();
+  ::close(listener);
+  EXPECT_EQ(health.status().code(), StatusCode::kInternal) << health.status();
+  EXPECT_FALSE(client->connected());
+  // A closed client refuses further calls without touching a socket.
+  EXPECT_EQ(client->Health().status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
+// ------------------------------------------------------------- Health.
+
+TEST(ServeHealthTest, AnswersAtOnceWhileEverySlotIsHeld) {
+  // Every slot is held by a stalled request. Health takes no slot and no
+  // pipeline lock, so it answers at once and counts every held request.
+  const auto& queries = TestPipeline().dataset().queries;
+  ServeConfig config;
+  config.synthetic_delay_ms = 500;
+  ExpansionService service(TestPipeline(), config);
+  ASSERT_TRUE(service.PrewarmMethods({"setexpan"}).ok());
+  TcpServer server(service);
+  ASSERT_TRUE(server.Start(0).ok());
+  std::vector<std::future<ExpandResult>> held;
+  for (int i = 0; i < service.slots(); ++i) {
+    held.push_back(ExpandOnThread(service, {"setexpan", queries[0], 10, -1}));
+  }
+  AwaitInflight(service, service.slots());
+
+  auto client = ServeClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok()) << client.status();
+  const auto start = std::chrono::steady_clock::now();
+  const StatusOr<HealthReport> health = client->Health();
+  const auto took = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(health.ok()) << health.status();
+  EXPECT_LT(took, std::chrono::milliseconds(100));
+  EXPECT_EQ(health->inflight, static_cast<uint32_t>(service.slots()));
+  EXPECT_EQ(health->queue_depth, 0u);
+  EXPECT_FALSE(health->draining);
+  EXPECT_EQ(health->generation, 1u);
+  for (auto& future : held) ASSERT_TRUE(future.get().status.ok());
+
+  // A draining service says so in the typed flag.
+  service.Drain();
+  const StatusOr<HealthReport> drained = client->Health();
+  ASSERT_TRUE(drained.ok()) << drained.status();
+  EXPECT_TRUE(drained->draining);
+  EXPECT_EQ(drained->inflight, 0u);
+  client->Close();
+  server.Shutdown();
+}
+
+TEST(ServeHealthTest, EmptyHostReportsDraining) {
+  ServiceHost host;
+  TcpServer server(static_cast<Frontend&>(host));
+  ASSERT_TRUE(server.Start(0).ok());
+  auto client = ServeClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok()) << client.status();
+  const StatusOr<HealthReport> health = client->Health();
+  ASSERT_TRUE(health.ok()) << health.status();
+  EXPECT_TRUE(health->draining);
+  EXPECT_EQ(health->generation, 0u);
+  EXPECT_EQ(health->queue_depth, 0u);
+  EXPECT_EQ(health->inflight, 0u);
+  client->Close();
+  server.Shutdown();
+}
+
 // -------------------------------------------------------------- Admin.
 
 /// Minimal HTTP GET against the admin listener: full response text.
@@ -1155,7 +1358,9 @@ std::string AdminGet(int port, const std::string& path) {
 }
 
 TEST(AdminServerTest, RoutesAnswerAndUnknownPathIs404) {
-  ExpansionService service(TestPipeline(), ServeConfig{});
+  ServeConfig config;
+  config.default_timeout_ms = 750;
+  ExpansionService service(TestPipeline(), config);
   AdminServer admin(service);
   ASSERT_TRUE(admin.Start(0).ok());
   ASSERT_GT(admin.port(), 0);
@@ -1176,6 +1381,8 @@ TEST(AdminServerTest, RoutesAnswerAndUnknownPathIs404) {
   EXPECT_NE(statusz.find("\"slots\":" +
                          std::to_string(ThreadPool::Global().thread_count())),
             std::string::npos)
+      << statusz;
+  EXPECT_NE(statusz.find("\"default_timeout_ms\":750"), std::string::npos)
       << statusz;
 
   const std::string slow = AdminGet(admin.port(), "/slow");

@@ -7,14 +7,18 @@
 // router from a single-process server) and fans requests out over shard
 // servers (uw_serve --shard=I/N): retexpan requests scatter-gather with a
 // bit-identical merged ranking; every other method is proxied whole to
-// the least-loaded replica. Replica choice is driven by health scrapes of
-// each shard's admin /statusz plus passive transport signals, with
-// automatic failover across replicas of a shard.
+// the least-loaded replica. Replica choice is driven by a UWF1 Health
+// poll on each shard's request port plus the outcome of every call, with
+// automatic failover across replicas of a shard. Shards need no admin
+// port to be routed.
 //
 // Topology comes from --shards or UW_ROUTER_SHARDS: comma-separated
-// "shard@host:port" or "shard@host:port/admin_port" replicas, e.g.
+// "shard@host:port" replicas, e.g.
 //
-//   UW_ROUTER_SHARDS="0@127.0.0.1:5000/5001,0@127.0.0.1:5002/5003,1@127.0.0.1:5004/5005"
+//   UW_ROUTER_SHARDS="0@127.0.0.1:5000,0@127.0.0.1:5002,1@127.0.0.1:5004"
+//
+// A "/admin_port" suffix on a replica is still accepted and ignored. A
+// malformed topology exits 2.
 //
 // Knobs: UW_ROUTER_HEALTH_MS sets the health-poll period (default 200,
 // 0 disables polling), UW_ROUTER_PORT_FILE mirrors the bound port to a
@@ -74,7 +78,7 @@ int main(int argc, char** argv) {
       argc, argv, "shards", shards_env != nullptr ? shards_env : "");
   if (topology.empty()) {
     std::fprintf(stderr,
-                 "usage: uw_router --shards=0@host:port[/admin],... "
+                 "usage: uw_router --shards=0@host:port,... "
                  "(or UW_ROUTER_SHARDS)\n");
     return 2;
   }

@@ -22,8 +22,8 @@
 // When UW_ADMIN_PORT is set, a second listener serves the live admin
 // endpoint (serve/admin.h): /metrics, /healthz, /statusz, /slow, /slowz.
 // Its bound port is reported as "admin on port N" and written to
-// UW_ADMIN_PORT_FILE when set. The router's health poller scrapes
-// /statusz, so cluster shards should always set UW_ADMIN_PORT.
+// UW_ADMIN_PORT_FILE when set. Cluster shards need no admin port: the
+// router polls the Health call on the request port.
 //
 // SIGINT/SIGTERM trigger a graceful drain: stop accepting, serve every
 // admitted request, report lifetime stats, exit 0. SIGUSR1 dumps a
