@@ -1,17 +1,23 @@
 // ANN scaling bench: builds the streamed scaled store (default 100k
 // entities; UW_ANN_BENCH_ENTITIES overrides), trains the IVF-Flat index
 // over it, and compares the exact full centroid scan against the IVF
-// first stage + exact rerank on the same seed queries. Emits
-// `ann.bench.*` gauges into the UW_BENCH_JSON snapshot: the deterministic
-// ones (entities, dim, nlist, rows scored, recall@50) are pinned by
+// first stage + exact rerank on the same seed queries, and the certified
+// int8 screen (EntityStore::PushCentroidTopK) against the float rerank of
+// every candidate. Emits `ann.bench.*` gauges into the UW_BENCH_JSON
+// snapshot: the deterministic ones (entities, dim, nlist, rows scored,
+// recall@50, int8 survivors) are pinned by
 // bench/baselines/bench_ann_scale.json; the timing ones (build_ms,
 // exact/probe QPS, speedup) are asserted inline — recall@50 >= 0.98,
-// probe QPS above exact QPS, strictly fewer rows scored — when
+// probe QPS above exact QPS, strictly fewer rows scored, the certified
+// top-50 equal to the float one for every query — when
 // UW_ANN_BENCH_ASSERT is set (the CI bench-observability job sets it).
 // Stdout is timing-free and byte-identical across thread counts.
 
 #include <chrono>
 #include <cstdio>
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <numeric>
 #include <set>
@@ -48,6 +54,18 @@ std::vector<size_t> TopIndices(const std::vector<float>& scores,
   indices.reserve(top.size());
   for (const ScoredIndex& s : top) indices.push_back(s.index);
   return indices;
+}
+
+/// True when both rankings hold the same indices with bit-identical
+/// scores (so -0.0 differs from +0.0 and NaNs compare by payload).
+bool SameBits(const std::vector<ScoredIndex>& a,
+              const std::vector<ScoredIndex>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const ScoredIndex& x, const ScoredIndex& y) {
+                      return x.index == y.index &&
+                             std::bit_cast<uint32_t>(x.score) ==
+                                 std::bit_cast<uint32_t>(y.score);
+                    });
 }
 
 /// Runs `body` until at least 0.05s of wall clock has elapsed and returns
@@ -112,6 +130,8 @@ void Run() {
   const int nprobe = index.config().nprobe;
   int64_t rows_scored_exact = 0;
   int64_t rows_scored_probe = 0;
+  int64_t int8_survivors = 0;
+  int certified_mismatches = 0;
   double recall_sum = 0.0;
   for (const std::vector<EntityId>& seeds : seed_sets) {
     const Vec centroid = store.SeedCentroidOf(seeds);
@@ -125,6 +145,18 @@ void Run() {
     const std::vector<float> probe_scores =
         store.CentroidScores(centroid, candidates);
     const std::vector<size_t> probe_top = TopIndices(probe_scores, kTopK);
+
+    // The certified screen must reproduce the float top-50 byte for byte,
+    // with each candidate's index in `candidates` as its position.
+    std::vector<size_t> positions(candidates.size());
+    std::iota(positions.begin(), positions.end(), 0);
+    TopKStream certified(kTopK);
+    int8_survivors += static_cast<int64_t>(
+        store.PushCentroidTopK(centroid, candidates, positions, certified));
+    const std::vector<ScoredIndex> certified_top =
+        certified.TakeSortedDescending();
+    const std::vector<ScoredIndex> float_top = TopK(probe_scores, kTopK);
+    if (!SameBits(certified_top, float_top)) ++certified_mismatches;
 
     std::set<EntityId> retrieved;
     for (const size_t i : probe_top) retrieved.insert(candidates[i]);
@@ -161,6 +193,7 @@ void Run() {
   obs::GetGauge("ann.bench.nlist").Set(index.nlist());
   obs::GetGauge("ann.bench.rows_scored_exact").Set(rows_scored_exact);
   obs::GetGauge("ann.bench.rows_scored_probe").Set(rows_scored_probe);
+  obs::GetGauge("ann.bench.int8_survivors").Set(int8_survivors);
   obs::GetGauge("ann.bench.recall50_x1000")
       .Set(static_cast<int64_t>(recall * 1000.0 + 0.5));
   obs::GetGauge("ann.bench.build_ms")
@@ -178,6 +211,11 @@ void Run() {
               kQueries, static_cast<long long>(rows_scored_exact),
               static_cast<long long>(rows_scored_probe));
   std::printf("recall@%zu at default nprobe: %.3f\n", kTopK, recall);
+  std::printf("int8 screen: %lld of %lld candidates rescored in float, "
+              "%d top-%zu mismatches\n",
+              static_cast<long long>(int8_survivors),
+              static_cast<long long>(rows_scored_probe),
+              certified_mismatches, kTopK);
   std::fprintf(stderr,
                "[ann_scale] exact %.1f qps, probe %.1f qps (%.1fx)\n",
                exact_qps, probe_qps, probe_qps / exact_qps);
@@ -195,6 +233,13 @@ void Run() {
                    "fewer than exact %lld\n",
                    static_cast<long long>(rows_scored_probe),
                    static_cast<long long>(rows_scored_exact));
+      ok = false;
+    }
+    if (certified_mismatches > 0) {
+      std::fprintf(stderr,
+                   "[ann_scale] ASSERT FAIL: certified top-%zu differs from "
+                   "the float top-%zu on %d of %d queries\n",
+                   kTopK, kTopK, certified_mismatches, kQueries);
       ok = false;
     }
     if (probe_qps <= exact_qps) {

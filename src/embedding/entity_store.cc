@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <limits>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -48,7 +51,8 @@ void ForEachCappedSentence(const Corpus& corpus, EntityId id, int cap,
 }
 
 /// Asks for every 64-byte cache line `row` touches, ahead of its use.
-void PrefetchRow(std::span<const float> row) {
+template <typename T>
+void PrefetchRow(std::span<const T> row) {
   constexpr uintptr_t kLine = 64;
   const uintptr_t end = reinterpret_cast<uintptr_t>(row.data() + row.size());
   for (uintptr_t line = reinterpret_cast<uintptr_t>(row.data()) & ~(kLine - 1);
@@ -175,6 +179,64 @@ void EntityStore::FinalizeFromSlots(std::vector<Vec> hidden) {
     }
     ++row;
   }
+  // The slots go before the int8 copy is allocated, so the copy never
+  // adds to the build's peak memory.
+  std::vector<Vec>().swap(hidden);
+  int8_.reset(static_cast<int8_t*>(
+      ::operator new[]((rows + 1) * dim_, std::align_val_t{64})));
+  int8_scales_.assign(rows + 1, 0.0f);
+  std::fill_n(int8_.get() + rows * dim_, dim_, int8_t{0});
+  // Rows are independent, so the bytes are the same at any UW_THREADS.
+  constexpr size_t kQuantizeBlock = 1024;
+  ThreadPool::Global().ParallelFor(
+      0, static_cast<int64_t>((rows + kQuantizeBlock - 1) / kQuantizeBlock),
+      /*grain=*/1, [&](int64_t block) {
+        const size_t begin = static_cast<size_t>(block) * kQuantizeBlock;
+        const size_t end = std::min(rows, begin + kQuantizeBlock);
+        for (size_t r = begin; r < end; ++r) QuantizeRow(r);
+      });
+}
+
+void EntityStore::QuantizeRow(size_t row) {
+  const float* unit = unit_.data() + row * dim_;
+  int8_t* bytes = int8_.get() + row * dim_;
+  float max_abs = 0.0f;
+  bool finite = true;
+  for (size_t i = 0; i < dim_; ++i) {
+    const float magnitude = std::fabs(unit[i]);
+    finite &= magnitude <= std::numeric_limits<float>::max();
+    max_abs = std::max(max_abs, magnitude);
+  }
+  if (!finite || max_abs == 0.0f) {
+    std::fill_n(bytes, dim_, int8_t{0});
+    int8_scales_[row] =
+        finite ? 0.0f : std::numeric_limits<float>::quiet_NaN();
+    return;
+  }
+  // scale = max|u_i| / 127 and byte_i = round(u_i / scale), rounded half
+  // away from zero by truncating t ± 0.5 (the clamp keeps the truncation
+  // in range): |u_i - scale · byte_i| <= scale · (1/2 + 2^-16), the error
+  // PushCentroidTopK's bound allows for.
+  int8_scales_[row] = max_abs / 127.0f;
+  const double inv = 127.0 / static_cast<double>(max_abs);
+  for (size_t i = 0; i < dim_; ++i) {
+    const double t = static_cast<double>(unit[i]) * inv;
+    bytes[i] = static_cast<int8_t>(
+        std::clamp(t + std::copysign(0.5, t), -127.0, 127.0));
+  }
+}
+
+size_t EntityStore::Int8Row(EntityId id) const {
+  return Has(id) ? static_cast<size_t>(row_of_[static_cast<size_t>(id)])
+                 : norms_.size();
+}
+
+std::span<const int8_t> EntityStore::Int8RowOf(EntityId id) const {
+  return std::span<const int8_t>(int8_.get() + Int8Row(id) * dim_, dim_);
+}
+
+float EntityStore::Int8ScaleOf(EntityId id) const {
+  return int8_scales_[Int8Row(id)];
 }
 
 std::span<const float> EntityStore::HiddenOf(EntityId id) const {
@@ -269,6 +331,124 @@ std::vector<float> EntityStore::CentroidScores(
               std::span<float>(out).subspan(begin, count));
   }
   return out;
+}
+
+size_t EntityStore::PushCentroidTopK(std::span<const float> centroid,
+                                     const std::vector<EntityId>& ids,
+                                     const std::vector<size_t>& positions,
+                                     TopKStream& top) const {
+  UW_CHECK_EQ(centroid.size(), dim_);
+  UW_CHECK_EQ(ids.size(), positions.size());
+  // The certificate. Row r holds bytes q with |q_i| <= 127 and a scale s,
+  // |u_i - s·q_i| <= s·(1/2 + 2^-16) (QuantizeRow). The centroid c is
+  // quantized here to int16 p with scale s_c = max|c_i| / P,
+  // |c_i - s_c·p_i| <= s_c·(1/2 + 2^-30). P = 32767 up to dim 516 and
+  // shrinks past it, so D = sum q_i·p_i, |D| <= 127·P·dim < 2^31, is exact
+  // in DotGatherInt8's int32. Then, with the estimate a = s·s_c·D,
+  //   |u·c - a| <= sum |u_i - s·q_i|·|c_i| + s·sum |q_i|·|c_i - s_c·p_i|
+  //             <= s·(1/2 + 2^-16)·(|c|_1 + 127·dim·s_c),
+  // widened below to s·(1/2 + 2^-10)·(|c|_1 + 127·dim·s_c), which also
+  // covers the double rounding of a, of the radius and of |c|_1. The
+  // float score is float(DotBlocked(u, c)): its double sum is off by at
+  // most dim·2^-53·|c|_1 and the float rounding by 2^-24·|u·c|, with
+  // |u·c| <= |c|_1 since |u_i| <= 1; delta = 2^-22·max(1, |c|_1) covers
+  // both. So every float score lies in [a - r, a + r], r = radius + delta.
+  //
+  // Let L be the k-th largest lower bound a - r. A candidate is dropped
+  // only when its upper bound a + r < L: the k candidates whose lower
+  // bounds reach L then all score strictly higher, so it is not in the
+  // top k whatever the position tie-break, and the survivors' float
+  // scores and order are exactly those of pushing every candidate. A NaN
+  // bound (a row with a non-finite element) never drops a candidate and
+  // never raises L. Absent ids read the zero row with scale 0: a = 0,
+  // r = delta, around their exact score 0.
+  const size_t k = top.k();
+  double max_abs = 0.0;
+  double l1 = 0.0;
+  bool finite = true;
+  for (const float c : centroid) {
+    const double magnitude = std::fabs(static_cast<double>(c));
+    finite &= magnitude <= std::numeric_limits<double>::max();
+    max_abs = std::max(max_abs, magnitude);
+    l1 += magnitude;
+  }
+  const double levels = std::min(
+      32767.0, std::floor(2147483647.0 / (127.0 * static_cast<double>(dim_))));
+  const std::vector<EntityId>* scored_ids = &ids;
+  const std::vector<size_t>* scored_positions = &positions;
+  std::vector<EntityId> kept_ids;
+  std::vector<size_t> kept_positions;
+  if (finite && levels >= 1.0 && k > 0 && ids.size() > k) {
+    static obs::Counter& int8_rows =
+        obs::GetCounter("kernel.int8_rows_scored");
+    int8_rows.Increment(static_cast<int64_t>(ids.size()));
+    const double query_scale = max_abs / levels;
+    std::vector<int16_t> query(dim_, 0);
+    if (query_scale > 0.0) {
+      for (size_t i = 0; i < dim_; ++i) {
+        query[i] = static_cast<int16_t>(std::clamp(
+            std::nearbyint(static_cast<double>(centroid[i]) / query_scale),
+            -levels, levels));
+      }
+    }
+    const double spread =
+        (0.5 + 0x1p-10) *
+        (l1 + 127.0 * static_cast<double>(dim_) * query_scale);
+    const double delta = 0x1p-22 * std::max(1.0, l1);
+    std::vector<double> low(ids.size());
+    std::vector<double> high(ids.size());
+    // Rows are scattered like CentroidScores' float rows, but each is one
+    // cache line at dim 64: prefetched kPrefetchRows ahead, scored
+    // kGatherBlock at a time.
+    constexpr size_t kGatherBlock = 64;
+    constexpr size_t kPrefetchRows = 8;
+    for (size_t i = 0; i < std::min(kPrefetchRows, ids.size()); ++i) {
+      PrefetchRow(Int8RowOf(ids[i]));
+    }
+    const int8_t* block[kGatherBlock] = {};
+    float scales[kGatherBlock] = {};
+    int32_t dots[kGatherBlock] = {};
+    for (size_t begin = 0; begin < ids.size(); begin += kGatherBlock) {
+      const size_t count = std::min(kGatherBlock, ids.size() - begin);
+      for (size_t j = 0; j < count; ++j) {
+        const size_t row = Int8Row(ids[begin + j]);
+        block[j] = int8_.get() + row * dim_;
+        scales[j] = int8_scales_[row];
+        const size_t ahead = begin + j + kPrefetchRows;
+        if (ahead < ids.size()) PrefetchRow(Int8RowOf(ids[ahead]));
+      }
+      DotGatherInt8(std::span<const int8_t* const>(block, count), query,
+                    std::span<int32_t>(dots, count));
+      for (size_t j = 0; j < count; ++j) {
+        const double scale = static_cast<double>(scales[j]);
+        const double estimate =
+            scale * query_scale * static_cast<double>(dots[j]);
+        const double radius = scale * spread + delta;
+        const double lower = estimate - radius;
+        low[begin + j] = std::isnan(lower)
+                             ? -std::numeric_limits<double>::infinity()
+                             : lower;
+        high[begin + j] = estimate + radius;
+      }
+    }
+    std::vector<double> order = low;
+    std::nth_element(order.begin(),
+                     order.begin() + static_cast<std::ptrdiff_t>(k - 1),
+                     order.end(), std::greater<double>());
+    const double bar = order[k - 1];
+    for (size_t i = 0; i < ids.size(); ++i) {
+      if (high[i] < bar) continue;
+      kept_ids.push_back(ids[i]);
+      kept_positions.push_back(positions[i]);
+    }
+    scored_ids = &kept_ids;
+    scored_positions = &kept_positions;
+  }
+  const std::vector<float> scores = CentroidScores(centroid, *scored_ids);
+  for (size_t i = 0; i < scores.size(); ++i) {
+    top.Push(scores[i], (*scored_positions)[i]);
+  }
+  return scores.size();
 }
 
 float SparseCosine(const SparseVec& a, const SparseVec& b) {

@@ -1,11 +1,15 @@
 #ifndef ULTRAWIKI_EMBEDDING_ENTITY_STORE_H_
 #define ULTRAWIKI_EMBEDDING_ENTITY_STORE_H_
 
+#include <cstdint>
+#include <memory>
+#include <new>
 #include <span>
 #include <vector>
 
 #include "corpus/corpus.h"
 #include "embedding/encoder.h"
+#include "math/topk.h"
 
 namespace ultrawiki {
 
@@ -39,11 +43,14 @@ struct EntityStoreConfig {
 /// across all sentences containing it").
 ///
 /// Storage is one contiguous row-major matrix over the present entities
-/// plus a per-entity L2-norm cache and a pre-normalized (unit-row) copy,
-/// all (re)built deterministically by Build() and Restore(): cosine
-/// similarity is a single cached-norm dot, and the batched scoring paths
-/// (SeedCentroidScores) run the blocked kernels of math/simd_kernels.h
-/// over the unit rows with no per-call norm recomputation.
+/// plus a per-entity L2-norm cache, a pre-normalized (unit-row) copy and
+/// an int8 copy of the unit rows (one byte per element plus one float
+/// scale per row, rows 64-byte aligned), all (re)built deterministically
+/// by Build() and Restore(): cosine similarity is a single cached-norm
+/// dot, the batched scoring paths (SeedCentroidScores) run the blocked
+/// kernels of math/simd_kernels.h over the unit rows with no per-call norm
+/// recomputation, and PushCentroidTopK screens candidates on the int8
+/// rows before scoring the survivors in float.
 class EntityStore {
  public:
   /// Encodes every entity in `entities` with `encoder`.
@@ -100,6 +107,28 @@ class EntityStore {
   std::vector<float> CentroidScores(std::span<const float> centroid,
                                     const std::vector<EntityId>& ids) const;
 
+  /// Pushes `(CentroidScores(centroid, ids)[i], positions[i])` for every
+  /// i into `top`, leaving it exactly as those pushes would, while scoring
+  /// in float only the candidates that can still reach the top: every
+  /// candidate is first scored on its int8 row, which bounds its float
+  /// score to an interval, and a candidate is skipped only when at least
+  /// `top.k()` others provably score strictly higher. With at most
+  /// `top.k()` candidates, or a non-finite centroid, every candidate is
+  /// scored in float. Returns the number of candidates scored in float.
+  /// Moves `kernel.int8_rows_scored` by the candidates screened and
+  /// `kernel.rows_scored` by the survivors.
+  size_t PushCentroidTopK(std::span<const float> centroid,
+                          const std::vector<EntityId>& ids,
+                          const std::vector<size_t>& positions,
+                          TopKStream& top) const;
+
+  /// The int8 copy of `id`'s unit row: UnitOf(id) ≈ Int8ScaleOf(id) ·
+  /// Int8RowOf(id), each byte in [-127, 127]. All zero with scale 0 when
+  /// the entity is absent or its row is zero; a row with a non-finite
+  /// element is all zero with a NaN scale.
+  std::span<const int8_t> Int8RowOf(EntityId id) const;
+  float Int8ScaleOf(EntityId id) const;
+
   size_t dim() const { return dim_; }
 
   /// Serialization access: number of per-EntityId slots (present or not).
@@ -116,15 +145,33 @@ class EntityStore {
   explicit EntityStore(size_t dim) : dim_(dim) {}
 
   /// Packs per-EntityId slots (empty = absent) into the contiguous
-  /// matrix, norm cache, and unit rows. Shared by Build() and Restore()
-  /// so both construction paths produce bit-identical scoring state.
+  /// matrix, norm cache, unit rows and int8 rows. Shared by Build() and
+  /// Restore() so both construction paths produce bit-identical scoring
+  /// state.
   void FinalizeFromSlots(std::vector<Vec> hidden);
+
+  /// Quantizes unit row `row` into its int8 row and scale.
+  void QuantizeRow(size_t row);
+
+  /// Row of `id` in the int8 copy; absent ids map to the trailing zero
+  /// row.
+  size_t Int8Row(EntityId id) const;
+
+  struct AlignedFree {
+    void operator()(int8_t* bytes) const {
+      ::operator delete[](bytes, std::align_val_t{64});
+    }
+  };
 
   size_t dim_;
   std::vector<int32_t> row_of_;  // indexed by EntityId; -1 => absent
   std::vector<float> data_;      // row-major raw hiddens, one row per present entity
   std::vector<float> unit_;      // row-major L2-normalized rows (zero row if norm 0)
   std::vector<float> norms_;     // per-row cached L2 norms
+  // int8 unit rows, row-major with a trailing zero row for absent ids;
+  // the allocation is 64-byte aligned, so at dim 64 each row is one line.
+  std::unique_ptr<int8_t[], AlignedFree> int8_;
+  std::vector<float> int8_scales_;  // per int8 row, trailing 0
   Vec zero_;
 };
 

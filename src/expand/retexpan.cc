@@ -70,17 +70,19 @@ std::vector<ScoredIndex> RetExpan::Recall(const Query& query, size_t size,
   TopKStream stream(size);
   std::vector<size_t> positions;
   std::vector<EntityId> ids;
-  std::vector<float> scores;
   if (use_ann) {
     // ANN recall: probe the IVF lists nearest the seed centroid, then
     // rerank their members with the *exact* centroid kernel — the very
     // DotBlocked expression the full scan uses — so every surviving
     // candidate carries its full-scan score, and the only approximation
-    // is which candidates were retrieved at all. The probe ignores the
-    // slice, so every slice retrieves the same lists and keeps only its
-    // own positions of them. Members are scored list by list in probe
-    // order, never sorted by id: the TopKStream result depends only on
-    // the multiset of pushed (score, position) pairs, and positions are
+    // is which candidates were retrieved at all. PushCentroidTopK screens
+    // the members on their int8 rows first and scores in float only those
+    // that can still make the top `size`; the kept set, scores and order
+    // are those of scoring every member. The probe ignores the slice, so
+    // every slice retrieves the same lists and keeps only its own
+    // positions of them. Members are walked list by list in probe order,
+    // never sorted by id: the TopKStream result depends only on the
+    // multiset of pushed (score, position) pairs, and positions are
     // unique, so the walk order cannot change a ranking.
     UW_SPAN("retexpan.initial_expansion_ann");
     const Vec centroid = store_->SeedCentroidOf(query.pos_seeds);
@@ -104,7 +106,7 @@ std::vector<ScoredIndex> RetExpan::Recall(const Query& query, size_t size,
         ids.push_back(id);
       }
     }
-    scores = store_->CentroidScores(centroid, ids);
+    store_->PushCentroidTopK(centroid, ids, positions, stream);
     // Candidates absent from the store score exactly 0 in the full scan
     // (zero unit row); push that same 0 so a ranking whose tail reaches
     // them is unchanged.
@@ -127,13 +129,14 @@ std::vector<ScoredIndex> RetExpan::Recall(const Query& query, size_t size,
       positions.push_back(p);
       ids.push_back(id);
     }
-    scores = store_->SeedCentroidScores(query.pos_seeds, ids);
+    const std::vector<float> scores =
+        store_->SeedCentroidScores(query.pos_seeds, ids);
+    for (size_t i = 0; i < positions.size(); ++i) {
+      stream.Push(scores[i], positions[i]);
+    }
   }
   obs::GetCounter("retexpan.candidates_scored")
       .Increment(static_cast<int64_t>(ids.size()));
-  for (size_t i = 0; i < positions.size(); ++i) {
-    stream.Push(scores[i], positions[i]);
-  }
   return stream.TakeSortedDescending();
 }
 

@@ -7,6 +7,10 @@
 
 #include "common/logging.h"
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace ultrawiki {
 namespace {
 
@@ -88,6 +92,52 @@ void GatherWidened(std::span<const float* const> rows, const double* query,
   }
 }
 
+/// Integer dots of `R` int8 rows with an int16 query of `n` elements.
+/// With SSE2, 16 elements per step: each row's bytes are sign-extended to
+/// int16 and multiplied into int32 pair sums (pmaddwd); the elements past
+/// the last full step, or all of them without SSE2, go one at a time.
+/// Integer sums are exact, so the split does not change a result.
+template <size_t R>
+void DotRowsInt8(const int8_t* const* rows, const int16_t* query, size_t n,
+                 int32_t* out) {
+  int32_t sums[R] = {};
+  size_t i = 0;
+#if defined(__SSE2__)
+  __m128i acc[R];
+  for (size_t r = 0; r < R; ++r) acc[r] = _mm_setzero_si128();
+  for (; i + 16 <= n; i += 16) {
+    const __m128i q_low =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(query + i));
+    const __m128i q_high =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(query + i + 8));
+#pragma GCC unroll 4
+    for (size_t r = 0; r < R; ++r) {
+      const __m128i x =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows[r] + i));
+      // Each byte lands in the high half of a 16-bit lane; the arithmetic
+      // shift brings it down with its sign.
+      const __m128i low = _mm_srai_epi16(_mm_unpacklo_epi8(x, x), 8);
+      const __m128i high = _mm_srai_epi16(_mm_unpackhi_epi8(x, x), 8);
+      acc[r] = _mm_add_epi32(acc[r],
+                             _mm_add_epi32(_mm_madd_epi16(low, q_low),
+                                           _mm_madd_epi16(high, q_high)));
+    }
+  }
+  for (size_t r = 0; r < R; ++r) {
+    alignas(16) int32_t lanes[4];
+    _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc[r]);
+    sums[r] = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+  }
+#endif
+  for (; i < n; ++i) {
+    for (size_t r = 0; r < R; ++r) {
+      sums[r] += static_cast<int32_t>(rows[r][i]) *
+                 static_cast<int32_t>(query[i]);
+    }
+  }
+  for (size_t r = 0; r < R; ++r) out[r] = sums[r];
+}
+
 /// Rows DotBatch gathers per pass (a stack array of row pointers).
 constexpr size_t kBatchBlock = 64;
 
@@ -140,6 +190,19 @@ void DotGather(std::span<const float* const> rows,
   // yields the same factors DotBlocked converts per product.
   const std::vector<double> widened(query.begin(), query.end());
   GatherWidened(rows, widened.data(), widened.size(), out.data());
+}
+
+void DotGatherInt8(std::span<const int8_t* const> rows,
+                   std::span<const int16_t> query, std::span<int32_t> out) {
+  UW_CHECK_EQ(rows.size(), out.size());
+  const size_t n = query.size();
+  size_t r = 0;
+  for (; r + 4 <= rows.size(); r += 4) {
+    DotRowsInt8<4>(rows.data() + r, query.data(), n, out.data() + r);
+  }
+  for (; r < rows.size(); ++r) {
+    DotRowsInt8<1>(rows.data() + r, query.data(), n, out.data() + r);
+  }
 }
 
 void DotBatch(std::span<const float> matrix, size_t dim,

@@ -2,6 +2,7 @@
 #define ULTRAWIKI_MATH_SIMD_KERNELS_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -42,6 +43,17 @@ double NormBlocked(std::span<const float> x);
 /// repeat or alias. `out.size()` must equal `rows.size()`.
 void DotGather(std::span<const float* const> rows,
                std::span<const float> query, std::span<float> out);
+
+/// Exact integer gather: `rows[r]` points at `query.size()` int8 values
+/// and `out[r] = sum_i rows[r][i] * query[i]`, computed in int32. The
+/// result is exact, so it is the same on every build and machine, as
+/// long as the caller keeps sum_i |rows[r][i] * query[i]| below 2^31
+/// (true for |row| <= 127 and |query| <= 32767 up to 516 elements).
+/// Rows are scored four per pass, 16 elements at a time, with an
+/// element-by-element tail. Rows may repeat or alias. `out.size()` must
+/// equal `rows.size()`.
+void DotGatherInt8(std::span<const int8_t* const> rows,
+                   std::span<const int16_t> query, std::span<int32_t> out);
 
 /// Scores every row of the row-major `matrix` (`out.size()` rows of
 /// `dim` floats each; `matrix.size() == out.size() * dim`) against

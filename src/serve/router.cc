@@ -140,13 +140,28 @@ ClusterRouter::ReplicaState ClusterRouter::replica_state(
   return state;
 }
 
+StatusOr<HealthReport> ClusterRouter::CallHealth(Replica& replica) {
+  if (!replica.health.connected()) {
+    StatusOr<ServeClient> client =
+        ServeClient::Connect(replica.endpoint.host, replica.endpoint.port,
+                             config_.health_timeout_ms);
+    if (!client.ok()) return client.status();
+    replica.health = std::move(*client);
+  }
+  return replica.health.Health();
+}
+
 void ClusterRouter::PollReplica(Replica& replica) {
   Metrics().health_polls.Increment();
-  StatusOr<ServeClient> client =
-      ServeClient::Connect(replica.endpoint.host, replica.endpoint.port,
-                           config_.health_timeout_ms);
-  const StatusOr<HealthReport> health =
-      client.ok() ? client->Health() : client.status();
+  std::lock_guard<std::mutex> lock(replica.health_mutex);
+  const bool reused = replica.health.connected();
+  StatusOr<HealthReport> health = CallHealth(replica);
+  // A kept connection may have gone stale (say, the replica restarted on
+  // its port); that alone does not make the replica unreachable, so a
+  // transport failure on it earns one fresh dial.
+  if (!health.ok() && reused && !replica.health.connected()) {
+    health = CallHealth(replica);
+  }
   if (!health.ok()) {
     Metrics().health_errors.Increment();
     replica.reachable.store(false, std::memory_order_relaxed);
@@ -427,6 +442,10 @@ void ClusterRouter::Drain() {
     for (const std::unique_ptr<Replica>& replica : replicas_) {
       std::lock_guard<std::mutex> lock(replica->pool_mutex);
       replica->pool.clear();  // destructors close the sockets
+    }
+    for (const std::unique_ptr<Replica>& replica : replicas_) {
+      std::lock_guard<std::mutex> lock(replica->health_mutex);
+      replica->health.Close();
     }
   });
 }

@@ -43,7 +43,8 @@ struct RouterConfig {
   /// thread; routing then runs on the poll Start() makes and on call
   /// outcomes alone.
   int health_poll_ms = 200;
-  /// Connect, send and receive timeout of a health poll.
+  /// Connect, send and receive timeout of a health poll, set on each
+  /// replica's health connection when it is dialed.
   int health_timeout_ms = 1000;
   /// RetExpan knobs mirrored on the router for the scatter-gather path.
   /// Must match the shard servers' config (both default-construct) or
@@ -113,7 +114,8 @@ class ClusterRouter : public Frontend {
   StatusOr<Query> QueryByIndex(uint32_t index) override;
   // The router is not a shard: it keeps Frontend's kUnimplemented
   // scatter plane (routers do not chain).
-  /// Stops the poller and closes pooled connections. Idempotent.
+  /// Stops the poller and closes pooled and health connections.
+  /// Idempotent.
   void Drain() override;
 
  private:
@@ -122,11 +124,19 @@ class ClusterRouter : public Frontend {
     /// Idle pooled connections (LIFO, so the hottest socket is reused).
     std::mutex pool_mutex;
     std::vector<ServeClient> pool;
+    /// The health poll's own connection, dialed with the poll timeout
+    /// and kept across polls; the mutex serializes polls of this replica.
+    std::mutex health_mutex;
+    ServeClient health;
     std::atomic<bool> reachable{true};
     std::atomic<bool> draining{false};
     std::atomic<int> load{0};
     std::atomic<uint64_t> generation{0};
   };
+
+  /// One Health call on the replica's health connection, dialing it
+  /// first when it is closed. Caller holds `replica.health_mutex`.
+  StatusOr<HealthReport> CallHealth(Replica& replica);
 
   StatusOr<ServeClient> AcquireClient(Replica& replica);
   void ReleaseClient(Replica& replica, ServeClient client);

@@ -1,5 +1,6 @@
 #include "serve/server.h"
 
+#include <type_traits>
 #include <utility>
 
 #include "common/logging.h"
@@ -83,8 +84,11 @@ StatusOr<std::string> TcpServer::Serve(const Frame& frame, Handler handler) {
   Request request;
   const Status decoded = DecodePayload(frame.payload, &request);
   if (!decoded.ok()) return decoded;
-  requests_served_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().requests.Increment();
+  // Health polls are the router's bookkeeping, not work.
+  if constexpr (!std::is_same_v<Request, WireHealthRequest>) {
+    requests_served_.fetch_add(1, std::memory_order_relaxed);
+    Metrics().requests.Increment();
+  }
   typename Request::Reply reply;
   reply.request_id = request.request_id;
   const Status status = handler(request, &reply);

@@ -59,7 +59,9 @@ class TcpServer {
   /// and the frontend has drained.
   void Shutdown();
 
-  /// Lifetime totals, readable after Shutdown.
+  /// Lifetime totals, readable after Shutdown. `requests_served` counts
+  /// the work calls (expand, shard retrieve/score, query lookup), as does
+  /// the `serve.net.requests` counter; Health polls are not counted.
   int64_t connections_accepted() const {
     return listener_.connections_accepted();
   }

@@ -1,16 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "ann/ivf_index.h"
 #include "ann/scaled_store.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "corpus/generator.h"
 #include "embedding/entity_store.h"
 #include "expand/pipeline.h"
@@ -210,12 +216,24 @@ TEST(AnnRetExpanTest, SlicedRecallMergesToTheUnslicedRecall) {
   }
 }
 
-/// The recall as it was computed before RetExpan walked the probed lists
-/// in probe order: the ascending-id Candidates() superset, filtered to the
-/// slice's non-seed candidate positions, scored with CentroidScores, plus
-/// the exact 0 of every absent candidate, top-`size` by RanksBefore.
-/// Candidates are `0..n-1` followed by ids absent from the store, so an
-/// id below n is its own position.
+/// True when both rankings hold the same indices with bit-identical
+/// scores. (ScoredIndex has padding after its float, so a memcmp of the
+/// vectors would compare indeterminate bytes.)
+bool SameBits(const std::vector<ScoredIndex>& a,
+              const std::vector<ScoredIndex>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const ScoredIndex& x, const ScoredIndex& y) {
+                      return x.index == y.index &&
+                             std::bit_cast<uint32_t>(x.score) ==
+                                 std::bit_cast<uint32_t>(y.score);
+                    });
+}
+
+/// The float recall with no int8 screen: the ascending-id Candidates()
+/// superset, filtered to the slice's non-seed candidate positions, every
+/// one scored with CentroidScores, plus the exact 0 of every absent
+/// candidate, top-`size` by TopKOfPairs. Candidates are `0..n-1` followed
+/// by ids absent from the store, so an id below n is its own position.
 std::vector<ScoredIndex> ReferenceRecall(
     const EntityStore& store, const IvfIndex& index,
     const std::vector<EntityId>& candidates, const Query& query, size_t size,
@@ -232,14 +250,14 @@ std::vector<ScoredIndex> ReferenceRecall(
     if (keep(static_cast<size_t>(id))) ids.push_back(id);
   }
   const std::vector<float> scores = store.CentroidScores(centroid, ids);
-  TopKStream stream(size);
+  std::vector<ScoredIndex> pairs;
   for (size_t i = 0; i < ids.size(); ++i) {
-    stream.Push(scores[i], static_cast<size_t>(ids[i]));
+    pairs.push_back({scores[i], static_cast<size_t>(ids[i])});
   }
   for (size_t pos = 0; pos < candidates.size(); ++pos) {
-    if (!store.Has(candidates[pos]) && keep(pos)) stream.Push(0.0f, pos);
+    if (!store.Has(candidates[pos]) && keep(pos)) pairs.push_back({0.0f, pos});
   }
-  return stream.TakeSortedDescending();
+  return TopKOfPairs(std::move(pairs), size);
 }
 
 /// Expand as it was computed before the rerank reused the recall's
@@ -307,11 +325,12 @@ TEST(AnnRetExpanTest, ProbeOrderRecallMatchesSortedCandidateReference) {
     ann.SetAnnIndex(&index);
     for (size_t q = 0; q < queries.size(); ++q) {
       const Query& query = queries[q];
-      for (const ShardSpec slice : {ShardSpec{0, 1}, ShardSpec{1, 3}}) {
+      for (const ShardSpec slice : {ShardSpec{0, 1}, ShardSpec{0, 3},
+                                    ShardSpec{1, 3}, ShardSpec{2, 3}}) {
         for (const size_t size : {10u, 200u}) {
-          EXPECT_EQ(ann.Recall(query, size, slice),
-                    ReferenceRecall(store, index, candidates, query, size,
-                                    nprobe, slice))
+          EXPECT_TRUE(SameBits(ann.Recall(query, size, slice),
+                               ReferenceRecall(store, index, candidates,
+                                               query, size, nprobe, slice)))
               << "query " << q << " nprobe " << nprobe << " slice "
               << slice.index << "/" << slice.count << " size " << size;
         }
@@ -459,6 +478,277 @@ TEST(AnnRetExpanTest, SmallVocabularyFallsBackToExactScan) {
   ann.SetAnnIndex(&index);
   const Query query = SameClassQuery();
   EXPECT_EQ(ann.Expand(query, 40), exact.Expand(query, 40));
+}
+
+// ------------------------------------------------ Certified int8 screen.
+
+/// PushCentroidTopK's top-`size`; `survivors` gets the number of
+/// candidates it scored in float.
+std::vector<ScoredIndex> CertifiedTop(const EntityStore& store,
+                                      std::span<const float> centroid,
+                                      const std::vector<EntityId>& ids,
+                                      const std::vector<size_t>& positions,
+                                      size_t size,
+                                      size_t* survivors = nullptr) {
+  TopKStream top(size);
+  const size_t kept = store.PushCentroidTopK(centroid, ids, positions, top);
+  if (survivors != nullptr) *survivors = kept;
+  return top.TakeSortedDescending();
+}
+
+/// Every candidate scored in float, top-`size` by TopKOfPairs.
+std::vector<ScoredIndex> FloatTop(const EntityStore& store,
+                                  std::span<const float> centroid,
+                                  const std::vector<EntityId>& ids,
+                                  const std::vector<size_t>& positions,
+                                  size_t size) {
+  const std::vector<float> scores = store.CentroidScores(centroid, ids);
+  std::vector<ScoredIndex> pairs;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    pairs.push_back({scores[i], positions[i]});
+  }
+  return TopKOfPairs(std::move(pairs), size);
+}
+
+Vec RandomRow(Rng& rng, size_t dim) {
+  Vec row(dim);
+  for (float& v : row) v = rng.UniformFloat(-1.0f, 1.0f);
+  return row;
+}
+
+/// Ids 0..n-1 in shuffled order, at shuffled positions.
+void ShuffledCandidates(Rng& rng, size_t n, std::vector<EntityId>* ids,
+                        std::vector<size_t>* positions) {
+  ids->resize(n);
+  std::iota(ids->begin(), ids->end(), 0);
+  rng.Shuffle(*ids);
+  positions->resize(n);
+  std::iota(positions->begin(), positions->end(), 0);
+  rng.Shuffle(*positions);
+}
+
+TEST(CertifiedTopKTest, DuplicateRowsAreTiedByPosition) {
+  // 40 distinct rows stored 6 times each: every score is a 6-way exact
+  // tie, so every cut of the top list splits tied candidates by position.
+  constexpr size_t kDim = 64;
+  Rng rng(11);
+  std::vector<Vec> distinct;
+  for (int r = 0; r < 40; ++r) distinct.push_back(RandomRow(rng, kDim));
+  std::vector<Vec> slots;
+  for (int copy = 0; copy < 6; ++copy) {
+    slots.insert(slots.end(), distinct.begin(), distinct.end());
+  }
+  const EntityStore store = EntityStore::Restore(kDim, slots);
+  std::vector<EntityId> ids;
+  std::vector<size_t> positions;
+  ShuffledCandidates(rng, slots.size(), &ids, &positions);
+  const std::vector<Vec> centroids = {Vec(store.UnitOf(3).begin(),
+                                          store.UnitOf(3).end()),
+                                      store.SeedCentroidOf({1, 2, 43}),
+                                      RandomRow(rng, kDim)};
+  size_t dropped = 0;
+  for (const Vec& centroid : centroids) {
+    for (const size_t size : {1u, 5u, 6u, 7u, 18u, 100u, 239u}) {
+      size_t survivors = 0;
+      EXPECT_TRUE(SameBits(
+          CertifiedTop(store, centroid, ids, positions, size, &survivors),
+          FloatTop(store, centroid, ids, positions, size)))
+          << "size " << size;
+      dropped += ids.size() - survivors;
+    }
+  }
+  EXPECT_GT(dropped, 0u) << "the screen must drop candidates here";
+}
+
+TEST(CertifiedTopKTest, RowsOneQuantizationStepApartStraddleTheCut) {
+  // A base row and its copies moved in one coordinate by multiples of
+  // half an int8 step, so neighbours quantize alike or one step apart
+  // while their float scores differ; far rows score well below them. The
+  // cut lands inside the near rows for every size below.
+  constexpr size_t kDim = 64;
+  Rng rng(13);
+  Vec base = RandomRow(rng, kDim);
+  base[0] = 1.0f;  // the largest element, so the moved one never is
+  const float step = (1.0f / static_cast<float>(NormBlocked(base))) / 127.0f;
+  std::vector<Vec> slots;
+  for (int t = -40; t <= 40; ++t) {
+    Vec row = base;
+    row[5] += 0.5f * static_cast<float>(t) * step;
+    slots.push_back(row);
+    if (t % 7 == 0) slots.push_back(row);  // exact ties among them
+  }
+  const size_t near = slots.size();
+  for (int r = 0; r < 600; ++r) slots.push_back(RandomRow(rng, kDim));
+  const EntityStore store = EntityStore::Restore(kDim, slots);
+  std::vector<EntityId> ids;
+  std::vector<size_t> positions;
+  ShuffledCandidates(rng, slots.size(), &ids, &positions);
+  Vec centroid(store.UnitOf(0).begin(), store.UnitOf(0).end());
+  centroid[5] += 0.25f;  // make the moved coordinate count
+  for (const size_t size : {size_t{1}, size_t{20}, near / 2, near - 1, near}) {
+    size_t survivors = 0;
+    EXPECT_TRUE(SameBits(
+        CertifiedTop(store, centroid, ids, positions, size, &survivors),
+        FloatTop(store, centroid, ids, positions, size)))
+        << "size " << size;
+    EXPECT_LT(survivors, ids.size()) << "size " << size;
+  }
+}
+
+TEST(CertifiedTopKTest, RowsThatMeetTheBoundKeepTheirPlace) {
+  // Each row's first element is its largest, 127 times the quantization
+  // step, and the centroid ignores it, so every other element rounds by
+  // the same 0.499 of a step in the centroid's direction: down in "under"
+  // rows, up in "over" rows. Their int8 estimates then sit almost a full
+  // radius below or above their float scores. Over rows start one step
+  // higher per element, so the two families' float scores interleave, and
+  // at some cut an under row ranks in while over rows whose estimates
+  // beat it rank out: a radius a few percent short of the bound drops a
+  // true member at some size.
+  constexpr size_t kDim = 64;
+  Rng rng(23);
+  std::vector<Vec> slots;
+  for (int r = 0; r < 240; ++r) {
+    const bool under = r % 2 == 0;
+    Vec row(kDim, 127.0f);
+    for (size_t i = 1; i < kDim; ++i) {
+      row[i] = under ? static_cast<float>(rng.UniformInt(5, 15)) + 0.499f
+                     : static_cast<float>(rng.UniformInt(6, 16)) - 0.499f;
+    }
+    slots.push_back(row);
+  }
+  const EntityStore store = EntityStore::Restore(kDim, slots);
+  Vec centroid(kDim, 1.0f);
+  centroid[0] = 0.0f;
+  std::vector<EntityId> ids;
+  std::vector<size_t> positions;
+  ShuffledCandidates(rng, slots.size(), &ids, &positions);
+  for (size_t size = 1; size < ids.size(); ++size) {
+    ASSERT_TRUE(SameBits(CertifiedTop(store, centroid, ids, positions, size),
+                         FloatTop(store, centroid, ids, positions, size)))
+        << "size " << size;
+  }
+}
+
+TEST(CertifiedTopKTest, ZeroRowsAndAbsentIdsKeepTheirExactZero) {
+  // Every third slot is empty (absent), every fifth a zero row, and ids
+  // past the slots are absent too: all of them score exactly 0, amid
+  // rows of both signs, so the cut can fall inside the zero tie.
+  constexpr size_t kDim = 16;
+  Rng rng(17);
+  std::vector<Vec> slots(300);
+  for (size_t i = 0; i < slots.size(); ++i) {
+    if (i % 3 == 0) continue;
+    slots[i] = i % 5 == 0 ? Vec(kDim, 0.0f) : RandomRow(rng, kDim);
+  }
+  const EntityStore store = EntityStore::Restore(kDim, slots);
+  std::vector<EntityId> ids;
+  std::vector<size_t> positions;
+  ShuffledCandidates(rng, slots.size() + 10, &ids, &positions);
+  const Vec centroid = RandomRow(rng, kDim);
+  const std::vector<float> scores = store.CentroidScores(centroid, ids);
+  const size_t positive = static_cast<size_t>(std::count_if(
+      scores.begin(), scores.end(), [](float v) { return v > 0.0f; }));
+  for (const size_t size : {positive - 1, positive, positive + 1,
+                            positive + 30, ids.size() - 1}) {
+    EXPECT_TRUE(SameBits(CertifiedTop(store, centroid, ids, positions, size),
+                         FloatTop(store, centroid, ids, positions, size)))
+        << "size " << size;
+  }
+}
+
+TEST(CertifiedTopKTest, ScoresEverythingInFloatWhenItCannotScreen) {
+  constexpr size_t kDim = 24;
+  Rng rng(19);
+  std::vector<Vec> slots;
+  for (int r = 0; r < 50; ++r) slots.push_back(RandomRow(rng, kDim));
+  slots[7][3] = std::numeric_limits<float>::infinity();  // a NaN unit row
+  const EntityStore store = EntityStore::Restore(kDim, slots);
+  EXPECT_TRUE(std::isnan(store.Int8ScaleOf(7)));
+  std::vector<EntityId> ids;
+  std::vector<size_t> positions;
+  ShuffledCandidates(rng, slots.size(), &ids, &positions);
+  obs::Counter& int8_rows = obs::GetCounter("kernel.int8_rows_scored");
+
+  // The NaN row's bounds are NaN: the screen still drops other rows, and
+  // the NaN row cannot displace a real score (it ranks last).
+  const Vec centroid = RandomRow(rng, kDim);
+  size_t survivors = 0;
+  for (const size_t size : {5u, 49u}) {
+    EXPECT_TRUE(SameBits(
+        CertifiedTop(store, centroid, ids, positions, size, &survivors),
+        FloatTop(store, centroid, ids, positions, size)))
+        << "size " << size;
+  }
+  CertifiedTop(store, centroid, ids, positions, 5, &survivors);
+  EXPECT_LT(survivors, ids.size());
+
+  // No more candidates than the list holds, or a non-finite centroid:
+  // no screen, every candidate in float.
+  Vec bad = centroid;
+  bad[2] = std::numeric_limits<float>::quiet_NaN();
+  const int64_t before = int8_rows.Value();
+  for (const auto& [query, size] :
+       std::vector<std::pair<Vec, size_t>>{{centroid, 50},
+                                           {centroid, 80},
+                                           {bad, 5}}) {
+    EXPECT_TRUE(SameBits(
+        CertifiedTop(store, query, ids, positions, size, &survivors),
+        FloatTop(store, query, ids, positions, size)))
+        << "size " << size;
+    EXPECT_EQ(survivors, ids.size());
+  }
+  EXPECT_EQ(int8_rows.Value(), before);
+}
+
+TEST(CertifiedTopKTest, ScreenMovesTheInt8AndFloatRowCounters) {
+  const EntityStore store = MakeScaledStore(4000);
+  std::vector<EntityId> ids(4000);
+  std::iota(ids.begin(), ids.end(), 0);
+  std::vector<size_t> positions(ids.begin(), ids.end());
+  const Vec centroid = store.SeedCentroidOf(SameClassQuery().pos_seeds);
+  obs::Counter& int8_rows = obs::GetCounter("kernel.int8_rows_scored");
+  obs::Counter& float_rows = obs::GetCounter("kernel.rows_scored");
+  const int64_t int8_before = int8_rows.Value();
+  const int64_t float_before = float_rows.Value();
+  size_t survivors = 0;
+  EXPECT_TRUE(SameBits(
+      CertifiedTop(store, centroid, ids, positions, 50, &survivors),
+      FloatTop(store, centroid, ids, positions, 50)));
+  EXPECT_EQ(int8_rows.Value() - int8_before, 4000);
+  // FloatTop scored all 4000 in float; the screen only its survivors.
+  EXPECT_EQ(float_rows.Value() - float_before,
+            static_cast<int64_t>(survivors) + 4000);
+  EXPECT_GE(survivors, 50u);
+  EXPECT_LT(survivors, 400u);
+}
+
+TEST(CertifiedTopKTest, Int8RowsBoundTheUnitRowsAtAnyThreadCount) {
+  // 5000 rows span several quantization blocks.
+  ASSERT_TRUE(ThreadPool::SetGlobalThreadCount(1).ok());
+  const EntityStore serial = MakeScaledStore(5000);
+  ASSERT_TRUE(ThreadPool::SetGlobalThreadCount(8).ok());
+  const EntityStore parallel = MakeScaledStore(5000);
+  ASSERT_TRUE(ThreadPool::SetGlobalThreadCount(0).ok());
+  for (EntityId id = 0; id < 5001; ++id) {
+    const std::span<const int8_t> bytes = serial.Int8RowOf(id);
+    const std::span<const int8_t> other = parallel.Int8RowOf(id);
+    ASSERT_TRUE(std::equal(bytes.begin(), bytes.end(), other.begin(),
+                           other.end()))
+        << "id " << id;
+    const float scale = serial.Int8ScaleOf(id);
+    ASSERT_EQ(std::bit_cast<uint32_t>(scale),
+              std::bit_cast<uint32_t>(parallel.Int8ScaleOf(id)));
+    // The error QuantizeRow promises and the certificate relies on.
+    const std::span<const float> unit = serial.UnitOf(id);
+    for (size_t i = 0; i < unit.size(); ++i) {
+      ASSERT_LE(std::abs(bytes[i]), 127);
+      EXPECT_LE(std::fabs(static_cast<double>(unit[i]) -
+                          static_cast<double>(scale) * bytes[i]),
+                static_cast<double>(scale) * (0.5 + 0x1p-16))
+          << "id " << id << " element " << i;
+    }
+  }
 }
 
 // ----------------------------------------------------------- Snapshots.

@@ -680,6 +680,52 @@ TEST(ClusterHealthTest, PollerReportsGenerationsAndSeesAStoppedReplica) {
   swapped.Shutdown();
 }
 
+TEST(ClusterHealthTest, PollsReuseOneConnectionAndServeNoRequests) {
+  std::vector<std::unique_ptr<ShardProcess>> replicas;
+  replicas.push_back(ShardProcess::Start({0, 1}));
+  TcpServer& server = *replicas[0]->server;
+  const int64_t accepted = server.connections_accepted();
+  const int64_t served = server.requests_served();
+  const int64_t net_requests = obs::GetCounter("serve.net.requests").Value();
+  ClusterRouter router(TopologyOf(replicas, /*shard_count=*/1));
+  ASSERT_TRUE(router.Start().ok());
+  for (int i = 0; i < 5; ++i) router.PollHealthNow();
+  EXPECT_TRUE(router.replica_state(0).reachable);
+  EXPECT_EQ(router.replica_state(0).generation, 1u);
+  EXPECT_LE(server.connections_accepted(), accepted + 1);
+  EXPECT_EQ(server.requests_served(), served);
+  EXPECT_EQ(obs::GetCounter("serve.net.requests").Value(), net_requests);
+
+  router.Drain();
+  server.Shutdown();
+}
+
+TEST(ClusterHealthTest, PollRedialsAReplicaRestartedOnItsPort) {
+  std::vector<std::unique_ptr<ShardProcess>> replicas;
+  replicas.push_back(ShardProcess::Start({0, 1}));
+  const int port = replicas[0]->server->port();
+  ClusterRouter router(TopologyOf(replicas, /*shard_count=*/1));
+  ASSERT_TRUE(router.Start().ok());
+  ASSERT_TRUE(router.replica_state(0).reachable);
+
+  // The replica goes away and comes back on the same port: the kept
+  // health connection is stale, but the replica is up, and one poll says
+  // so over a fresh connection.
+  replicas[0]->server->Shutdown();
+  std::unique_ptr<ShardProcess> restarted = std::make_unique<ShardProcess>();
+  restarted->service =
+      std::make_unique<ExpansionService>(TestPipeline(), ServeConfig{});
+  ASSERT_TRUE(restarted->service->EnableSharding({0, 1}).ok());
+  restarted->server = std::make_unique<TcpServer>(*restarted->service);
+  ASSERT_TRUE(restarted->server->Start(port).ok());
+  router.PollHealthNow();
+  EXPECT_TRUE(router.replica_state(0).reachable);
+  EXPECT_EQ(restarted->server->connections_accepted(), 1);
+
+  router.Drain();
+  restarted->server->Shutdown();
+}
+
 // ------------------------------------------------- ServiceHost hot swap.
 
 TEST(ServiceHostTest, EmptyHostAnswersUnavailable) {

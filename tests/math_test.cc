@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <limits>
@@ -586,6 +588,44 @@ TEST(SimdKernelsTest, DotGatherTakesRepeatedAndAliasedRows) {
     std::vector<float> gathered(pointers.size());
     DotGather(pointers, query, gathered);
     EXPECT_TRUE(SameBytes(gathered, want)) << "dim " << dim;
+  }
+}
+
+TEST(SimdKernelsTest, DotGatherInt8MatchesScalarIntegerReference) {
+  Rng rng(47);
+  for (const size_t dim : {1u, 15u, 16u, 17u, 64u, 100u}) {
+    for (const size_t rows : {1u, 3u, 4u, 6u, 9u}) {
+      // Rows one byte apart inside one buffer, so some start off any
+      // alignment, and the extremes -128/127 and -32768/32767 appear.
+      std::vector<int8_t> buffer(rows + dim);
+      for (int8_t& v : buffer) {
+        v = static_cast<int8_t>(static_cast<int>(rng.UniformUint64(256)) -
+                                128);
+      }
+      buffer[0] = -128;
+      buffer[buffer.size() - 1] = 127;
+      std::vector<int16_t> query(dim);
+      for (int16_t& v : query) {
+        v = static_cast<int16_t>(
+            static_cast<int>(rng.UniformUint64(65536)) - 32768);
+      }
+      query[0] = -32768;
+      query[dim - 1] = 32767;
+      std::vector<const int8_t*> pointers;
+      std::vector<int32_t> want;
+      for (size_t r = 0; r < rows; ++r) {
+        pointers.push_back(buffer.data() + r);
+        int64_t sum = 0;
+        for (size_t i = 0; i < dim; ++i) {
+          sum += int64_t{pointers.back()[i]} * int64_t{query[i]};
+        }
+        ASSERT_LE(std::llabs(sum), int64_t{2147483647});
+        want.push_back(static_cast<int32_t>(sum));
+      }
+      std::vector<int32_t> got(rows, 0);
+      DotGatherInt8(pointers, query, got);
+      EXPECT_EQ(got, want) << "dim " << dim << " rows " << rows;
+    }
   }
 }
 

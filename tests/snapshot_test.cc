@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -269,6 +271,13 @@ TEST_F(SnapshotTest, EntityStoreRoundTrip) {
     ASSERT_EQ(got.size(), want.size());
     EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()));
     EXPECT_EQ(loaded->NormOf(id), store.NormOf(id));
+    // The int8 copy is rebuilt on load, not stored: same bytes and scale.
+    const auto want_int8 = store.Int8RowOf(id);
+    const auto got_int8 = loaded->Int8RowOf(id);
+    EXPECT_TRUE(std::equal(got_int8.begin(), got_int8.end(),
+                           want_int8.begin(), want_int8.end()));
+    EXPECT_EQ(std::bit_cast<uint32_t>(loaded->Int8ScaleOf(id)),
+              std::bit_cast<uint32_t>(store.Int8ScaleOf(id)));
   }
   // A restored store must score bit-identically to the freshly built one:
   // the norm cache and unit rows are rebuilt with the same deterministic
