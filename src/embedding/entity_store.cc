@@ -431,11 +431,10 @@ size_t EntityStore::PushCentroidTopK(std::span<const float> centroid,
         high[begin + j] = estimate + radius;
       }
     }
-    std::vector<double> order = low;
-    std::nth_element(order.begin(),
-                     order.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                     order.end(), std::greater<double>());
-    const double bar = order[k - 1];
+    std::nth_element(low.begin(),
+                     low.begin() + static_cast<std::ptrdiff_t>(k - 1),
+                     low.end(), std::greater<double>());
+    const double bar = low[k - 1];
     for (size_t i = 0; i < ids.size(); ++i) {
       if (high[i] < bar) continue;
       kept_ids.push_back(ids[i]);

@@ -20,16 +20,6 @@ RetExpan::RetExpan(const EntityStore* store,
   UW_CHECK_NE(candidates, nullptr);
 }
 
-double RetExpan::SeedSimilarity(const std::vector<EntityId>& seeds,
-                                EntityId candidate) const {
-  if (seeds.empty()) return 0.0;
-  double sum = 0.0;
-  for (EntityId seed : seeds) {
-    sum += static_cast<double>(store_->Similarity(candidate, seed));
-  }
-  return sum / static_cast<double>(seeds.size());
-}
-
 void RetExpan::SetAnnIndex(const IvfIndex* ann) {
   ann_ = ann;
   position_of_.clear();
@@ -53,46 +43,46 @@ std::vector<ScoredIndex> RetExpan::Recall(const Query& query, size_t size,
                                           const ShardSpec& slice) const {
   UW_CHECK(slice.valid()) << "bad slice " << slice.index << "/"
                           << slice.count;
+  UW_SPAN("retexpan.recall");
   const size_t first = static_cast<size_t>(slice.index);
   const size_t stride = static_cast<size_t>(slice.count);
   const std::vector<EntityId> seeds = SortedSeedsOf(query);
+  const Vec centroid = store_->SeedCentroidOf(query.pos_seeds);
   const auto is_seed = [&seeds](EntityId id) {
     return std::binary_search(seeds.begin(), seeds.end(), id);
   };
   const auto in_slice = [first, stride](size_t pos) {
     return stride == 1 || pos % stride == first;
   };
+  // Gather the slice's non-seed (id, position) pairs, then push them all
+  // through PushCentroidTopK: the int8 screen, then the exact float score
+  // (CentroidScores) of every candidate that can still make the top
+  // `size`. Candidates absent from the store read the screen's zero row
+  // and score exactly 0.
+  std::vector<size_t> positions;
+  std::vector<EntityId> ids;
   const bool use_ann =
       ann_ != nullptr && candidates_->size() >= config_.ann_min_candidates;
   if (ann_ != nullptr && !use_ann) {
     obs::GetCounter("ann.fallback_exact").Increment();
   }
-  TopKStream stream(size);
-  std::vector<size_t> positions;
-  std::vector<EntityId> ids;
   if (use_ann) {
-    // ANN recall: probe the IVF lists nearest the seed centroid, then
-    // rerank their members with the *exact* centroid kernel — the very
-    // DotBlocked expression the full scan uses — so every surviving
-    // candidate carries its full-scan score, and the only approximation
-    // is which candidates were retrieved at all. PushCentroidTopK screens
-    // the members on their int8 rows first and scores in float only those
-    // that can still make the top `size`; the kept set, scores and order
-    // are those of scoring every member. The probe ignores the slice, so
-    // every slice retrieves the same lists and keeps only its own
+    // ANN recall: the members of the IVF lists nearest the seed centroid,
+    // plus the absent candidates, which no list holds. They are scored
+    // exactly as the full scan scores them, so the only approximation is
+    // which candidates were retrieved at all. The probe ignores the slice,
+    // so every slice retrieves the same lists and keeps only its own
     // positions of them. Members are walked list by list in probe order,
     // never sorted by id: the TopKStream result depends only on the
     // multiset of pushed (score, position) pairs, and positions are
     // unique, so the walk order cannot change a ranking.
-    UW_SPAN("retexpan.initial_expansion_ann");
-    const Vec centroid = store_->SeedCentroidOf(query.pos_seeds);
     const int nprobe =
         config_.ann_nprobe > 0 ? config_.ann_nprobe : ann_->config().nprobe;
     // Seeds get filtered out below, so ask the first stage for enough
     // candidates that the rerank depth never starves.
     const std::vector<size_t> probed =
         ann_->ProbeLists(centroid, nprobe, size + seeds.size());
-    size_t members = 0;
+    size_t members = absent_positions_.size();
     for (const size_t list : probed) members += ann_->lists()[list].size();
     positions.reserve(members);
     ids.reserve(members);
@@ -106,21 +96,13 @@ std::vector<ScoredIndex> RetExpan::Recall(const Query& query, size_t size,
         ids.push_back(id);
       }
     }
-    store_->PushCentroidTopK(centroid, ids, positions, stream);
-    // Candidates absent from the store score exactly 0 in the full scan
-    // (zero unit row); push that same 0 so a ranking whose tail reaches
-    // them is unchanged.
     for (const size_t pos : absent_positions_) {
-      if (!in_slice(pos) || is_seed((*candidates_)[pos])) continue;
-      stream.Push(0.0f, pos);
+      const EntityId id = (*candidates_)[pos];
+      if (!in_slice(pos) || is_seed(id)) continue;
+      positions.push_back(pos);
+      ids.push_back(id);
     }
   } else {
-    // Batched recall: one centroid fold plus one blocked dot per candidate
-    // (EntityStore::SeedCentroidScores) instead of |seeds| per-pair cosines
-    // with recomputed norms, streamed into a bounded top-k heap instead of
-    // materialize-then-partial-sort. Candidate positions keep the original
-    // index tie-break.
-    UW_SPAN("retexpan.initial_expansion");
     positions.reserve(candidates_->size() / stride + 1);
     ids.reserve(positions.capacity());
     for (size_t p = first; p < candidates_->size(); p += stride) {
@@ -129,12 +111,9 @@ std::vector<ScoredIndex> RetExpan::Recall(const Query& query, size_t size,
       positions.push_back(p);
       ids.push_back(id);
     }
-    const std::vector<float> scores =
-        store_->SeedCentroidScores(query.pos_seeds, ids);
-    for (size_t i = 0; i < positions.size(); ++i) {
-      stream.Push(scores[i], positions[i]);
-    }
   }
+  TopKStream stream(size);
+  store_->PushCentroidTopK(centroid, ids, positions, stream);
   obs::GetCounter("retexpan.candidates_scored")
       .Increment(static_cast<int64_t>(ids.size()));
   return stream.TakeSortedDescending();
@@ -168,11 +147,9 @@ std::vector<EntityId> RetExpan::Expand(const Query& query, size_t k) {
   if (config_.use_negative_rerank && !query.neg_seeds.empty()) {
     UW_SPAN("retexpan.rerank");
     obs::GetCounter("retexpan.reranked_lists").Increment();
-    // The positive side reuses the recall's scores: both are
-    // CentroidScores over SeedCentroidOf(pos_seeds) with the same kernel,
-    // so a present entity gets the same float, and an absent entity (or
-    // any entity under an empty positive seed set) gets +0.0f on both
-    // paths. Only the negative side needs a fresh centroid pass.
+    // The positive side reuses the recall's scores, each recalled
+    // entity's CentroidScores float over SeedCentroidOf(pos_seeds). Only
+    // the negative side needs a fresh centroid pass.
     list = NegativeSeedRerank(
         list, pos_scores, store_->SeedCentroidScores(query.neg_seeds, list),
         config_.rerank_segment_length);

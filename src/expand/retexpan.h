@@ -62,12 +62,6 @@ class RetExpan : public Expander {
   std::vector<EntityId> Expand(const Query& query, size_t k) override;
   std::string name() const override { return name_; }
 
-  /// Mean cosine similarity of `candidate` to `seeds` (paper Eq. 4).
-  /// Per-pair scalar path, kept as the reference the batched
-  /// EntityStore::SeedCentroidScores ranking is validated against.
-  double SeedSimilarity(const std::vector<EntityId>& seeds,
-                        EntityId candidate) const;
-
   /// The recall stage only: top-`size` candidates by positive-seed
   /// similarity, seeds excluded (exposed for the contrastive-data miner
   /// and the framework-interaction experiments). The {0, 1} slice of
@@ -78,19 +72,22 @@ class RetExpan : public Expander {
   /// The recall stage over one slice of the candidate positions: the
   /// top-`size` (centroid score, global candidate position) pairs over
   /// positions p with p % slice.count == slice.index, seeds excluded,
-  /// best first by RanksBefore. Exact scan, or — with an index attached —
-  /// IVF probe plus exact rerank. Every slice probes the same IVF lists,
-  /// so pushing all slices' results through one TopKStream(size)
-  /// reproduces the unsliced recall bit for bit at any nprobe.
+  /// best first by RanksBefore. The scored candidates are every one of
+  /// the slice's positions, or — with an index attached — the members of
+  /// the probed IVF lists plus the candidates absent from the store; each
+  /// is scored exactly by one EntityStore::PushCentroidTopK call (int8
+  /// screen, then the float score of the survivors). Every slice probes
+  /// the same IVF lists, so pushing all slices' results through one
+  /// TopKStream(size) reproduces the unsliced recall bit for bit at any
+  /// nprobe.
   std::vector<ScoredIndex> Recall(const Query& query, size_t size,
                                   const ShardSpec& slice = {}) const;
 
   /// Attaches an ANN first stage (nullptr detaches). `ann` must be built
   /// over the same EntityStore this expander ranks with and must outlive
   /// the expander. When attached — and the candidate vocabulary clears
-  /// `config.ann_min_candidates` — InitialExpansion retrieves an IVF
-  /// candidate superset and reranks it with the exact centroid kernel;
-  /// candidates absent from the store keep their exact score of 0, so at
+  /// `config.ann_min_candidates` — Recall scores only the probed lists'
+  /// members and the absent candidates instead of every candidate, so at
   /// nprobe == nlist the ranking is bit-identical to the full scan.
   void SetAnnIndex(const IvfIndex* ann);
 
@@ -106,9 +103,9 @@ class RetExpan : public Expander {
   /// built by SetAnnIndex so the ANN path keeps the full scan's
   /// position-based tie-break. Indexed by id.
   std::vector<int64_t> position_of_;
-  /// Candidate positions whose entity is absent from the store. The full
-  /// scan scores them exactly 0; the ANN path pushes that same 0 so the
-  /// tail of a ranking that reaches zero-scored entities stays identical.
+  /// Candidate positions whose entity is absent from the store. No IVF
+  /// list holds them, so the ANN path adds them to every probe and they
+  /// score 0 there as in the full scan.
   std::vector<size_t> absent_positions_;
 };
 

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -317,29 +318,67 @@ TEST(AnnRetExpanTest, ProbeOrderRecallMatchesSortedCandidateReference) {
     query.neg_seeds = ClassSeeds(rng, kPresent,
                                  static_cast<int>(rng.UniformUint64(4)));
   }
+  // The IVF recall at four nprobe values, then two exact scans: one with
+  // no index, one whose 4001 candidates fall short of the default
+  // ann_min_candidates. An exact scan is the probe at nprobe == nlist.
+  struct Case {
+    std::unique_ptr<RetExpan> expander;
+    int nprobe;
+  };
+  std::vector<Case> cases;
   for (const int nprobe : {1, 4, index.config().nprobe, index.nlist()}) {
     RetExpanConfig config;
     config.ann_min_candidates = 0;
     config.ann_nprobe = nprobe;
-    RetExpan ann(&store, &candidates, config);
-    ann.SetAnnIndex(&index);
+    cases.push_back(
+        {std::make_unique<RetExpan>(&store, &candidates, config), nprobe});
+    cases.back().expander->SetAnnIndex(&index);
+  }
+  cases.push_back({std::make_unique<RetExpan>(&store, &candidates),
+                   index.nlist()});
+  RetExpan& unindexed = *cases.back().expander;
+  cases.push_back({std::make_unique<RetExpan>(&store, &candidates),
+                   index.nlist()});
+  RetExpan& fallback = *cases.back().expander;
+  fallback.SetAnnIndex(&index);
+  ASSERT_LT(candidates.size(), fallback.config().ann_min_candidates);
+
+  for (size_t c = 0; c < cases.size(); ++c) {
+    RetExpan& expander = *cases[c].expander;
+    const int nprobe = cases[c].nprobe;
     for (size_t q = 0; q < queries.size(); ++q) {
       const Query& query = queries[q];
       for (const ShardSpec slice : {ShardSpec{0, 1}, ShardSpec{0, 3},
                                     ShardSpec{1, 3}, ShardSpec{2, 3}}) {
         for (const size_t size : {10u, 200u}) {
-          EXPECT_TRUE(SameBits(ann.Recall(query, size, slice),
+          EXPECT_TRUE(SameBits(expander.Recall(query, size, slice),
                                ReferenceRecall(store, index, candidates,
                                                query, size, nprobe, slice)))
-              << "query " << q << " nprobe " << nprobe << " slice "
-              << slice.index << "/" << slice.count << " size " << size;
+              << "case " << c << " query " << q << " nprobe " << nprobe
+              << " slice " << slice.index << "/" << slice.count << " size "
+              << size;
         }
       }
-      EXPECT_EQ(ann.Expand(query, 50),
-                ReferenceExpand(store, index, candidates, config, query, 50,
-                                nprobe))
-          << "query " << q << " nprobe " << nprobe;
+      EXPECT_EQ(expander.Expand(query, 50),
+                ReferenceExpand(store, index, candidates, expander.config(),
+                                query, 50, nprobe))
+          << "case " << c << " query " << q << " nprobe " << nprobe;
     }
+  }
+
+  // The exact scan screens every non-seed candidate on its int8 row, and
+  // the fallback is counted.
+  obs::Counter& int8_rows = obs::GetCounter("kernel.int8_rows_scored");
+  obs::Counter& fallbacks = obs::GetCounter("ann.fallback_exact");
+  const Query query = SameClassQuery();  // six seeds, all candidates
+  for (RetExpan* expander : {&unindexed, &fallback}) {
+    const int64_t int8_before = int8_rows.Value();
+    const int64_t fallbacks_before = fallbacks.Value();
+    EXPECT_EQ(expander->Recall(query, 10).size(), 10u);
+    EXPECT_EQ(int8_rows.Value() - int8_before,
+              static_cast<int64_t>(candidates.size()) - 6);
+    EXPECT_EQ(fallbacks.Value() - fallbacks_before,
+              expander == &fallback ? 1 : 0);
   }
 }
 

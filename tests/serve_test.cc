@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <functional>
 #include <future>
+#include <latch>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -589,6 +590,8 @@ TEST(ServeServiceTest, RankingBitIdenticalWhateverRunsBesideIt) {
       held.synthetic_delay_ms = 50;
       ExpansionService service(TestPipeline(), held);
       ASSERT_TRUE(service.PrewarmMethods({"retexpan", "setexpan"}).ok());
+      obs::Gauge& queue_peak = obs::GetGauge("serve.queue_peak");
+      queue_peak.Set(0);
       std::vector<std::future<ExpandResult>> futures;
       std::vector<const std::vector<EntityId>*> want;
       for (int round = 0; round < 4; ++round) {
@@ -604,14 +607,6 @@ TEST(ServeServiceTest, RankingBitIdenticalWhateverRunsBesideIt) {
              -1}));
         want.push_back(nullptr);  // filler traffic, not checked
       }
-      // The burst really overlapped: some request waited for a slot while
-      // the others executed (12 requests, at most 8 slots).
-      int most_waiting = 0;
-      for (int spin = 0; spin < 2000 && most_waiting == 0; ++spin) {
-        most_waiting = std::max(most_waiting, service.queue_depth());
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      EXPECT_GT(most_waiting, 0) << "threads=" << threads;
       for (size_t i = 0; i < futures.size(); ++i) {
         ExpandResult result = futures[i].get();
         ASSERT_TRUE(result.status.ok()) << result.status;
@@ -620,6 +615,10 @@ TEST(ServeServiceTest, RankingBitIdenticalWhateverRunsBesideIt) {
               << "slot " << i << ", threads=" << threads;
         }
       }
+      // The burst really overlapped: some request waited for a slot while
+      // the others executed (12 requests, at most 8 slots). The peak is
+      // recorded at enqueue, so the check cannot miss a short wait.
+      EXPECT_GT(queue_peak.Value(), 0) << "threads=" << threads;
     }
   }
   ASSERT_TRUE(ThreadPool::SetGlobalThreadCount(0).ok());
@@ -970,12 +969,31 @@ TEST(ServeServiceTest, DrainServesBacklogThenRejectsNewWork) {
   ServeConfig config;
   config.synthetic_delay_ms = 10;  // no request finishes within 10 ms
   ExpansionService service(TestPipeline(), config);
+  // Starting a thread can take longer than the 10 ms hold on a loaded
+  // host, so the callers call Expand only once all of them have started;
+  // otherwise the first could finish before the last is admitted.
+  constexpr int kCallers = 8;
+  std::latch started(kCallers);
   std::vector<std::future<ExpandResult>> futures;
-  for (int i = 0; i < 8; ++i) {
-    futures.push_back(
-        ExpandOnThread(service, {"retexpan", queries[0], 10, -1}));
+  for (int i = 0; i < kCallers; ++i) {
+    futures.push_back(std::async(std::launch::async, [&] {
+      started.arrive_and_wait();
+      return service.Expand({"retexpan", queries[0], 10, -1});
+    }));
   }
-  AwaitInflight(service, 8);  // every caller admitted before Drain closes
+  // Every caller admitted before Drain closes: wait up to 2 s until the
+  // finished calls plus those in flight reach kCallers. The finished ones
+  // are read first, and a call is released before its future is ready,
+  // so no call counts twice, and one that already finished still counts.
+  for (int spin = 0; spin < 2000; ++spin) {
+    const int finished = static_cast<int>(
+        std::count_if(futures.begin(), futures.end(), [](const auto& f) {
+          return f.wait_for(std::chrono::seconds(0)) ==
+                 std::future_status::ready;
+        }));
+    if (finished + service.inflight() >= kCallers) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   EXPECT_GT(service.inflight(), 0);  // Drain below has a backlog to serve
   service.Drain();
   EXPECT_EQ(service.inflight(), 0);  // Drain returns once all have finished
