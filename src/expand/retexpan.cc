@@ -121,38 +121,62 @@ std::vector<ScoredIndex> RetExpan::Recall(const Query& query, size_t size,
 
 std::vector<EntityId> RetExpan::InitialExpansion(const Query& query,
                                                  size_t size) const {
-  const std::vector<ScoredIndex> scored = Recall(query, size);
   std::vector<EntityId> initial;
-  initial.reserve(scored.size());
-  for (const ScoredIndex& s : scored) {
-    initial.push_back((*candidates_)[s.index]);
+  for (const RecalledEntity& e : RecallEntities(query, size)) {
+    initial.push_back(e.id);
   }
   return initial;
+}
+
+std::vector<RecalledEntity> RetExpan::RecallEntities(
+    const Query& query, size_t size, const ShardSpec& slice) const {
+  const std::vector<ScoredIndex> recalled = Recall(query, size, slice);
+  std::vector<RecalledEntity> entities;
+  entities.reserve(recalled.size());
+  for (const ScoredIndex& s : recalled) {
+    entities.push_back(RecalledEntity{s.score, static_cast<uint64_t>(s.index),
+                                      (*candidates_)[s.index]});
+  }
+  return entities;
 }
 
 std::vector<EntityId> RetExpan::Expand(const Query& query, size_t k) {
   UW_SPAN("retexpan.expand");
   obs::GetCounter("retexpan.queries").Increment();
-  const size_t initial_size = std::max<size_t>(
-      k, static_cast<size_t>(config_.initial_list_size));
-  const std::vector<ScoredIndex> recalled = Recall(query, initial_size);
-  std::vector<EntityId> list;
-  std::vector<float> pos_scores;
-  list.reserve(recalled.size());
-  pos_scores.reserve(recalled.size());
-  for (const ScoredIndex& s : recalled) {
-    list.push_back((*candidates_)[s.index]);
-    pos_scores.push_back(s.score);
+  return RetExpanRank(
+             config_, query, k,
+             [&](size_t size) { return RecallEntities(query, size); },
+             [&](const std::vector<EntityId>& list) {
+               return store_->SeedCentroidScores(query.neg_seeds, list);
+             })
+      .value();
+}
+
+StatusOr<std::vector<EntityId>> RetExpanRank(
+    const RetExpanConfig& config, const Query& query, size_t k,
+    const std::function<StatusOr<std::vector<RecalledEntity>>(size_t)>&
+        recall,
+    const std::function<StatusOr<std::vector<float>>(
+        const std::vector<EntityId>&)>& neg_scores) {
+  const StatusOr<std::vector<RecalledEntity>> recalled = recall(
+      std::max<size_t>(k, static_cast<size_t>(config.initial_list_size)));
+  if (!recalled.ok()) return recalled.status();
+  std::vector<EntityId> list(recalled->size());
+  std::vector<float> pos_scores(recalled->size());
+  for (size_t i = 0; i < list.size(); ++i) {
+    list[i] = (*recalled)[i].id;
+    pos_scores[i] = (*recalled)[i].score;
   }
-  if (config_.use_negative_rerank && !query.neg_seeds.empty()) {
+  if (config.use_negative_rerank && !query.neg_seeds.empty() &&
+      !list.empty()) {
     UW_SPAN("retexpan.rerank");
     obs::GetCounter("retexpan.reranked_lists").Increment();
-    // The positive side reuses the recall's scores, each recalled
-    // entity's CentroidScores float over SeedCentroidOf(pos_seeds). Only
-    // the negative side needs a fresh centroid pass.
-    list = NegativeSeedRerank(
-        list, pos_scores, store_->SeedCentroidScores(query.neg_seeds, list),
-        config_.rerank_segment_length);
+    // The positive side is the recall's own CentroidScores floats over
+    // SeedCentroidOf(pos_seeds); only the negative side is scored afresh.
+    const StatusOr<std::vector<float>> neg_scored = neg_scores(list);
+    if (!neg_scored.ok()) return neg_scored.status();
+    list = NegativeSeedRerank(list, pos_scores, *neg_scored,
+                              config.rerank_segment_length);
   }
   if (list.size() > k) list.resize(k);
   return list;

@@ -1,10 +1,12 @@
 #ifndef ULTRAWIKI_EXPAND_RETEXPAN_H_
 #define ULTRAWIKI_EXPAND_RETEXPAN_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "ann/ivf_index.h"
+#include "common/status.h"
 #include "embedding/entity_store.h"
 #include "expand/expander.h"
 #include "math/topk.h"
@@ -21,6 +23,14 @@ struct ShardSpec {
   int count = 1;
 
   bool valid() const { return count >= 1 && index >= 0 && index < count; }
+};
+
+/// One recalled candidate: its positive-seed centroid score, its global
+/// candidate position (the RanksBefore tie-break) and its entity id.
+struct RecalledEntity {
+  float score = 0.0f;
+  uint64_t position = 0;
+  EntityId id = kInvalidEntityId;
 };
 
 /// RetExpan hyper-parameters.
@@ -82,6 +92,9 @@ class RetExpan : public Expander {
   /// nprobe.
   std::vector<ScoredIndex> Recall(const Query& query, size_t size,
                                   const ShardSpec& slice = {}) const;
+  /// Recall with each candidate's entity id.
+  std::vector<RecalledEntity> RecallEntities(
+      const Query& query, size_t size, const ShardSpec& slice = {}) const;
 
   /// Attaches an ANN first stage (nullptr detaches). `ann` must be built
   /// over the same EntityStore this expander ranks with and must outlive
@@ -108,6 +121,19 @@ class RetExpan : public Expander {
   /// score 0 there as in the full scan.
   std::vector<size_t> absent_positions_;
 };
+
+/// RetExpan's rank stage, shared by RetExpan::Expand and the cluster
+/// router: `recall` the top |L0| = max(k, config.initial_list_size); if
+/// use_negative_rerank is set, the query has negative seeds and L0 is
+/// non-empty, NegativeSeedRerank L0 with the recall scores as the positive
+/// side and `neg_scores(L0 ids)` as the negative; cut to k. A callback's
+/// error is returned as is.
+StatusOr<std::vector<EntityId>> RetExpanRank(
+    const RetExpanConfig& config, const Query& query, size_t k,
+    const std::function<StatusOr<std::vector<RecalledEntity>>(size_t)>&
+        recall,
+    const std::function<StatusOr<std::vector<float>>(
+        const std::vector<EntityId>&)>& neg_scores);
 
 /// The negative-seed segmented re-ranking (paper §5.1.1) of a recall
 /// list, given each entry's positive- and negative-seed centroid scores

@@ -130,14 +130,14 @@ StatusOr<std::vector<ShardScoredEntity>> ServeClient::ScatterRetrieve(
   return Call(std::move(request), &WireShardRetrieveResponse::entities);
 }
 
-StatusOr<ShardScores> ServeClient::ScatterScore(
+StatusOr<std::vector<float>> ServeClient::ScatterScore(
     const Query& query, const std::vector<EntityId>& ids) {
   WireShardScoreRequest request;
   request.ids = ids;
   request.query = query;
-  StatusOr<ShardScores> scores =
-      Call(std::move(request), &WireShardScoreResponse::scores);
-  if (scores.ok() && scores->pos.size() != ids.size()) {
+  StatusOr<std::vector<float>> scores =
+      Call(std::move(request), &WireShardScoreResponse::neg);
+  if (scores.ok() && scores->size() != ids.size()) {
     Close();  // a reply this client cannot use, like an undecodable one
     return Status::Internal("score count mismatch");
   }

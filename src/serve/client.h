@@ -56,10 +56,10 @@ class ServeClient {
   StatusOr<std::vector<ShardScoredEntity>> ScatterRetrieve(const Query& query,
                                                            uint64_t size);
 
-  /// Scatter plane: pos/neg seed-centroid scores for explicit ids (the
-  /// router's rerank phase).
-  StatusOr<ShardScores> ScatterScore(const Query& query,
-                                     const std::vector<EntityId>& ids);
+  /// Scatter plane: negative-seed centroid scores for explicit ids (the
+  /// router's rerank phase); a count mismatch fails kInternal.
+  StatusOr<std::vector<float>> ScatterScore(const Query& query,
+                                            const std::vector<EntityId>& ids);
 
   /// Resolves a dataset query index against the server's resident
   /// dataset (the router serves by-index requests through this).

@@ -23,13 +23,13 @@ class Frontend {
 
   virtual ExpandResult Expand(ExpandRequest request) = 0;
   virtual StatusOr<Query> QueryByIndex(uint32_t index) = 0;
-  /// The scatter plane. Only shards (ServiceHost) answer it; any other
-  /// frontend keeps this kUnimplemented default.
+  /// The scatter plane (slice recall, negative-seed scores). Only shards
+  /// (ServiceHost) answer it; any other frontend keeps kUnimplemented.
   virtual StatusOr<std::vector<ShardScoredEntity>> ScatterRetrieve(
       const Query& /*query*/, size_t /*size*/) {
     return Status::Unimplemented("not a shard");
   }
-  virtual StatusOr<ShardScores> ScatterScore(
+  virtual StatusOr<std::vector<float>> ScatterScore(
       const Query& /*query*/, const std::vector<EntityId>& /*ids*/) {
     return Status::Unimplemented("not a shard");
   }

@@ -182,17 +182,11 @@ void ReadBody(SnapshotReader& reader, WireShardScoreRequest* request) {
 }
 
 void PutBody(SnapshotWriter& writer, const WireShardScoreResponse& response) {
-  writer.PutFloatVec(response.scores.pos);
-  writer.PutFloatVec(response.scores.neg);
+  writer.PutFloatVec(response.neg);
 }
 
 void ReadBody(SnapshotReader& reader, WireShardScoreResponse* response) {
-  reader.ReadFloatVec(&response->scores.pos);
-  reader.ReadFloatVec(&response->scores.neg);
-  if (reader.ok() &&
-      response->scores.pos.size() != response->scores.neg.size()) {
-    reader.Corrupt("pos/neg score lengths differ");
-  }
+  reader.ReadFloatVec(&response->neg);
 }
 
 void PutBody(SnapshotWriter& writer, const WireQueryLookupRequest& request) {

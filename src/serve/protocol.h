@@ -7,6 +7,7 @@
 
 #include "common/status.h"
 #include "dataset/dataset.h"
+#include "expand/retexpan.h"
 #include "io/snapshot.h"
 
 namespace ultrawiki {
@@ -126,24 +127,10 @@ struct WireResponse : ReplyHead {
   std::vector<EntityId> ranking;
 };
 
-/// One candidate scored by a shard's recall stage: the exact full-scan
-/// centroid score, the candidate's *global* position in the dataset
-/// candidate list (the RanksBefore tie-break, so a router-side TopKStream
-/// merge reproduces the unsharded order bit for bit), and its entity id.
-/// Scores travel as IEEE-754 bit patterns (PutF32), so the merge sees the
-/// same floats the shard computed.
-struct ShardScoredEntity {
-  float score = 0.0f;
-  uint64_t position = 0;
-  EntityId id = kInvalidEntityId;
-};
-
-/// Per-candidate positive/negative seed-centroid scores for the router's
-/// rerank phase; `pos[i]` and `neg[i]` score the i-th requested id.
-struct ShardScores {
-  std::vector<float> pos;
-  std::vector<float> neg;
-};
+/// One candidate of a shard's recall (RetExpan::RecallEntities). Scores
+/// travel as IEEE-754 bit patterns (PutF32), so the router's sort of the
+/// joined replies reproduces the unsharded order bit for bit.
+using ShardScoredEntity = RecalledEntity;
 
 /// Scatter recall request: top-`size` of the shard's candidate slice by
 /// positive-seed centroid score, seeds excluded.
@@ -159,8 +146,8 @@ struct WireShardRetrieveResponse : ReplyHead {
   std::vector<ShardScoredEntity> entities;
 };
 
-/// Scatter score request: pos/neg seed-centroid scores for explicit ids
-/// (the rerank phase sends each shard the merged-list ids it owns).
+/// Scatter score request: negative-seed centroid scores for explicit ids
+/// (the rerank phase sends one replica the whole merged list).
 struct WireShardScoreRequest : RequestHead {
   static constexpr FrameKind kKind = FrameKind::kShardScoreRequest;
   using Reply = WireShardScoreResponse;
@@ -168,9 +155,11 @@ struct WireShardScoreRequest : RequestHead {
   Query query;
 };
 
+/// `neg[i]` scores the i-th requested id. The positive side (the recall's
+/// scores) never travels; a reply that still carries it fails closed.
 struct WireShardScoreResponse : ReplyHead {
   static constexpr FrameKind kKind = FrameKind::kShardScoreResponse;
-  ShardScores scores;
+  std::vector<float> neg;
 };
 
 /// Resolves a dataset query index to its full Query so the router can

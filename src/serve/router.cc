@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "common/env.h"
@@ -311,21 +310,6 @@ StatusOr<Result> ClusterRouter::CallWithFailover(
   return last;
 }
 
-StatusOr<std::vector<ShardScoredEntity>> ClusterRouter::RetrieveFromShard(
-    int shard, const Query& query, size_t size) {
-  return CallWithFailover<std::vector<ShardScoredEntity>>(
-      shard, [&](ServeClient& client) {
-        return client.ScatterRetrieve(query, static_cast<uint64_t>(size));
-      });
-}
-
-StatusOr<ShardScores> ClusterRouter::ScoreOnAnyReplica(
-    const Query& query, const std::vector<EntityId>& ids) {
-  return CallWithFailover<ShardScores>(-1, [&](ServeClient& client) {
-    return client.ScatterScore(query, ids);
-  });
-}
-
 StatusOr<Query> ClusterRouter::QueryByIndex(uint32_t index) {
   Metrics().lookups.Increment();
   {
@@ -358,61 +342,59 @@ ExpandResult ClusterRouter::Expand(ExpandRequest request) {
 ExpandResult ClusterRouter::ScatterExpand(const ExpandRequest& request) {
   Metrics().scatter_expands.Increment();
   UW_SPAN("router.scatter_expand");
-  const size_t k = static_cast<size_t>(request.k);
-  const size_t initial_size = std::max<size_t>(
-      k, static_cast<size_t>(config_.retexpan.initial_list_size));
-  const size_t shards = static_cast<size_t>(config_.shard_count);
-
-  // Phase 1 — scatter recall: every shard returns RetExpan::Recall over
-  // its slice, carrying global candidate positions. One thread per shard;
-  // each worker has its own failover chain over that shard's replicas.
-  std::vector<StatusOr<std::vector<ShardScoredEntity>>> per_shard(
-      shards, Status::Unavailable("shard not queried"));
-  {
+  const auto recall = [&](size_t size)
+      -> StatusOr<std::vector<ShardScoredEntity>> {
+    // One thread per shard, each failing over across its own replicas.
+    const size_t shards = static_cast<size_t>(config_.shard_count);
+    std::vector<StatusOr<std::vector<ShardScoredEntity>>> per_shard(
+        shards, Status::Unavailable("shard not queried"));
     std::vector<std::thread> workers;
-    workers.reserve(shards);
     for (size_t shard = 0; shard < shards; ++shard) {
-      workers.emplace_back([this, shard, &request, initial_size, &per_shard] {
-        per_shard[shard] = RetrieveFromShard(static_cast<int>(shard),
-                                             request.query, initial_size);
+      workers.emplace_back([&, shard] {
+        per_shard[shard] = CallWithFailover<std::vector<ShardScoredEntity>>(
+            static_cast<int>(shard), [&](ServeClient& client) {
+              return client.ScatterRetrieve(request.query, size);
+            });
       });
     }
     for (std::thread& worker : workers) worker.join();
-  }
-
-  // Gather — merge the per-shard streams. TopKStream's kept set and
-  // order depend only on the pushed (score, position) multiset, and the
-  // global top-initial_size is a subset of the union of per-shard tops,
-  // so this reproduces the unsharded recall list bit for bit.
-  TopKStream stream(initial_size);
-  std::unordered_map<uint64_t, EntityId> id_at_position;
-  for (const auto& entities : per_shard) {
-    // Losing any shard loses part of the candidate space — a partial
-    // merge would silently return a different (wrong) ranking, so the
-    // request fails instead.
-    if (!entities.ok()) return ExpandResult{entities.status(), {}};
-    for (const ShardScoredEntity& entity : *entities) {
-      stream.Push(entity.score, static_cast<size_t>(entity.position));
-      id_at_position.emplace(entity.position, entity.id);
+    // The global top `size` is within the union of the per-shard tops, so
+    // the union's first `size` by RanksBefore on (score, global position)
+    // is the unsharded recall bit for bit. A missing shard, or a position
+    // of another slice (a replica listed under the wrong shard), fails.
+    std::vector<ShardScoredEntity> merged;
+    for (size_t shard = 0; shard < shards; ++shard) {
+      if (!per_shard[shard].ok()) return per_shard[shard].status();
+      for (const ShardScoredEntity& entity : *per_shard[shard]) {
+        if (entity.position % shards == shard) continue;
+        return Status::FailedPrecondition(
+            "replica listed as shard " + std::to_string(shard) +
+            " answered position " + std::to_string(entity.position));
+      }
+      merged.insert(merged.end(), per_shard[shard]->begin(),
+                    per_shard[shard]->end());
     }
-  }
-  std::vector<EntityId> list;
-  for (const ScoredIndex& s : stream.TakeSortedDescending()) {
-    list.push_back(id_at_position[static_cast<uint64_t>(s.index)]);
-  }
-
-  // Phase 2 — RetExpan's negative-seed rerank. Every replica holds the
-  // full store, so one call to the least-loaded replica scores the whole
-  // merged list.
-  if (config_.retexpan.use_negative_rerank &&
-      !request.query.neg_seeds.empty() && !list.empty()) {
-    StatusOr<ShardScores> scores = ScoreOnAnyReplica(request.query, list);
-    if (!scores.ok()) return ExpandResult{scores.status(), {}};
-    list = NegativeSeedRerank(list, scores->pos, scores->neg,
-                              config_.retexpan.rerank_segment_length);
-  }
-  if (list.size() > k) list.resize(k);
-  return ExpandResult{Status::Ok(), std::move(list)};
+    std::sort(merged.begin(), merged.end(),
+              [](const ShardScoredEntity& a, const ShardScoredEntity& b) {
+                return RanksBefore({a.score, static_cast<size_t>(a.position)},
+                                   {b.score, static_cast<size_t>(b.position)});
+              });
+    if (merged.size() > size) merged.resize(size);
+    return merged;
+  };
+  // Every replica holds the full store, so one call to the least-loaded
+  // replica scores the negative side of the whole merged list.
+  const auto neg_scores = [&](const std::vector<EntityId>& list) {
+    return CallWithFailover<std::vector<float>>(
+        -1, [&](ServeClient& client) {
+          return client.ScatterScore(request.query, list);
+        });
+  };
+  StatusOr<std::vector<EntityId>> ranking = RetExpanRank(
+      config_.retexpan, request.query, static_cast<size_t>(request.k),
+      recall, neg_scores);
+  if (!ranking.ok()) return ExpandResult{ranking.status(), {}};
+  return ExpandResult{Status::Ok(), std::move(*ranking)};
 }
 
 ExpandResult ClusterRouter::ProxyExpand(const ExpandRequest& request) {

@@ -46,9 +46,9 @@ struct RouterConfig {
   /// Connect, send and receive timeout of a health poll, set on each
   /// replica's health connection when it is dialed.
   int health_timeout_ms = 1000;
-  /// RetExpan knobs mirrored on the router for the scatter-gather path.
-  /// Must match the shard servers' config (both default-construct) or
-  /// the merged ranking diverges from the single-process one.
+  /// RetExpan knobs of the router's rank stage (RetExpanRank). Must
+  /// match the shard servers' config (both default-construct) or the
+  /// merged ranking diverges from the single-process one.
   RetExpanConfig retexpan;
 
   /// Parses a topology string: comma-separated "shard@host:port"
@@ -62,15 +62,15 @@ struct RouterConfig {
 /// Frontend, so a plain TcpServer exposes it on the wire protocol —
 /// clients cannot tell a router from a single-process server.
 ///
-/// RetExpan requests take the scatter path: fan `ScatterRetrieve` out to
-/// one replica of every shard in parallel, merge the per-shard streaming
-/// top-k (global candidate positions preserve the RanksBefore tie-break,
-/// so the merged L0 is bit-identical to the unsharded recall — the global
-/// top-|L0| is a subset of the union of per-shard top-|L0|s), then score
-/// the merged list with one `ScatterScore` and run RetExpan's own
-/// NegativeSeedRerank. Every other method is proxied whole to the
-/// least-loaded replica (every shard process holds the full pipeline, so
-/// any replica can serve any method).
+/// RetExpan requests run RetExpan's own rank stage (RetExpanRank) over a
+/// scattered recall: fan `ScatterRetrieve` out to one replica of every
+/// shard in parallel, fail with kFailedPrecondition on a position outside
+/// its shard's slice, and keep the first |L0| of the joined replies by
+/// RanksBefore on (score, global position), bit-identical to the
+/// unsharded recall; one `ScatterScore` call scores the negative side.
+/// Every other method is proxied whole to the least-loaded replica (every
+/// shard process holds the full pipeline, so any replica can serve any
+/// method).
 ///
 /// Replica choice is health-driven: a poller thread calls each replica's
 /// UWF1 `Health` on its request port every `health_poll_ms` for draining
@@ -160,10 +160,6 @@ class ClusterRouter : public Frontend {
   StatusOr<Result> CallWithFailover(
       int shard, const std::function<StatusOr<Result>(ServeClient&)>& call);
 
-  StatusOr<std::vector<ShardScoredEntity>> RetrieveFromShard(
-      int shard, const Query& query, size_t size);
-  StatusOr<ShardScores> ScoreOnAnyReplica(const Query& query,
-                                          const std::vector<EntityId>& ids);
 
   ExpandResult ScatterExpand(const ExpandRequest& request);
   ExpandResult ProxyExpand(const ExpandRequest& request);

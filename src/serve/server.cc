@@ -136,7 +136,7 @@ StatusOr<std::string> TcpServer::Answer(const Frame& frame) {
           frame, [this](WireShardScoreRequest& request,
                         WireShardScoreResponse* reply) {
             return Take(frontend_.ScatterScore(request.query, request.ids),
-                        &reply->scores);
+                        &reply->neg);
           });
     case FrameKind::kQueryLookupRequest:
       return Serve<WireQueryLookupRequest>(

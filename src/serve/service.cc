@@ -317,33 +317,21 @@ StatusOr<std::vector<ShardScoredEntity>> ExpansionService::ScatterRetrieve(
   if (Status admission = AcquireSlot(); !admission.ok()) return admission;
   Slot slot(*this);
   Metrics().scatter_retrieves.Increment();
-  // The recall of the very RetExpan that serves "retexpan" requests
-  // (exact scan or IVF probe, whichever it is configured for), over this
-  // shard's slice of the global candidate positions — so the union of
-  // all shards' results holds the global top `size`, score- and
-  // tie-break-identical.
+  // The recall of the very RetExpan that serves "retexpan" requests (exact
+  // scan or IVF probe), over this shard's slice of the global positions.
   const auto& retexpan =
       static_cast<const RetExpan&>(*GetOrBuildExpander("retexpan"));
   Execution execution = Enter();
-  const std::vector<EntityId>& candidates = pipeline_.candidates();
-  std::vector<ShardScoredEntity> entities;
-  for (const ScoredIndex& s : retexpan.Recall(query, size, shard_spec_)) {
-    entities.push_back(ShardScoredEntity{
-        s.score, static_cast<uint64_t>(s.index), candidates[s.index]});
-  }
-  return entities;
+  return retexpan.RecallEntities(query, size, shard_spec_);
 }
 
-StatusOr<ShardScores> ExpansionService::ScatterScore(
+StatusOr<std::vector<float>> ExpansionService::ScatterScore(
     const Query& query, const std::vector<EntityId>& ids) {
   if (Status admission = AcquireSlot(); !admission.ok()) return admission;
   Slot slot(*this);
   Metrics().scatter_scores.Increment();
   Execution execution = Enter();
-  ShardScores scores;
-  scores.pos = pipeline_.store().SeedCentroidScores(query.pos_seeds, ids);
-  scores.neg = pipeline_.store().SeedCentroidScores(query.neg_seeds, ids);
-  return scores;
+  return pipeline_.store().SeedCentroidScores(query.neg_seeds, ids);
 }
 
 StatusOr<Query> ExpansionService::QueryByIndex(uint32_t index) const {

@@ -149,18 +149,18 @@ class ExpansionService {
   /// in-flight scatter calls.
   Status EnableSharding(const ShardSpec& spec);
 
-  /// Scatter recall: RetExpan::Recall over this service's slice, run by
-  /// the same RetExpan that serves "retexpan" requests (so UW_ANN_ENABLE
-  /// applies), carrying *global* candidate positions so the router's
-  /// TopKStream merge reproduces the unsharded ranking bit for bit.
+  /// Scatter recall: RetExpan::RecallEntities over this service's slice,
+  /// run by the same RetExpan that serves "retexpan" requests (so
+  /// UW_ANN_ENABLE applies), carrying *global* candidate positions so the
+  /// router's merge reproduces the unsharded ranking bit for bit.
   StatusOr<std::vector<ShardScoredEntity>> ScatterRetrieve(const Query& query,
                                                            size_t size);
 
-  /// Scatter rerank support: pos/neg seed-centroid scores for explicit
+  /// Scatter rerank support: negative-seed centroid scores for explicit
   /// ids, on the full store (ids the store lacks score 0, exactly as the
   /// full scan scores them).
-  StatusOr<ShardScores> ScatterScore(const Query& query,
-                                     const std::vector<EntityId>& ids);
+  StatusOr<std::vector<float>> ScatterScore(const Query& query,
+                                            const std::vector<EntityId>& ids);
 
   /// Resolves a dataset query index (the wire `by_index` path).
   StatusOr<Query> QueryByIndex(uint32_t index) const;

@@ -82,7 +82,7 @@ StatusOr<std::vector<ShardScoredEntity>> ServiceHost::ScatterRetrieve(
   return generation->service->ScatterRetrieve(query, size);
 }
 
-StatusOr<ShardScores> ServiceHost::ScatterScore(
+StatusOr<std::vector<float>> ServiceHost::ScatterScore(
     const Query& query, const std::vector<EntityId>& ids) {
   const std::shared_ptr<Generation> generation = Current();
   if (generation == nullptr) {

@@ -73,7 +73,7 @@ class ServiceHost : public Frontend {
   StatusOr<Query> QueryByIndex(uint32_t index) override;
   StatusOr<std::vector<ShardScoredEntity>> ScatterRetrieve(
       const Query& query, size_t size) override;
-  StatusOr<ShardScores> ScatterScore(
+  StatusOr<std::vector<float>> ScatterScore(
       const Query& query, const std::vector<EntityId>& ids) override;
   /// HealthOf(Current()).
   StatusOr<HealthReport> Health() override;

@@ -3,7 +3,8 @@
 // TcpListener bookkeeping under churn and fd
 // exhaustion, the published-traces-only `serve.traced` counter, shard
 // scatter-gather bit-identity against the single-process rankings,
-// router failover when a replica dies, the router's Health poll (draining,
+// a replica listed under the wrong shard never merged, router failover
+// when a replica dies, the router's Health poll (draining,
 // load order, stopped replicas, generations), and the ServiceHost hot swap
 // shedding nothing under load.
 
@@ -415,6 +416,16 @@ TEST(ClusterTest, ShardedScatterGatherBitIdenticalToSingleProcess) {
   const Query neg_query = QueryWithNegSeeds();
   ASSERT_FALSE(neg_query.neg_seeds.empty());
   const Query target_query = TargetSeededQuery();
+  // The inputs where the recall score and SeedCentroidScores take
+  // different code paths: no positive seed (a zero centroid, against the
+  // scores' empty-seed short-circuit), and a positive seed the store
+  // lacks (its zero unit row, in the denominator of both).
+  Query no_pos_query = neg_query;
+  no_pos_query.pos_seeds.clear();
+  Query absent_seed_query = neg_query;
+  absent_seed_query.pos_seeds.push_back(
+      static_cast<EntityId>(TestPipeline().store().slot_count()) + 7);
+  ASSERT_FALSE(TestPipeline().store().Has(absent_seed_query.pos_seeds.back()));
   constexpr int kK = 25;
 
   for (int shard_count : {1, 2, 3}) {
@@ -446,11 +457,16 @@ TEST(ClusterTest, ShardedScatterGatherBitIdenticalToSingleProcess) {
     EXPECT_EQ(*reranked, Reference("retexpan", neg_query, kK))
         << "shards=" << shard_count;
     // Seeds outside every dataset query: shards score on the full store,
-    // so any seeds rank exactly as in one process.
-    const auto targeted = client->ExpandQuery("retexpan", target_query, kK);
-    ASSERT_TRUE(targeted.ok()) << targeted.status();
-    EXPECT_EQ(*targeted, Reference("retexpan", target_query, kK))
-        << "shards=" << shard_count;
+    // so any seeds rank exactly as in one process. The same holds with no
+    // positive seed and with a positive seed the store lacks.
+    for (const Query& query : {target_query, no_pos_query,
+                               absent_seed_query}) {
+      const auto seeded = client->ExpandQuery("retexpan", query, kK);
+      ASSERT_TRUE(seeded.ok()) << seeded.status();
+      EXPECT_EQ(*seeded, Reference("retexpan", query, kK))
+          << "shards=" << shard_count
+          << " pos_seeds=" << query.pos_seeds.size();
+    }
     // Non-scatter methods proxy whole to one replica, same answer.
     const auto proxied = client->ExpandByIndex("setexpan", 0, kK);
     ASSERT_TRUE(proxied.ok()) << proxied.status();
@@ -510,6 +526,28 @@ TEST(ClusterTest, RouterFailsOverWhenAReplicaDies) {
 
   router.Drain();
   replicas[1]->server->Shutdown();
+}
+
+TEST(ClusterTest, AReplicaListedUnderTheWrongShardIsNeverMerged) {
+  const auto& queries = TestPipeline().dataset().queries;
+  constexpr int kK = 15;
+  // Both processes serve slice 0 of 2, but the topology lists the second
+  // as shard 1. Its positions belong to shard 0, so merging them would
+  // repeat ids and lose shard 1's candidates: every retexpan request must
+  // fail with a typed error instead.
+  std::vector<std::unique_ptr<ShardProcess>> replicas;
+  replicas.push_back(ShardProcess::Start({0, 2}));
+  replicas.push_back(ShardProcess::Start({0, 2}));
+  ClusterRouter router(TopologyOf(replicas, /*shard_count=*/2));
+  ASSERT_TRUE(router.Start().ok());
+  for (size_t q = 0; q < std::min<size_t>(queries.size(), 4); ++q) {
+    const ExpandResult result = router.Expand({"retexpan", queries[q], kK, -1});
+    EXPECT_EQ(result.status.code(), StatusCode::kFailedPrecondition)
+        << "query " << q << ": " << result.status;
+    EXPECT_TRUE(result.ranking.empty());
+  }
+  router.Drain();
+  for (auto& replica : replicas) replica->server->Shutdown();
 }
 
 // ------------------------------------------------------ Health polling.

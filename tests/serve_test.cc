@@ -428,15 +428,24 @@ std::vector<WireCase> EnvelopeCases() {
 
   WireShardScoreResponse scored;
   scored.request_id = 6;
-  scored.scores.pos = {0.25f, 0.75f};
-  scored.scores.neg = {-0.5f, 1.0f};
+  scored.neg = {-0.5f, 1.0f};
   cases.push_back(MakeCase(
       "shard_score_response", scored,
-      "314657550200000008000000340000000000000000000000000000000000000006000000"
-      "0000000000000000000000000000000002000000000000000000803e0000403f02000000"
-      "00000000000000bf0000803f9a884058"));
-  scored.scores.neg.pop_back();
-  cases.back().hostile.push_back(PayloadOf(EncodeFrame(scored)));
+      "314657550200000008000000240000000000000000000000000000000000000006000000"
+      "000000000000000000000000000000000200000000000000000000bf0000803f"
+      "16d0e8e1"));
+  {
+    // The former body, a positive-score vector in front of the negative
+    // one: the negative vector is read from its bytes, and the rest is
+    // trailing.
+    SnapshotWriter writer;
+    writer.PutU64(6);
+    writer.PutU32(0);
+    writer.PutString("");
+    writer.PutFloatVec(std::vector<float>{0.25f, 0.75f});
+    writer.PutFloatVec(std::vector<float>{-0.5f, 1.0f});
+    cases.back().hostile.push_back(writer.payload());
+  }
 
   WireQueryLookupRequest lookup;
   lookup.request_id = 7;
@@ -843,22 +852,22 @@ TEST(ServeServiceTest, ScatterCallsTakeSlotsAndShedAtTheQueueBound) {
     config.synthetic_delay_ms = 100;
     ExpansionService service(TestPipeline(), config);
     ASSERT_TRUE(service.PrewarmMethods({"setexpan"}).ok());
-    std::vector<std::future<ExpandResult>> held;
-    for (int i = 0; i < 2; ++i) {
-      held.push_back(ExpandOnThread(service, {"setexpan", queries[0], 10, -1}));
-    }
-    AwaitInflight(service, 2);
-    ASSERT_EQ(service.queue_depth(), 0);
-
     constexpr int kBurst = 16;
     const std::vector<EntityId> ids = Reference("setexpan", queries[0], 30);
     std::vector<StatusOr<std::vector<ShardScoredEntity>>> recalled(
         kBurst, Status::Unavailable("not run"));
-    std::vector<StatusOr<ShardScores>> scored(kBurst,
-                                              Status::Unavailable("not run"));
+    std::vector<StatusOr<std::vector<float>>> scored(
+        kBurst, Status::Unavailable("not run"));
+    // Starting a thread can outlast the 100 ms hold on a loaded host, so
+    // the burst threads start before the hold and wait on `go`, which
+    // opens once both slots are held; the burst then arrives at once.
+    std::latch ready(kBurst);
+    std::latch go(1);
     std::vector<std::thread> burst;
     for (int i = 0; i < kBurst; ++i) {
       burst.emplace_back([&, i] {
+        ready.count_down();
+        go.wait();
         if (i % 2 == 0) {
           recalled[i] = service.ScatterRetrieve(queries[0], 50);
         } else {
@@ -866,16 +875,21 @@ TEST(ServeServiceTest, ScatterCallsTakeSlotsAndShedAtTheQueueBound) {
         }
       });
     }
+    ready.wait();
+    std::vector<std::future<ExpandResult>> held;
+    for (int i = 0; i < 2; ++i) {
+      held.push_back(ExpandOnThread(service, {"setexpan", queries[0], 10, -1}));
+    }
+    AwaitInflight(service, 2);
+    EXPECT_EQ(service.queue_depth(), 0);
+    go.count_down();
     for (std::thread& thread : burst) thread.join();
 
     auto offline = MakeExpanderByName(TestPipeline(), "retexpan");
     const std::vector<ScoredIndex> want =
         static_cast<const RetExpan&>(*offline).Recall(queries[0], 50);
-    const EntityStore& store = TestPipeline().store();
-    const std::vector<float> want_pos =
-        store.SeedCentroidScores(queries[0].pos_seeds, ids);
     const std::vector<float> want_neg =
-        store.SeedCentroidScores(queries[0].neg_seeds, ids);
+        TestPipeline().store().SeedCentroidScores(queries[0].neg_seeds, ids);
     // Per call kind (0 = retrieve, 1 = score): at most 4 of the burst wait,
     // so each kind of 8 sheds some.
     int served[2] = {0, 0};
@@ -897,8 +911,7 @@ TEST(ServeServiceTest, ScatterCallsTakeSlotsAndShedAtTheQueueBound) {
           EXPECT_EQ((*recalled[i])[j].score, want[j].score);
         }
       } else {
-        EXPECT_EQ(scored[i]->pos, want_pos);
-        EXPECT_EQ(scored[i]->neg, want_neg);
+        EXPECT_EQ(*scored[i], want_neg);
       }
     }
     EXPECT_EQ(served[0] + served[1] + shed[0] + shed[1], kBurst);
