@@ -74,21 +74,8 @@ std::vector<EntityId> CaSE::Expand(const Query& query, size_t k) {
   }
 
   // Scale-free rank fusion of the two channels.
-  auto rank_positions = [](const std::vector<float>& scores) {
-    std::vector<size_t> order(scores.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&scores](size_t a, size_t b) {
-      if (scores[a] != scores[b]) return scores[a] > scores[b];
-      return a < b;
-    });
-    std::vector<double> position(scores.size());
-    for (size_t rank = 0; rank < order.size(); ++rank) {
-      position[order[rank]] = static_cast<double>(rank);
-    }
-    return position;
-  };
-  const std::vector<double> lexical_rank = rank_positions(bm25);
-  const std::vector<double> distributed_rank = rank_positions(cosine);
+  const std::vector<double> lexical_rank = RankPositions(bm25);
+  const std::vector<double> distributed_rank = RankPositions(cosine);
 
   std::vector<ScoredIndex> fused;
   fused.reserve(candidates_->size());

@@ -76,21 +76,8 @@ std::vector<EntityId> CgExpan::Expand(const Query& query, size_t k) {
     class_fit[i] = static_cast<float>(NameAssociation(id, class_noun));
   }
 
-  auto rank_positions = [](const std::vector<float>& scores) {
-    std::vector<size_t> order(scores.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&scores](size_t a, size_t b) {
-      if (scores[a] != scores[b]) return scores[a] > scores[b];
-      return a < b;
-    });
-    std::vector<double> position(scores.size());
-    for (size_t rank = 0; rank < order.size(); ++rank) {
-      position[order[rank]] = static_cast<double>(rank);
-    }
-    return position;
-  };
-  const std::vector<double> cosine_rank = rank_positions(cosine);
-  const std::vector<double> class_rank = rank_positions(class_fit);
+  const std::vector<double> cosine_rank = RankPositions(cosine);
+  const std::vector<double> class_rank = RankPositions(class_fit);
 
   std::vector<ScoredIndex> fused;
   fused.reserve(candidates_->size());

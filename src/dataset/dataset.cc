@@ -271,41 +271,29 @@ StatusOr<UltraWikiDataset> BuildDataset(const GeneratedWorld& world,
     // most similar pages first. The index depends only on the world, so it
     // is cached keyed on the world's generator fingerprint (fingerprint 0
     // = unknown provenance = never cached).
-    ArtifactCache& cache = ArtifactCache::Global();
-    const uint64_t index_key =
-        world.fingerprint == 0
-            ? 0
-            : CombineFingerprints({world.fingerprint});
-    InvertedIndex index = [&]() -> InvertedIndex {
-      if (world.fingerprint != 0) {
-        UW_SPAN("cache.load_index");
-        auto cached = TryLoadCached(cache, "mined-index", index_key,
-                                    [](const std::string& path) {
-                                      return LoadIndexSnapshot(path);
-                                    });
-        if (cached.has_value()) return std::move(*cached);
-      }
-      UW_SPAN("dataset.build_index");
-      InvertedIndex built;
-      for (EntityId id : pool) {
-        std::vector<TokenId> doc;
-        for (int s : world.corpus.SentencesOf(id)) {
-          const Sentence& sentence =
-              world.corpus.sentence(static_cast<size_t>(s));
-          doc.insert(doc.end(), sentence.tokens.begin(),
-                     sentence.tokens.end());
-        }
-        built.AddDocument(doc);
-      }
-      built.Freeze();
-      if (world.fingerprint != 0) {
-        StoreCached(cache, "mined-index", index_key,
-                    [&built](const std::string& path) {
-                      return SaveIndexSnapshot(built, path);
-                    });
-      }
-      return built;
-    }();
+    const InvertedIndex index = LoadOrBuild(
+        "mined-index", CombineFingerprints({world.fingerprint}),
+        [](const std::string& path) {
+          UW_SPAN("cache.load_index");
+          return LoadIndexSnapshot(path);
+        },
+        [&] {
+          UW_SPAN("dataset.build_index");
+          InvertedIndex built;
+          for (EntityId id : pool) {
+            std::vector<TokenId> doc;
+            for (int s : world.corpus.SentencesOf(id)) {
+              const Sentence& sentence =
+                  world.corpus.sentence(static_cast<size_t>(s));
+              doc.insert(doc.end(), sentence.tokens.begin(),
+                         sentence.tokens.end());
+            }
+            built.AddDocument(doc);
+          }
+          built.Freeze();
+          return built;
+        },
+        SaveIndexSnapshot);
     Bm25Scorer scorer(&index);
     std::vector<std::vector<TokenId>> class_queries;
     class_queries.reserve(world.schema.size());

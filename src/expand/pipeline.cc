@@ -39,40 +39,28 @@ PipelineConfig PipelineConfig::Tiny() {
   return config;
 }
 
-namespace {
-
-/// The generated world: loaded from the snapshot cache when a previous run
-/// generated it from an identical GeneratorConfig, else generated and
-/// cached.
-GeneratedWorld LoadOrGenerateWorld(const GeneratorConfig& config) {
-  ArtifactCache& cache = ArtifactCache::Global();
-  const uint64_t world_key = FingerprintConfig(config);
-  {
-    UW_SPAN("cache.load_world");
-    auto cached = TryLoadCached(cache, "world", world_key,
-                                [](const std::string& path) {
-                                  return LoadWorldSnapshot(path);
-                                });
-    if (cached.has_value()) return std::move(*cached);
-  }
-  UW_SPAN("generate_world");
-  GeneratedWorld world = GenerateWorld(config);
-  StoreCached(cache, "world", world_key, [&world](const std::string& path) {
-    return SaveWorldSnapshot(world, path);
-  });
-  return world;
-}
-
-}  // namespace
-
 Pipeline Pipeline::Build(const PipelineConfig& config) {
   UW_SPAN("pipeline.build");
   return Pipeline(config);
 }
 
+// Every cached artifact goes through LoadOrBuild, keyed on the world's
+// generator fingerprint plus the configs that shaped it. A world of
+// unknown provenance (fingerprint 0, e.g. loaded from TSV) makes every
+// derived key 0, which LoadOrBuild never caches.
 Pipeline::Pipeline(const PipelineConfig& config)
-    : config_(config), world_(LoadOrGenerateWorld(config.generator)) {
-  ArtifactCache& cache = ArtifactCache::Global();
+    : config_(config),
+      world_(LoadOrBuild(
+          "world", FingerprintConfig(config.generator),
+          [](const std::string& path) {
+            UW_SPAN("cache.load_world");
+            return LoadWorldSnapshot(path);
+          },
+          [&config] {
+            UW_SPAN("generate_world");
+            return GenerateWorld(config.generator);
+          },
+          SaveWorldSnapshot)) {
   {
     UW_SPAN("build_dataset");
     auto built = BuildDataset(world_, config.dataset);
@@ -82,70 +70,40 @@ Pipeline::Pipeline(const PipelineConfig& config)
 
   oracle_ = std::make_unique<LlmOracle>(&world_, config.oracle);
 
-  // Main encoder: entity-prediction training over the full corpus, cached
-  // keyed on the world's provenance plus every training knob. A world of
-  // unknown provenance (fingerprint 0, e.g. loaded from TSV) disables
-  // derived-artifact caching — there is nothing sound to key on.
+  // Main encoder: entity-prediction training over the full corpus.
   const Corpus& corpus = world_.corpus;
-  const bool derivable = world_.fingerprint != 0;
-  const uint64_t encoder_key =
-      derivable ? CombineFingerprints({world_.fingerprint,
-                                       FingerprintConfig(config.encoder),
-                                       FingerprintConfig(config.encoder_train)})
-                : 0;
-  if (derivable) {
-    UW_SPAN("cache.load_encoder");
-    auto cached = TryLoadCached(cache, "encoder", encoder_key,
-                                [](const std::string& path) {
-                                  return LoadEncoder(path);
-                                });
-    if (cached.has_value()) {
-      encoder_ = std::make_unique<ContextEncoder>(std::move(*cached));
-    }
-  }
-  if (encoder_ == nullptr) {
-    encoder_ = std::make_unique<ContextEncoder>(
-        corpus.tokens().size(), corpus.entity_count(), config.encoder);
-    encoder_->SetTokenWeights(ComputeSifTokenWeights(corpus.tokens()));
-    {
-      UW_SPAN("train_encoder");
-      TrainEntityPrediction(corpus, *encoder_, config.encoder_train);
-    }
-    if (derivable) {
-      StoreCached(cache, "encoder", encoder_key,
-                  [this](const std::string& path) {
-                    return SaveEncoder(*encoder_, path);
-                  });
-    }
-  }
+  const uint64_t encoder_key = CombineFingerprints(
+      {world_.fingerprint, FingerprintConfig(config.encoder),
+       FingerprintConfig(config.encoder_train)});
+  encoder_ = std::make_unique<ContextEncoder>(LoadOrBuild(
+      "encoder", encoder_key,
+      [](const std::string& path) {
+        UW_SPAN("cache.load_encoder");
+        return LoadEncoder(path);
+      },
+      [this, &config] {
+        UW_SPAN("train_encoder");
+        return TrainEncoder(config.encoder, config.encoder_train);
+      },
+      SaveEncoder));
 
-  // Entity store: cached keyed on the encoder key plus the store and
-  // dataset configs (the build set is the dataset's candidate vocabulary).
-  store_key_ = derivable ? CombineFingerprints(
-                               {encoder_key, FingerprintConfig(config.store),
-                                FingerprintConfig(config.dataset)})
-                         : 0;
-  if (derivable) {
-    UW_SPAN("cache.load_store");
-    auto cached = TryLoadCached(cache, "store", store_key_,
-                                [](const std::string& path) {
-                                  return LoadEntityStoreSnapshot(path);
-                                });
-    if (cached.has_value()) {
-      store_ = std::make_unique<EntityStore>(std::move(*cached));
-    }
-  }
-  if (store_ == nullptr) {
-    UW_SPAN("entity_store");
-    store_ = std::make_unique<EntityStore>(EntityStore::Build(
-        corpus, *encoder_, dataset_.candidates, config.store));
-    if (derivable) {
-      StoreCached(cache, "store", store_key_,
-                  [this](const std::string& path) {
-                    return SaveEntityStoreSnapshot(*store_, path);
-                  });
-    }
-  }
+  // Entity store: keyed on the encoder key plus the store and dataset
+  // configs (the build set is the dataset's candidate vocabulary).
+  store_key_ = CombineFingerprints({encoder_key,
+                                    FingerprintConfig(config.store),
+                                    FingerprintConfig(config.dataset)});
+  store_ = std::make_unique<EntityStore>(LoadOrBuild(
+      "store", store_key_,
+      [](const std::string& path) {
+        UW_SPAN("cache.load_store");
+        return LoadEntityStoreSnapshot(path);
+      },
+      [&] {
+        UW_SPAN("entity_store");
+        return EntityStore::Build(corpus, *encoder_, dataset_.candidates,
+                                  config.store);
+      },
+      SaveEntityStoreSnapshot));
 
   // Language model: "further pretraining" on the corpus.
   {
@@ -166,6 +124,17 @@ Pipeline::Pipeline(const PipelineConfig& config)
       static_cast<int64_t>(dataset_.candidates.size()));
   obs::GetGauge("pipeline.corpus_sentences")
       .Set(static_cast<int64_t>(corpus.sentence_count()));
+}
+
+ContextEncoder Pipeline::TrainEncoder(
+    const EncoderConfig& encoder,
+    const EntityPredictionTrainConfig& train) const {
+  const Corpus& corpus = world_.corpus;
+  ContextEncoder trained(corpus.tokens().size(), corpus.entity_count(),
+                         encoder);
+  trained.SetTokenWeights(ComputeSifTokenWeights(corpus.tokens()));
+  TrainEntityPrediction(corpus, trained, train);
+  return trained;
 }
 
 void Pipeline::TrainLmOn(HybridLm& lm, double fraction) const {
@@ -205,16 +174,11 @@ std::unordered_set<TokenId> Pipeline::StopTokens() const {
 const EntityStore& Pipeline::weak_store() {
   if (weak_store_ == nullptr) {
     UW_SPAN("pipeline.weak_store");
-    const Corpus& corpus = world_.corpus;
     EncoderConfig weak_config = config_.encoder;
     weak_config.seed = config_.encoder.seed ^ 0x5151;
-    weak_encoder_ = std::make_unique<ContextEncoder>(
-        corpus.tokens().size(), corpus.entity_count(), weak_config);
-    weak_encoder_->SetTokenWeights(ComputeSifTokenWeights(corpus.tokens()));
-    TrainEntityPrediction(corpus, *weak_encoder_,
-                          config_.weak_encoder_train);
     weak_store_ = std::make_unique<EntityStore>(EntityStore::Build(
-        corpus, *weak_encoder_, dataset_.candidates, config_.store));
+        world_.corpus, TrainEncoder(weak_config, config_.weak_encoder_train),
+        dataset_.candidates, config_.store));
   }
   return *weak_store_;
 }
@@ -222,20 +186,15 @@ const EntityStore& Pipeline::weak_store() {
 const EntityStore& Pipeline::static_store() {
   if (static_store_ == nullptr) {
     UW_SPAN("pipeline.static_store");
-    const Corpus& corpus = world_.corpus;
     EncoderConfig static_config = config_.encoder;
     static_config.seed = config_.encoder.seed ^ 0x9292;
-    static_encoder_ = std::make_unique<ContextEncoder>(
-        corpus.tokens().size(), corpus.entity_count(), static_config);
-    static_encoder_->SetTokenWeights(
-        ComputeSifTokenWeights(corpus.tokens()));
     EntityPredictionTrainConfig train = config_.weak_encoder_train;
     train.epochs = 1;
     train.learning_rate = 0.03f;
     train.seed = config_.weak_encoder_train.seed ^ 0x11;
-    TrainEntityPrediction(corpus, *static_encoder_, train);
     static_store_ = std::make_unique<EntityStore>(EntityStore::Build(
-        corpus, *static_encoder_, dataset_.candidates, config_.store));
+        world_.corpus, TrainEncoder(static_config, train),
+        dataset_.candidates, config_.store));
   }
   return *static_store_;
 }
@@ -281,22 +240,17 @@ const EntityStore& Pipeline::ra_store(RaSource source) {
     // Retrain a fresh encoder with the augmentation prefixes applied to
     // every training sentence, then extract representations with the same
     // prefixes (paper §5.1.3: "during both training and inference").
-    const auto prefixes = std::make_shared<
-        std::vector<std::vector<TokenId>>>(
-        BuildEntityPrefixes(world_, source));
-    const Corpus& corpus = world_.corpus;
+    const std::vector<std::vector<TokenId>> prefixes =
+        BuildEntityPrefixes(world_, source);
     EncoderConfig ra_config = config_.encoder;
     ra_config.seed = config_.encoder.seed ^ (0x77AA + index);
-    ContextEncoder encoder(corpus.tokens().size(), corpus.entity_count(),
-                           ra_config);
-    encoder.SetTokenWeights(ComputeSifTokenWeights(corpus.tokens()));
     EntityPredictionTrainConfig train = config_.encoder_train;
-    train.entity_prefixes = prefixes.get();
-    TrainEntityPrediction(corpus, encoder, train);
+    train.entity_prefixes = &prefixes;
     EntityStoreConfig store_config = config_.store;
-    store_config.entity_prefixes = prefixes.get();
+    store_config.entity_prefixes = &prefixes;
     ra_stores_[index] = std::make_unique<EntityStore>(EntityStore::Build(
-        corpus, encoder, dataset_.candidates, store_config));
+        world_.corpus, TrainEncoder(ra_config, train), dataset_.candidates,
+        store_config));
   }
   return *ra_stores_[index];
 }
@@ -321,44 +275,24 @@ const IvfIndex& Pipeline::ann_index() {
     UW_SPAN("pipeline.ann_index");
     // Keyed on the store's provenance plus the ANN config: a different
     // store, generator, encoder, or IVF knob is a different index.
-    const uint64_t ann_key =
-        store_key_ != 0
-            ? CombineFingerprints({store_key_,
-                                   FingerprintConfig(config_.ann)})
-            : 0;
-    ArtifactCache& cache = ArtifactCache::Global();
-    if (ann_key != 0) {
-      UW_SPAN("cache.load_ann");
-      auto cached = TryLoadCached(
-          cache, "ann", ann_key, [this](const std::string& path) {
-            return LoadAnnIndexSnapshot(path, config_.ann);
-          });
-      if (cached.has_value()) {
-        ann_index_ = std::make_unique<IvfIndex>(std::move(*cached));
-        return *ann_index_;
-      }
-    }
-    ann_index_ = std::make_unique<IvfIndex>(
-        IvfIndex::Build(*store_, config_.ann));
-    if (ann_key != 0) {
-      StoreCached(cache, "ann", ann_key,
-                  [this](const std::string& path) {
-                    return SaveAnnIndexSnapshot(*ann_index_, path);
-                  });
-    }
+    ann_index_ = std::make_unique<IvfIndex>(LoadOrBuild(
+        "ann",
+        CombineFingerprints({store_key_, FingerprintConfig(config_.ann)}),
+        [this](const std::string& path) {
+          UW_SPAN("cache.load_ann");
+          return LoadAnnIndexSnapshot(path, config_.ann);
+        },
+        [this] { return IvfIndex::Build(*store_, config_.ann); },
+        SaveAnnIndexSnapshot));
   }
   return *ann_index_;
 }
 
 std::unique_ptr<EntityStore> Pipeline::BuildEncoderStore(
     const EntityPredictionTrainConfig& train) {
-  const Corpus& corpus = world_.corpus;
-  ContextEncoder encoder(corpus.tokens().size(), corpus.entity_count(),
-                         config_.encoder);
-  encoder.SetTokenWeights(ComputeSifTokenWeights(corpus.tokens()));
-  TrainEntityPrediction(corpus, encoder, train);
   return std::make_unique<EntityStore>(EntityStore::Build(
-      corpus, encoder, dataset_.candidates, config_.store));
+      world_.corpus, TrainEncoder(config_.encoder, train),
+      dataset_.candidates, config_.store));
 }
 
 std::unique_ptr<HybridLm> Pipeline::BuildLmVariant(

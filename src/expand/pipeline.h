@@ -150,6 +150,10 @@ class Pipeline {
   /// Builds every substrate (the body of Build).
   explicit Pipeline(const PipelineConfig& config);
 
+  /// A fresh encoder with SIF token weights, trained by entity prediction
+  /// over the corpus.
+  ContextEncoder TrainEncoder(const EncoderConfig& encoder,
+                              const EntityPredictionTrainConfig& train) const;
   void TrainLmOn(HybridLm& lm, double fraction) const;
   std::unordered_set<TokenId> StopTokens() const;
 
@@ -159,9 +163,7 @@ class Pipeline {
   std::unique_ptr<LlmOracle> oracle_;
   std::unique_ptr<ContextEncoder> encoder_;
   std::unique_ptr<EntityStore> store_;
-  std::unique_ptr<ContextEncoder> weak_encoder_;
   std::unique_ptr<EntityStore> weak_store_;
-  std::unique_ptr<ContextEncoder> static_encoder_;
   std::unique_ptr<EntityStore> static_store_;
   std::unique_ptr<HybridLm> lm_;
   std::unique_ptr<PrefixTrie> trie_;

@@ -52,29 +52,20 @@ std::string ArtifactCache::PathFor(std::string_view kind, uint64_t key) const {
   return path;
 }
 
-void ArtifactCache::RecordHit(uint64_t bytes_read) {
+namespace internal_cache {
+
+void RecordHit(const std::string& path) {
   static obs::Counter& hits = obs::GetCounter("cache.hit");
   static obs::Counter& bytes = obs::GetCounter("cache.bytes_read");
   hits.Increment();
-  bytes.Increment(static_cast<int64_t>(bytes_read));
-}
-
-void ArtifactCache::RecordMiss() {
-  static obs::Counter& misses = obs::GetCounter("cache.miss");
-  misses.Increment();
-}
-
-void ArtifactCache::RecordStore() {
-  static obs::Counter& stores = obs::GetCounter("cache.store");
-  stores.Increment();
-}
-
-namespace internal_cache {
-
-uint64_t FileSizeOrZero(const std::string& path) {
   std::error_code ec;
   const auto size = std::filesystem::file_size(path, ec);
-  return ec ? 0 : static_cast<uint64_t>(size);
+  bytes.Increment(ec ? 0 : static_cast<int64_t>(size));
+}
+
+void RecordMiss() {
+  static obs::Counter& misses = obs::GetCounter("cache.miss");
+  misses.Increment();
 }
 
 void EnsureParentDir(const std::string& path) {
@@ -84,9 +75,14 @@ void EnsureParentDir(const std::string& path) {
   if (!parent.empty()) std::filesystem::create_directories(parent, ec);
 }
 
-void WarnStoreFailed(const std::string& path, const Status& status) {
-  std::fprintf(stderr, "[artifact_cache] store failed for %s: %s\n",
-               path.c_str(), status.message().c_str());
+void RecordSave(const std::string& path, const Status& status) {
+  if (!status.ok()) {
+    std::fprintf(stderr, "[artifact_cache] store failed for %s: %s\n",
+                 path.c_str(), status.message().c_str());
+    return;
+  }
+  static obs::Counter& stores = obs::GetCounter("cache.store");
+  stores.Increment();
 }
 
 }  // namespace internal_cache
@@ -148,7 +144,10 @@ uint64_t FingerprintConfig(const DatasetConfig& config) {
 uint64_t CombineFingerprints(std::initializer_list<uint64_t> parts) {
   Fnv1a h;
   h.Mix(std::string_view("CombineFingerprints"));
-  for (uint64_t part : parts) h.Mix(part);
+  for (uint64_t part : parts) {
+    if (part == 0) return 0;
+    h.Mix(part);
+  }
   return h.digest();
 }
 

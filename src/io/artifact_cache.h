@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <initializer_list>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -18,16 +17,19 @@
 namespace ultrawiki {
 
 /// Content-addressed snapshot cache for the expensive pipeline artifacts
-/// (world/corpus, mined inverted index, trained encoder, entity store).
-/// Entries are keyed by a fingerprint of everything that determines the
-/// artifact's bytes — the generator/trainer configs that produced it — and
-/// by the snapshot format version, so a format bump or any config change
-/// silently misses instead of serving a stale artifact.
+/// (generated world with its corpus, mined inverted index, trained
+/// encoder, entity store, IVF ANN index). Entries are keyed by a
+/// fingerprint of everything that determines the artifact's bytes — the
+/// generator/trainer configs that produced it — and by the snapshot format
+/// version, so a format bump or any config change silently misses instead
+/// of serving a stale artifact.
 ///
 /// The cache is rooted at the `UW_CACHE_DIR` environment variable and is
 /// disabled (every lookup misses, nothing is written) when unset or empty.
-/// Corrupt or truncated entries are indistinguishable from misses: the
-/// checksummed loader rejects them and the builder overwrites them.
+/// Every artifact goes through LoadOrBuild below, the one cache protocol:
+/// a corrupt or truncated entry is indistinguishable from a miss, because
+/// the checksummed loader rejects it and the rebuilt artifact overwrites
+/// it.
 ///
 /// Observability: every lookup bumps `cache.hit` or `cache.miss`, and hits
 /// add the file size to `cache.bytes_read`; successful writes bump
@@ -49,61 +51,48 @@ class ArtifactCache {
   /// `<root>/<kind>-v<format>-<key as hex>.uws`; empty when disabled.
   std::string PathFor(std::string_view kind, uint64_t key) const;
 
-  /// Counter plumbing used by the Try/Store helpers below.
-  void RecordHit(uint64_t bytes_read);
-  void RecordMiss();
-  void RecordStore();
-
  private:
   std::string root_;
 };
 
 namespace internal_cache {
-uint64_t FileSizeOrZero(const std::string& path);
+/// Bumps `cache.hit` and adds the entry's size to `cache.bytes_read`.
+void RecordHit(const std::string& path);
+void RecordMiss();
 /// Creates the entry's parent directory if missing; best-effort.
 void EnsureParentDir(const std::string& path);
-/// The cache logs every failed store (they should be rare and actionable).
-void WarnStoreFailed(const std::string& path, const Status& status);
+/// Bumps `cache.store`, or logs the failed save (they should be rare and
+/// actionable).
+void RecordSave(const std::string& path, const Status& status);
 }  // namespace internal_cache
 
-/// Attempts a cached load. `loader` is invoked with the entry path and
-/// must return a StatusOr; a missing, corrupt, or mis-versioned entry
-/// counts as a miss and returns nullopt so the caller rebuilds (and
-/// overwrites the entry via StoreCached). Returns nullopt without
-/// recording anything when the cache is disabled.
-template <typename Loader>
-auto TryLoadCached(ArtifactCache& cache, std::string_view kind,
-                   uint64_t key, Loader&& loader)
-    -> std::optional<std::decay_t<
-        decltype(std::declval<std::invoke_result_t<Loader, std::string>>()
-                     .value())>> {
-  if (!cache.enabled()) return std::nullopt;
+/// Returns the `kind` artifact keyed on `key`: loaded from the global
+/// cache when an intact entry exists, else built and stored.
+///
+/// `load(path)` returns a StatusOr of the artifact; a missing, corrupt or
+/// mis-versioned entry counts as a miss. On a miss `build()` makes the
+/// artifact and `save(artifact, path)` overwrites the entry. A failed
+/// save is logged and swallowed — a read-only or full cache directory
+/// degrades to cold runs, never to a crashed pipeline. When the cache is
+/// disabled or `key` is 0 (unknown provenance: nothing sound to key on),
+/// only `build()` runs and no counter moves.
+template <typename Load, typename Build, typename Save>
+std::invoke_result_t<Build> LoadOrBuild(std::string_view kind, uint64_t key,
+                                        Load&& load, Build&& build,
+                                        Save&& save) {
+  const ArtifactCache& cache = ArtifactCache::Global();
+  if (!cache.enabled() || key == 0) return build();
   const std::string path = cache.PathFor(kind, key);
-  auto loaded = loader(path);
-  if (!loaded.ok()) {
-    cache.RecordMiss();
-    return std::nullopt;
+  auto loaded = load(path);
+  if (loaded.ok()) {
+    internal_cache::RecordHit(path);
+    return std::move(loaded).value();
   }
-  cache.RecordHit(internal_cache::FileSizeOrZero(path));
-  return std::move(loaded).value();
-}
-
-/// Writes an artifact into the cache. `saver` is invoked with the entry
-/// path and must return Status. Failures are logged and swallowed — a
-/// read-only or full cache directory degrades to cold runs, never to a
-/// crashed pipeline. No-op when the cache is disabled.
-template <typename Saver>
-void StoreCached(ArtifactCache& cache, std::string_view kind, uint64_t key,
-                 Saver&& saver) {
-  if (!cache.enabled()) return;
-  const std::string path = cache.PathFor(kind, key);
+  internal_cache::RecordMiss();
+  std::invoke_result_t<Build> built = build();
   internal_cache::EnsureParentDir(path);
-  const Status status = saver(path);
-  if (status.ok()) {
-    cache.RecordStore();
-  } else {
-    internal_cache::WarnStoreFailed(path, status);
-  }
+  internal_cache::RecordSave(path, save(std::as_const(built), path));
+  return built;
 }
 
 /// Config fingerprints for cache keys. Each mixes a distinct type tag and
@@ -114,7 +103,9 @@ uint64_t FingerprintConfig(const EntityPredictionTrainConfig& config);
 uint64_t FingerprintConfig(const EntityStoreConfig& config);
 uint64_t FingerprintConfig(const DatasetConfig& config);
 
-/// Order-sensitive combination of sub-fingerprints into one cache key.
+/// Order-sensitive combination of sub-fingerprints into one cache key. A
+/// zero part (an artifact of unknown provenance) makes the key 0, so
+/// everything derived from it is built and never cached.
 uint64_t CombineFingerprints(std::initializer_list<uint64_t> parts);
 
 }  // namespace ultrawiki

@@ -316,9 +316,9 @@ StatusOr<std::string> ReadSnapshotFile(const std::string& path,
   return contents.substr(kHeaderBytes, static_cast<size_t>(payload_size));
 }
 
-// --- Corpus ---
-
 namespace {
+
+// --- Corpus (encoded inside the world snapshot) ---
 
 void EncodeCorpus(SnapshotWriter& out, const Corpus& corpus) {
   const Vocabulary& vocab = corpus.tokens();
@@ -445,29 +445,7 @@ Status DecodeCorpus(SnapshotReader& in, Corpus* corpus) {
   return Status::Ok();
 }
 
-}  // namespace
-
-Status SaveCorpusSnapshot(const Corpus& corpus, const std::string& path) {
-  SnapshotWriter out;
-  EncodeCorpus(out, corpus);
-  return WriteSnapshotFile(path, SnapshotKind::kCorpus, out);
-}
-
-StatusOr<Corpus> LoadCorpusSnapshot(const std::string& path) {
-  auto payload = ReadSnapshotFile(path, SnapshotKind::kCorpus);
-  if (!payload.ok()) return payload.status();
-  SnapshotReader in(*payload);
-  Corpus corpus;
-  Status status = DecodeCorpus(in, &corpus);
-  if (!status.ok()) return status;
-  status = in.Finish();
-  if (!status.ok()) return status;
-  return corpus;
-}
-
 // --- GeneratedWorld ---
-
-namespace {
 
 void EncodeAttribute(SnapshotWriter& out, const AttributeDef& attr) {
   out.PutString(attr.name);

@@ -58,7 +58,7 @@ inline constexpr uint64_t kIndexPayloadVersion = 2;
 /// another.
 enum class SnapshotKind : uint32_t {
   kEncoder = 1,
-  kCorpus = 2,
+  // 2 was the retired standalone corpus; never reuse it.
   kWorld = 3,
   kInvertedIndex = 4,
   kEntityStore = 5,
@@ -157,11 +157,6 @@ StatusOr<std::string> ReadSnapshotFile(const std::string& path,
                                        SnapshotKind kind);
 
 // --- Artifact save/load on the shared framing. ---
-
-/// Corpus: vocabulary (tokens + counts), entities, labelled sentences,
-/// auxiliary sentences. The per-entity sentence index is rebuilt on load.
-Status SaveCorpusSnapshot(const Corpus& corpus, const std::string& path);
-StatusOr<Corpus> LoadCorpusSnapshot(const std::string& path);
 
 /// Full generated world: corpus + schema + knowledge base + background
 /// ids + generator fingerprint; `entities_by_value` is rebuilt on load.

@@ -18,6 +18,20 @@ void SortByScoreDescending(std::vector<ScoredIndex>& pairs) {
   std::sort(pairs.begin(), pairs.end(), RanksBefore);
 }
 
+std::vector<double> RankPositions(const std::vector<float>& scores) {
+  std::vector<size_t> order(scores.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&scores](size_t a, size_t b) {
+    if (scores[a] != scores[b]) return scores[a] > scores[b];
+    return a < b;
+  });
+  std::vector<double> position(scores.size());
+  for (size_t rank = 0; rank < order.size(); ++rank) {
+    position[order[rank]] = static_cast<double>(rank);
+  }
+  return position;
+}
+
 std::vector<ScoredIndex> TopKOfPairs(std::vector<ScoredIndex> pairs,
                                      size_t k) {
   if (k < pairs.size()) {

@@ -40,6 +40,12 @@ std::vector<ScoredIndex> TopKOfPairs(std::vector<ScoredIndex> pairs,
 /// ascending-index tie-break).
 void SortByScoreDescending(std::vector<ScoredIndex>& pairs);
 
+/// Each score's 0-based position in the descending order of `scores`,
+/// ties broken by ascending index: the rank-fusion input of CaSE and
+/// CGExpan. It compares with a raw `>`, not RanksBefore, which orders NaN
+/// differently and would change those baselines' rankings.
+std::vector<double> RankPositions(const std::vector<float>& scores);
+
 /// Streaming top-k selection: a bounded min-heap (worst element on top,
 /// per RanksBefore) fed one score at a time, so producers that generate
 /// scores on the fly — BM25 over a posting-list scan, RetExpan over a

@@ -122,7 +122,7 @@ StatusOr<std::vector<EntityId>> ServeClient::ExpandQuery(
   return Call(std::move(request), &WireResponse::ranking);
 }
 
-StatusOr<std::vector<ShardScoredEntity>> ServeClient::ScatterRetrieve(
+StatusOr<std::vector<RecalledEntity>> ServeClient::ScatterRetrieve(
     const Query& query, uint64_t size) {
   WireShardRetrieveRequest request;
   request.size = size;

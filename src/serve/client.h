@@ -53,8 +53,8 @@ class ServeClient {
   /// Scatter plane (cluster serving): the recall stage of the connected
   /// shard — its top-`size` candidate-slice entities by positive-seed
   /// centroid score, with global positions for the router-side merge.
-  StatusOr<std::vector<ShardScoredEntity>> ScatterRetrieve(const Query& query,
-                                                           uint64_t size);
+  StatusOr<std::vector<RecalledEntity>> ScatterRetrieve(const Query& query,
+                                                        uint64_t size);
 
   /// Scatter plane: negative-seed centroid scores for explicit ids (the
   /// router's rerank phase); a count mismatch fails kInternal.

@@ -25,7 +25,7 @@ class Frontend {
   virtual StatusOr<Query> QueryByIndex(uint32_t index) = 0;
   /// The scatter plane (slice recall, negative-seed scores). Only shards
   /// (ServiceHost) answer it; any other frontend keeps kUnimplemented.
-  virtual StatusOr<std::vector<ShardScoredEntity>> ScatterRetrieve(
+  virtual StatusOr<std::vector<RecalledEntity>> ScatterRetrieve(
       const Query& /*query*/, size_t /*size*/) {
     return Status::Unimplemented("not a shard");
   }

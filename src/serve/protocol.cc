@@ -152,7 +152,7 @@ void ReadBody(SnapshotReader& reader, WireShardRetrieveRequest* request) {
 void PutBody(SnapshotWriter& writer,
              const WireShardRetrieveResponse& response) {
   writer.PutU64(response.entities.size());
-  for (const ShardScoredEntity& entity : response.entities) {
+  for (const RecalledEntity& entity : response.entities) {
     writer.PutF32(entity.score);
     writer.PutU64(entity.position);
     writer.PutI32(entity.id);
@@ -164,7 +164,7 @@ void ReadBody(SnapshotReader& reader, WireShardRetrieveResponse* response) {
   // Each entity is 16 encoded bytes.
   if (!reader.ReadCount(16, "entity", &count)) return;
   response->entities.resize(static_cast<size_t>(count));
-  for (ShardScoredEntity& entity : response->entities) {
+  for (RecalledEntity& entity : response->entities) {
     reader.ReadF32(&entity.score);
     reader.ReadU64(&entity.position);
     reader.ReadI32(&entity.id);

@@ -127,11 +127,6 @@ struct WireResponse : ReplyHead {
   std::vector<EntityId> ranking;
 };
 
-/// One candidate of a shard's recall (RetExpan::RecallEntities). Scores
-/// travel as IEEE-754 bit patterns (PutF32), so the router's sort of the
-/// joined replies reproduces the unsharded order bit for bit.
-using ShardScoredEntity = RecalledEntity;
-
 /// Scatter recall request: top-`size` of the shard's candidate slice by
 /// positive-seed centroid score, seeds excluded.
 struct WireShardRetrieveRequest : RequestHead {
@@ -143,7 +138,10 @@ struct WireShardRetrieveRequest : RequestHead {
 
 struct WireShardRetrieveResponse : ReplyHead {
   static constexpr FrameKind kKind = FrameKind::kShardRetrieveResponse;
-  std::vector<ShardScoredEntity> entities;
+  /// The shard's recall (RetExpan::RecallEntities). Scores travel as
+  /// IEEE-754 bit patterns (PutF32), so the router's sort of the joined
+  /// replies reproduces the unsharded order bit for bit.
+  std::vector<RecalledEntity> entities;
 };
 
 /// Scatter score request: negative-seed centroid scores for explicit ids

@@ -343,15 +343,15 @@ ExpandResult ClusterRouter::ScatterExpand(const ExpandRequest& request) {
   Metrics().scatter_expands.Increment();
   UW_SPAN("router.scatter_expand");
   const auto recall = [&](size_t size)
-      -> StatusOr<std::vector<ShardScoredEntity>> {
+      -> StatusOr<std::vector<RecalledEntity>> {
     // One thread per shard, each failing over across its own replicas.
     const size_t shards = static_cast<size_t>(config_.shard_count);
-    std::vector<StatusOr<std::vector<ShardScoredEntity>>> per_shard(
+    std::vector<StatusOr<std::vector<RecalledEntity>>> per_shard(
         shards, Status::Unavailable("shard not queried"));
     std::vector<std::thread> workers;
     for (size_t shard = 0; shard < shards; ++shard) {
       workers.emplace_back([&, shard] {
-        per_shard[shard] = CallWithFailover<std::vector<ShardScoredEntity>>(
+        per_shard[shard] = CallWithFailover<std::vector<RecalledEntity>>(
             static_cast<int>(shard), [&](ServeClient& client) {
               return client.ScatterRetrieve(request.query, size);
             });
@@ -362,10 +362,10 @@ ExpandResult ClusterRouter::ScatterExpand(const ExpandRequest& request) {
     // the union's first `size` by RanksBefore on (score, global position)
     // is the unsharded recall bit for bit. A missing shard, or a position
     // of another slice (a replica listed under the wrong shard), fails.
-    std::vector<ShardScoredEntity> merged;
+    std::vector<RecalledEntity> merged;
     for (size_t shard = 0; shard < shards; ++shard) {
       if (!per_shard[shard].ok()) return per_shard[shard].status();
-      for (const ShardScoredEntity& entity : *per_shard[shard]) {
+      for (const RecalledEntity& entity : *per_shard[shard]) {
         if (entity.position % shards == shard) continue;
         return Status::FailedPrecondition(
             "replica listed as shard " + std::to_string(shard) +
@@ -375,7 +375,7 @@ ExpandResult ClusterRouter::ScatterExpand(const ExpandRequest& request) {
                     per_shard[shard]->end());
     }
     std::sort(merged.begin(), merged.end(),
-              [](const ShardScoredEntity& a, const ShardScoredEntity& b) {
+              [](const RecalledEntity& a, const RecalledEntity& b) {
                 return RanksBefore({a.score, static_cast<size_t>(a.position)},
                                    {b.score, static_cast<size_t>(b.position)});
               });

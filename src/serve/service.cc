@@ -312,7 +312,7 @@ Status ExpansionService::EnableSharding(const ShardSpec& spec) {
   return Status::Ok();
 }
 
-StatusOr<std::vector<ShardScoredEntity>> ExpansionService::ScatterRetrieve(
+StatusOr<std::vector<RecalledEntity>> ExpansionService::ScatterRetrieve(
     const Query& query, size_t size) {
   if (Status admission = AcquireSlot(); !admission.ok()) return admission;
   Slot slot(*this);

@@ -153,8 +153,8 @@ class ExpansionService {
   /// run by the same RetExpan that serves "retexpan" requests (so
   /// UW_ANN_ENABLE applies), carrying *global* candidate positions so the
   /// router's merge reproduces the unsharded ranking bit for bit.
-  StatusOr<std::vector<ShardScoredEntity>> ScatterRetrieve(const Query& query,
-                                                           size_t size);
+  StatusOr<std::vector<RecalledEntity>> ScatterRetrieve(const Query& query,
+                                                        size_t size);
 
   /// Scatter rerank support: negative-seed centroid scores for explicit
   /// ids, on the full store (ids the store lacks score 0, exactly as the

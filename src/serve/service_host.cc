@@ -73,7 +73,7 @@ StatusOr<Query> ServiceHost::QueryByIndex(uint32_t index) {
   return generation->service->QueryByIndex(index);
 }
 
-StatusOr<std::vector<ShardScoredEntity>> ServiceHost::ScatterRetrieve(
+StatusOr<std::vector<RecalledEntity>> ServiceHost::ScatterRetrieve(
     const Query& query, size_t size) {
   const std::shared_ptr<Generation> generation = Current();
   if (generation == nullptr) {

@@ -71,7 +71,7 @@ class ServiceHost : public Frontend {
   // --- Frontend: every call pins Current() for its own duration. ---
   ExpandResult Expand(ExpandRequest request) override;
   StatusOr<Query> QueryByIndex(uint32_t index) override;
-  StatusOr<std::vector<ShardScoredEntity>> ScatterRetrieve(
+  StatusOr<std::vector<RecalledEntity>> ScatterRetrieve(
       const Query& query, size_t size) override;
   StatusOr<std::vector<float>> ScatterScore(
       const Query& query, const std::vector<EntityId>& ids) override;

@@ -851,26 +851,31 @@ TEST(AnnSnapshotTest, CorruptionFailsClosed) {
 TEST(AnnSnapshotTest, ArtifactCacheRoundTrip) {
   const std::string root =
       (std::filesystem::temp_directory_path() / "ann_cache_test").string();
-  std::filesystem::create_directories(root);
+  std::filesystem::remove_all(root);
   ArtifactCache::OverrideGlobalForTest(root);
-  ArtifactCache& cache = ArtifactCache::Global();
 
   const EntityStore store = MakeScaledStore(700);
   const IvfConfig config;
   const uint64_t key = CombineFingerprints(
       {FingerprintConfig(ScaledConfig(700)), FingerprintConfig(config)});
-  auto load = [&config](const std::string& path) {
-    return LoadAnnIndexSnapshot(path, config);
+  int builds = 0;
+  auto load_or_build = [&] {
+    return LoadOrBuild(
+        "ann", key,
+        [&config](const std::string& path) {
+          return LoadAnnIndexSnapshot(path, config);
+        },
+        [&] {
+          ++builds;
+          return IvfIndex::Build(store, config);
+        },
+        SaveAnnIndexSnapshot);
   };
-  EXPECT_FALSE(TryLoadCached(cache, "ann", key, load).has_value());
-
-  const IvfIndex built = IvfIndex::Build(store, config);
-  StoreCached(cache, "ann", key, [&built](const std::string& path) {
-    return SaveAnnIndexSnapshot(built, path);
-  });
-  auto cached = TryLoadCached(cache, "ann", key, load);
-  ASSERT_TRUE(cached.has_value());
-  EXPECT_EQ(cached->lists(), built.lists());
+  const IvfIndex built = load_or_build();
+  EXPECT_EQ(builds, 1);
+  const IvfIndex cached = load_or_build();
+  EXPECT_EQ(builds, 1);
+  EXPECT_EQ(cached.lists(), built.lists());
 
   // A different ANN config is a different key — it must miss, never
   // serve the stale index.

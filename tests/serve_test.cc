@@ -769,7 +769,7 @@ TEST(ServeServiceTest, GlobalPoolStaysFreeWhileRequestsRun) {
     // has left the pipeline.
     const int64_t kmeans_before =
         obs::GetCounter("ann.kmeans_iterations").Value();
-    StatusOr<std::vector<ShardScoredEntity>> recalled =
+    StatusOr<std::vector<RecalledEntity>> recalled =
         service.ScatterRetrieve(queries[0], 50);
     ASSERT_TRUE(recalled.ok()) << recalled.status();
     EXPECT_GT(obs::GetCounter("ann.kmeans_iterations").Value(), kmeans_before);
@@ -854,7 +854,7 @@ TEST(ServeServiceTest, ScatterCallsTakeSlotsAndShedAtTheQueueBound) {
     ASSERT_TRUE(service.PrewarmMethods({"setexpan"}).ok());
     constexpr int kBurst = 16;
     const std::vector<EntityId> ids = Reference("setexpan", queries[0], 30);
-    std::vector<StatusOr<std::vector<ShardScoredEntity>>> recalled(
+    std::vector<StatusOr<std::vector<RecalledEntity>>> recalled(
         kBurst, Status::Unavailable("not run"));
     std::vector<StatusOr<std::vector<float>>> scored(
         kBurst, Status::Unavailable("not run"));

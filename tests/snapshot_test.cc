@@ -66,47 +66,6 @@ class SnapshotTest : public ::testing::Test {
 GeneratedWorld* SnapshotTest::world_ = nullptr;
 std::filesystem::path SnapshotTest::dir_;
 
-TEST_F(SnapshotTest, CorpusRoundTrip) {
-  const auto path = dir_ / "corpus.uws";
-  ASSERT_TRUE(SaveCorpusSnapshot(world_->corpus, path.string()).ok());
-  auto loaded = LoadCorpusSnapshot(path.string());
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  const Corpus& corpus = *loaded;
-
-  ASSERT_EQ(corpus.tokens().size(), world_->corpus.tokens().size());
-  for (TokenId t = 0; t < static_cast<TokenId>(corpus.tokens().size());
-       ++t) {
-    EXPECT_EQ(corpus.tokens().TokenOf(t), world_->corpus.tokens().TokenOf(t));
-    EXPECT_EQ(corpus.tokens().CountOf(t), world_->corpus.tokens().CountOf(t));
-  }
-  ASSERT_EQ(corpus.entity_count(), world_->corpus.entity_count());
-  for (EntityId id = 0;
-       id < static_cast<EntityId>(corpus.entity_count()); ++id) {
-    EXPECT_EQ(corpus.entity(id).name, world_->corpus.entity(id).name);
-    EXPECT_EQ(corpus.entity(id).name_tokens,
-              world_->corpus.entity(id).name_tokens);
-    EXPECT_EQ(corpus.entity(id).class_id,
-              world_->corpus.entity(id).class_id);
-    EXPECT_EQ(corpus.entity(id).is_long_tail,
-              world_->corpus.entity(id).is_long_tail);
-    EXPECT_EQ(corpus.entity(id).attribute_values,
-              world_->corpus.entity(id).attribute_values);
-  }
-  ASSERT_EQ(corpus.sentence_count(), world_->corpus.sentence_count());
-  for (size_t s = 0; s < corpus.sentence_count(); ++s) {
-    EXPECT_EQ(corpus.sentence(s).entity, world_->corpus.sentence(s).entity);
-    EXPECT_EQ(corpus.sentence(s).tokens, world_->corpus.sentence(s).tokens);
-    EXPECT_EQ(corpus.sentence(s).mention_begin,
-              world_->corpus.sentence(s).mention_begin);
-    EXPECT_EQ(corpus.sentence(s).mention_len,
-              world_->corpus.sentence(s).mention_len);
-  }
-  EXPECT_EQ(corpus.auxiliary_sentences(),
-            world_->corpus.auxiliary_sentences());
-  // The per-entity sentence index is rebuilt.
-  EXPECT_EQ(corpus.SentencesOf(0), world_->corpus.SentencesOf(0));
-}
-
 TEST_F(SnapshotTest, WorldRoundTrip) {
   const auto path = dir_ / "world.uws";
   ASSERT_TRUE(SaveWorldSnapshot(*world_, path.string()).ok());
@@ -143,7 +102,41 @@ TEST_F(SnapshotTest, WorldRoundTrip) {
               world_->kb.WikidataAttributesOf(id));
   }
   EXPECT_EQ(world.entities_by_value, world_->entities_by_value);
-  EXPECT_EQ(world.corpus.sentence_count(), world_->corpus.sentence_count());
+
+  // The corpus travels inside the world snapshot.
+  const Corpus& corpus = world.corpus;
+  ASSERT_EQ(corpus.tokens().size(), world_->corpus.tokens().size());
+  for (TokenId t = 0; t < static_cast<TokenId>(corpus.tokens().size());
+       ++t) {
+    EXPECT_EQ(corpus.tokens().TokenOf(t), world_->corpus.tokens().TokenOf(t));
+    EXPECT_EQ(corpus.tokens().CountOf(t), world_->corpus.tokens().CountOf(t));
+  }
+  ASSERT_EQ(corpus.entity_count(), world_->corpus.entity_count());
+  for (EntityId id = 0;
+       id < static_cast<EntityId>(corpus.entity_count()); ++id) {
+    EXPECT_EQ(corpus.entity(id).name, world_->corpus.entity(id).name);
+    EXPECT_EQ(corpus.entity(id).name_tokens,
+              world_->corpus.entity(id).name_tokens);
+    EXPECT_EQ(corpus.entity(id).class_id,
+              world_->corpus.entity(id).class_id);
+    EXPECT_EQ(corpus.entity(id).is_long_tail,
+              world_->corpus.entity(id).is_long_tail);
+    EXPECT_EQ(corpus.entity(id).attribute_values,
+              world_->corpus.entity(id).attribute_values);
+  }
+  ASSERT_EQ(corpus.sentence_count(), world_->corpus.sentence_count());
+  for (size_t s = 0; s < corpus.sentence_count(); ++s) {
+    EXPECT_EQ(corpus.sentence(s).entity, world_->corpus.sentence(s).entity);
+    EXPECT_EQ(corpus.sentence(s).tokens, world_->corpus.sentence(s).tokens);
+    EXPECT_EQ(corpus.sentence(s).mention_begin,
+              world_->corpus.sentence(s).mention_begin);
+    EXPECT_EQ(corpus.sentence(s).mention_len,
+              world_->corpus.sentence(s).mention_len);
+  }
+  EXPECT_EQ(corpus.auxiliary_sentences(),
+            world_->corpus.auxiliary_sentences());
+  // The per-entity sentence index is rebuilt.
+  EXPECT_EQ(corpus.SentencesOf(0), world_->corpus.SentencesOf(0));
 }
 
 TEST_F(SnapshotTest, WorldSnapshotBytesAreDeterministic) {
@@ -442,43 +435,86 @@ TEST_F(SnapshotTest, IndexRejectsUnsortedTerms) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kInternal);
 }
 
+/// LoadOrBuild over an index snapshot, counting the callbacks it runs.
+struct CountingIndexCache {
+  InvertedIndex Get(uint64_t key) {
+    return LoadOrBuild(
+        "mined-index", key,
+        [this](const std::string& path) {
+          ++loads;
+          return LoadIndexSnapshot(path);
+        },
+        [this] {
+          ++builds;
+          InvertedIndex index = BuildIndexForSnapshotTests();
+          index.Freeze();
+          return index;
+        },
+        [this](const InvertedIndex& index, const std::string& path) {
+          ++saves;
+          return SaveIndexSnapshot(index, path);
+        });
+  }
+
+  /// Documents in BuildIndexForSnapshotTests().
+  static constexpr size_t kDocs = 304;
+  int loads = 0;
+  int builds = 0;
+  int saves = 0;
+};
+
+int64_t CounterValue(const char* name) {
+  return obs::GetCounter(name).Value();
+}
+
 TEST_F(SnapshotTest, ArtifactCacheMissStoreHit) {
   const auto cache_dir = dir_ / "cache";
   ArtifactCache::OverrideGlobalForTest(cache_dir.string());
-  ArtifactCache& cache = ArtifactCache::Global();
+  const ArtifactCache& cache = ArtifactCache::Global();
   obs::ResetMetricsForTest();
+  const uint64_t key = 0x5eed;
+  const std::string entry = cache.PathFor("mined-index", key);
+  CountingIndexCache index_cache;
 
-  const uint64_t key = FingerprintConfig(TinyConfig());
-  auto load = [](const std::string& path) { return LoadWorldSnapshot(path); };
+  // A miss builds and stores.
+  EXPECT_EQ(index_cache.Get(key).document_count(), CountingIndexCache::kDocs);
+  EXPECT_EQ(index_cache.loads, 1);
+  EXPECT_EQ(index_cache.builds, 1);
+  EXPECT_EQ(index_cache.saves, 1);
+  EXPECT_EQ(CounterValue("cache.miss"), 1);
+  EXPECT_EQ(CounterValue("cache.store"), 1);
+  EXPECT_EQ(CounterValue("cache.hit"), 0);
+  const std::string stored = ReadFileBytes(entry);
+  ASSERT_FALSE(stored.empty());
 
-  auto cold = TryLoadCached(cache, "world", key, load);
-  EXPECT_FALSE(cold.has_value());
-  EXPECT_EQ(obs::GetCounter("cache.miss").Value(), 1);
-  EXPECT_EQ(obs::GetCounter("cache.hit").Value(), 0);
-
-  StoreCached(cache, "world", key, [&](const std::string& path) {
-    return SaveWorldSnapshot(*world_, path);
-  });
-  EXPECT_EQ(obs::GetCounter("cache.store").Value(), 1);
-
-  auto warm = TryLoadCached(cache, "world", key, load);
-  ASSERT_TRUE(warm.has_value());
-  EXPECT_EQ(warm->fingerprint, world_->fingerprint);
-  EXPECT_EQ(obs::GetCounter("cache.hit").Value(), 1);
-  EXPECT_GT(obs::GetCounter("cache.bytes_read").Value(), 0);
+  // A hit skips the build.
+  EXPECT_EQ(index_cache.Get(key).document_count(), CountingIndexCache::kDocs);
+  EXPECT_EQ(index_cache.loads, 2);
+  EXPECT_EQ(index_cache.builds, 1);
+  EXPECT_EQ(index_cache.saves, 1);
+  EXPECT_EQ(CounterValue("cache.hit"), 1);
+  EXPECT_EQ(CounterValue("cache.bytes_read"),
+            static_cast<int64_t>(stored.size()));
 
   // A different key misses — the cache is content-addressed.
-  auto other = TryLoadCached(cache, "world", key ^ 1, load);
-  EXPECT_FALSE(other.has_value());
+  index_cache.Get(key ^ 1);
+  EXPECT_EQ(index_cache.builds, 2);
+  EXPECT_EQ(CounterValue("cache.miss"), 2);
 
-  // A corrupt entry degrades to a miss, never to an error.
-  const std::string entry = cache.PathFor("world", key);
-  std::string bytes = ReadFileBytes(entry);
+  // A corrupt entry degrades to a miss, never to an error: it is rebuilt
+  // and overwritten, and the next lookup hits.
+  std::string bytes = stored;
   bytes[bytes.size() / 2] =
       static_cast<char>(bytes[bytes.size() / 2] ^ 0x10);
   WriteFileBytes(entry, bytes);
-  auto corrupt = TryLoadCached(cache, "world", key, load);
-  EXPECT_FALSE(corrupt.has_value());
+  EXPECT_EQ(index_cache.Get(key).document_count(), CountingIndexCache::kDocs);
+  EXPECT_EQ(index_cache.builds, 3);
+  EXPECT_EQ(index_cache.saves, 3);
+  EXPECT_EQ(CounterValue("cache.miss"), 3);
+  EXPECT_EQ(ReadFileBytes(entry), stored);
+  index_cache.Get(key);
+  EXPECT_EQ(index_cache.builds, 3);
+  EXPECT_EQ(CounterValue("cache.hit"), 2);
 
   ArtifactCache::OverrideGlobalForTest("");
   EXPECT_FALSE(cache.enabled());
@@ -486,20 +522,32 @@ TEST_F(SnapshotTest, ArtifactCacheMissStoreHit) {
 
 TEST_F(SnapshotTest, DisabledCacheRecordsNothing) {
   ArtifactCache::OverrideGlobalForTest("");
-  ArtifactCache& cache = ArtifactCache::Global();
   obs::ResetMetricsForTest();
-  auto result = TryLoadCached(cache, "world", 1, [](const std::string&) {
-    return StatusOr<int>(Status::NotFound("unused"));
-  });
-  EXPECT_FALSE(result.has_value());
-  bool stored = false;
-  StoreCached(cache, "world", 1, [&](const std::string&) {
-    stored = true;
-    return Status::Ok();
-  });
-  EXPECT_FALSE(stored);
-  EXPECT_EQ(obs::GetCounter("cache.miss").Value(), 0);
-  EXPECT_EQ(obs::GetCounter("cache.store").Value(), 0);
+  CountingIndexCache index_cache;
+  EXPECT_EQ(index_cache.Get(1).document_count(), CountingIndexCache::kDocs);
+  EXPECT_EQ(index_cache.loads, 0);
+  EXPECT_EQ(index_cache.builds, 1);
+  EXPECT_EQ(index_cache.saves, 0);
+  EXPECT_EQ(CounterValue("cache.hit"), 0);
+  EXPECT_EQ(CounterValue("cache.miss"), 0);
+  EXPECT_EQ(CounterValue("cache.store"), 0);
+}
+
+TEST_F(SnapshotTest, KeyZeroIsNeverCached) {
+  const auto cache_dir = dir_ / "key_zero_cache";
+  ArtifactCache::OverrideGlobalForTest(cache_dir.string());
+  obs::ResetMetricsForTest();
+  CountingIndexCache index_cache;
+  index_cache.Get(0);
+  index_cache.Get(0);
+  EXPECT_EQ(index_cache.loads, 0);
+  EXPECT_EQ(index_cache.builds, 2);
+  EXPECT_EQ(index_cache.saves, 0);
+  EXPECT_EQ(CounterValue("cache.hit"), 0);
+  EXPECT_EQ(CounterValue("cache.miss"), 0);
+  EXPECT_EQ(CounterValue("cache.store"), 0);
+  EXPECT_FALSE(std::filesystem::exists(cache_dir));
+  ArtifactCache::OverrideGlobalForTest("");
 }
 
 TEST_F(SnapshotTest, ConfigFingerprintsAreSensitive) {
@@ -523,6 +571,8 @@ TEST_F(SnapshotTest, ConfigFingerprintsAreSensitive) {
   EXPECT_NE(FingerprintConfig(ds_a), FingerprintConfig(ds_b));
 
   EXPECT_NE(CombineFingerprints({1, 2}), CombineFingerprints({2, 1}));
+  // Unknown provenance anywhere in the chain keys nothing.
+  EXPECT_EQ(CombineFingerprints({1, 0, 2}), 0u);
 }
 
 // End-to-end: a warm pipeline build loads every cached artifact and
@@ -538,14 +588,20 @@ TEST_F(SnapshotTest, PipelineWarmBuildMatchesCold) {
   obs::ResetMetricsForTest();
 
   Pipeline cold = Pipeline::Build(config);
-  EXPECT_EQ(obs::GetCounter("cache.hit").Value(), 0);
-  EXPECT_GT(obs::GetCounter("cache.store").Value(), 0);
+  cold.ann_index();
+  EXPECT_EQ(CounterValue("cache.hit"), 0);
+  // World, mined index, encoder, store and ANN index.
+  const int64_t cold_stores = CounterValue("cache.store");
+  EXPECT_EQ(cold_stores, 5);
 
   obs::ResetMetricsForTest();
   Pipeline warm = Pipeline::Build(config);
-  // World, mined index, encoder, and store all load from the cache.
-  EXPECT_GE(obs::GetCounter("cache.hit").Value(), 4);
-  EXPECT_EQ(obs::GetCounter("cache.miss").Value(), 0);
+  warm.ann_index();
+  // Every artifact the cold build stored loads from the cache.
+  EXPECT_EQ(CounterValue("cache.hit"), cold_stores);
+  EXPECT_EQ(CounterValue("cache.miss"), 0);
+  EXPECT_EQ(CounterValue("cache.store"), 0);
+  EXPECT_EQ(warm.ann_index().lists(), cold.ann_index().lists());
 
   EXPECT_EQ(warm.world().fingerprint, cold.world().fingerprint);
   EXPECT_EQ(warm.candidates(), cold.candidates());
