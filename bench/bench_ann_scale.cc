@@ -10,7 +10,8 @@
 // exact/probe QPS, speedup) are asserted inline — recall@50 >= 0.98,
 // probe QPS above exact QPS, strictly fewer rows scored, the certified
 // top-50 equal to the float one for every query — when
-// UW_ANN_BENCH_ASSERT is set (the CI bench-observability job sets it).
+// the UW_ANN_BENCH_ASSERT flag is on (the CI bench-observability job
+// sets it).
 // Stdout is timing-free and byte-identical across thread counts.
 
 #include <chrono>
@@ -40,12 +41,6 @@ constexpr int kQueries = 32;
 constexpr int kSeedsPerQuery = 8;
 
 int64_t EnvEntities() { return EnvInt("UW_ANN_BENCH_ENTITIES", 100000, 1); }
-
-bool EnvAssert() {
-  const char* env = std::getenv("UW_ANN_BENCH_ASSERT");
-  return env != nullptr && *env != '\0' &&
-         !(env[0] == '0' && env[1] == '\0');
-}
 
 std::vector<size_t> TopIndices(const std::vector<float>& scores,
                                size_t k) {
@@ -220,7 +215,7 @@ void Run() {
                "[ann_scale] exact %.1f qps, probe %.1f qps (%.1fx)\n",
                exact_qps, probe_qps, probe_qps / exact_qps);
 
-  if (EnvAssert()) {
+  if (EnvFlag("UW_ANN_BENCH_ASSERT")) {
     bool ok = true;
     if (recall < 0.98) {
       std::fprintf(stderr, "[ann_scale] ASSERT FAIL: recall@50 %.3f < 0.98\n",

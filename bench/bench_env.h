@@ -3,8 +3,8 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/env.h"
 #include "common/thread_pool.h"
 #include "expand/pipeline.h"
 #include "io/artifact_cache.h"
@@ -13,15 +13,12 @@
 namespace ultrawiki {
 
 /// Pipeline scale for bench binaries: the full Bench() config by default,
-/// or Tiny() when `UW_BENCH_TINY` is set non-empty (CI smoke runs). The
+/// or Tiny() when the `UW_BENCH_TINY` flag is on (CI smoke runs). The
 /// stdout tables differ between the two scales, but each scale stays
 /// byte-identical across thread counts and trace settings.
 inline PipelineConfig BenchPipelineConfig() {
-  const char* env = std::getenv("UW_BENCH_TINY");
-  if (env != nullptr && *env != '\0' && !(env[0] == '0' && env[1] == '\0')) {
-    return PipelineConfig::Tiny();
-  }
-  return PipelineConfig::Bench();
+  return EnvFlag("UW_BENCH_TINY") ? PipelineConfig::Tiny()
+                                  : PipelineConfig::Bench();
 }
 
 /// Shared harness glue for the table/figure binaries: announces the lane

@@ -17,24 +17,9 @@
 #include <string>
 
 #include "common/env.h"
-#include "common/string_util.h"
 #include "serve/client.h"
 
-namespace {
-
 using namespace ultrawiki;
-
-std::string FlagValue(int argc, char** argv, const std::string& name,
-                      const std::string& fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (StartsWith(arg, prefix)) return arg.substr(prefix.size());
-  }
-  return fallback;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const std::string host = FlagValue(argc, argv, "host", "127.0.0.1");

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/env.h"
 #include "common/hash.h"
@@ -26,11 +25,7 @@ uint64_t FingerprintConfig(const IvfConfig& config) {
   return hash.digest();
 }
 
-bool AnnEnabledFromEnv() {
-  const char* env = std::getenv("UW_ANN_ENABLE");
-  return env != nullptr && *env != '\0' &&
-         !(env[0] == '0' && env[1] == '\0');
-}
+bool AnnEnabledFromEnv() { return EnvFlag("UW_ANN_ENABLE"); }
 
 int AnnNprobeFromEnv() { return EnvInt("UW_ANN_NPROBE", 0, 1); }
 

@@ -1,5 +1,6 @@
 #include "common/env.h"
 
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <string>
@@ -55,6 +56,39 @@ int EnvInt(const char* name, int fallback, int min_value) {
     return fallback;
   }
   return *parsed;
+}
+
+bool EnvFlag(const char* name) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return false;
+  const std::string_view value = env;
+  if (!value.empty() && value != "0" && value != "1") {
+    UW_LOG(Warning) << name << "=" << value
+                    << " is not 0 or 1; treating it as 1";
+  }
+  return !value.empty() && value != "0";
+}
+
+std::string FlagValue(int argc, char** argv, std::string_view name,
+                      std::string_view fallback) {
+  const std::string prefix = "--" + std::string(name) + "=";
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.starts_with(prefix)) return std::string(arg.substr(prefix.size()));
+  }
+  return std::string(fallback);
+}
+
+void WritePortFile(const char* env_name, int port, const char* tag) {
+  const char* path = std::getenv(env_name);
+  if (path == nullptr) return;
+  std::FILE* file = std::fopen(path, "w");
+  if (file == nullptr) {
+    std::fprintf(stderr, "[%s] cannot write %s %s\n", tag, env_name, path);
+    return;
+  }
+  std::fprintf(file, "%d\n", port);
+  std::fclose(file);
 }
 
 }  // namespace ultrawiki

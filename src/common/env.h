@@ -2,6 +2,7 @@
 #define ULTRAWIKI_COMMON_ENV_H_
 
 #include <optional>
+#include <string>
 #include <string_view>
 
 namespace ultrawiki {
@@ -21,6 +22,23 @@ std::optional<int> ParsePortStrict(std::string_view text);
 /// does not parse strictly or is below `min_value`, so a typo like
 /// UW_SERVE_QUEUE=64k is loud instead of silently becoming 64.
 int EnvInt(const char* name, int fallback, int min_value);
+
+/// Resolves a boolean knob from the environment: unset, "" and "0" are
+/// off, anything else is on. A non-empty value other than "0" or "1"
+/// also warns, naming the knob, so UW_ANN_ENABLE=false (which turns the
+/// knob on) is loud instead of silent.
+bool EnvFlag(const char* name);
+
+/// Value of the first `--name=VALUE` in argv[1..argc), or `fallback`
+/// when there is none. A bare `--name` (no '=') does not match.
+std::string FlagValue(int argc, char** argv, std::string_view name,
+                      std::string_view fallback);
+
+/// When the environment variable `env_name` is set, writes `port` and a
+/// newline to the path it names, for scripts waiting on a bound port. A
+/// path that cannot be opened is reported on stderr as
+/// "[<tag>] cannot write <env_name> <path>"; the caller goes on serving.
+void WritePortFile(const char* env_name, int port, const char* tag);
 
 }  // namespace ultrawiki
 

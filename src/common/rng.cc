@@ -1,7 +1,5 @@
 #include "common/rng.h"
 
-#include <cmath>
-
 namespace ultrawiki {
 namespace {
 
@@ -56,23 +54,6 @@ double Rng::UniformDouble() {
 
 float Rng::UniformFloat(float lo, float hi) {
   return lo + static_cast<float>(UniformDouble()) * (hi - lo);
-}
-
-double Rng::Gaussian() {
-  if (has_cached_gaussian_) {
-    has_cached_gaussian_ = false;
-    return cached_gaussian_;
-  }
-  double u1 = 0.0;
-  do {
-    u1 = UniformDouble();
-  } while (u1 <= 1e-300);
-  const double u2 = UniformDouble();
-  const double radius = std::sqrt(-2.0 * std::log(u1));
-  const double angle = 2.0 * M_PI * u2;
-  cached_gaussian_ = radius * std::sin(angle);
-  has_cached_gaussian_ = true;
-  return radius * std::cos(angle);
 }
 
 bool Rng::Bernoulli(double p) { return UniformDouble() < p; }

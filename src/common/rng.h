@@ -31,9 +31,6 @@ class Rng {
   /// Uniform float in [lo, hi).
   float UniformFloat(float lo, float hi);
 
-  /// Standard normal variate (Box–Muller).
-  double Gaussian();
-
   /// Bernoulli draw with success probability `p`.
   bool Bernoulli(double p);
 
@@ -69,8 +66,6 @@ class Rng {
 
  private:
   uint64_t state_[4];
-  bool has_cached_gaussian_ = false;
-  double cached_gaussian_ = 0.0;
 };
 
 }  // namespace ultrawiki

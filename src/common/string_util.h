@@ -18,14 +18,7 @@ std::vector<std::string> SplitStringKeepEmpty(std::string_view text,
 std::string JoinStrings(const std::vector<std::string>& pieces,
                         std::string_view separator);
 
-/// ASCII lower-casing.
-std::string ToLowerAscii(std::string_view text);
-
-/// Strips leading/trailing ASCII whitespace.
-std::string StripAsciiWhitespace(std::string_view text);
-
 bool StartsWith(std::string_view text, std::string_view prefix);
-bool EndsWith(std::string_view text, std::string_view suffix);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* format, ...)

@@ -106,13 +106,6 @@ std::vector<float> Bm25Scorer::ScoreAll(
   return scores;
 }
 
-std::vector<std::vector<float>> Bm25Scorer::ScoreAllBatch(
-    const std::vector<std::vector<TokenId>>& queries) const {
-  return ThreadPool::Global().ParallelMap<std::vector<float>>(
-      static_cast<int64_t>(queries.size()),
-      [&](int64_t q) { return ScoreAll(queries[static_cast<size_t>(q)]); });
-}
-
 std::vector<ScoredIndex> Bm25Scorer::Search(const std::vector<TokenId>& query,
                                             size_t k) const {
   obs::GetCounter("bm25.queries").Increment();

@@ -39,12 +39,6 @@ class Bm25Scorer {
   /// fusion); rankings-only callers should use Search.
   std::vector<float> ScoreAll(const std::vector<TokenId>& query) const;
 
-  /// ScoreAll for a whole query set at once, one result row per query in
-  /// input order. Queries are scored in parallel on the global ThreadPool
-  /// (each row is independent, so output is identical at any UW_THREADS).
-  std::vector<std::vector<float>> ScoreAllBatch(
-      const std::vector<std::vector<TokenId>>& queries) const;
-
   /// Top-k documents for `query`, sorted by descending score (ascending
   /// doc id on ties). Only documents matching at least one query term are
   /// candidates — fewer than `k` matches return fewer than `k` results,

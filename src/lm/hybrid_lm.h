@@ -77,8 +77,6 @@ class LmScoringState {
   void NextTokenProbabilityBatch(std::span<const TokenId> nexts,
                                  std::span<double> out) const;
 
-  size_t generated_size() const { return generated_; }
-
  private:
   const HybridLm* lm_ = nullptr;
   LmPromptContext* prompt_ = nullptr;
@@ -136,7 +134,6 @@ class HybridLm {
 
   const NgramLm& ngram() const { return ngram_; }
   const AssociationModel& association() const { return association_; }
-  const HybridLmConfig& lm_config() const { return config_; }
   size_t vocab_size() const { return ngram_.vocab_size(); }
 
  private:

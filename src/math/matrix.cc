@@ -6,12 +6,6 @@ void Matrix::InitUniform(Rng& rng, float scale) {
   for (float& v : data_) v = rng.UniformFloat(-scale, scale);
 }
 
-void Matrix::InitGaussian(Rng& rng, float stddev) {
-  for (float& v : data_) {
-    v = static_cast<float>(rng.Gaussian()) * stddev;
-  }
-}
-
 void Matrix::MatVec(std::span<const float> x, std::span<float> y) const {
   UW_CHECK_EQ(x.size(), cols_);
   UW_CHECK_EQ(y.size(), rows_);

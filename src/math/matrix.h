@@ -51,9 +51,6 @@ class Matrix {
   /// Fills entries with U(-scale, scale); the standard embedding init.
   void InitUniform(Rng& rng, float scale);
 
-  /// Fills entries with N(0, stddev^2).
-  void InitGaussian(Rng& rng, float stddev);
-
   /// y = M x   (y has rows() entries, x has cols() entries).
   void MatVec(std::span<const float> x, std::span<float> y) const;
 

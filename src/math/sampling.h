@@ -29,24 +29,6 @@ class AliasTable {
   std::vector<double> normalized_;     // Original normalized weights.
 };
 
-/// Reservoir sampling: selects `k` items uniformly from a stream presented
-/// as a vector, without materializing permutations.
-template <typename T>
-std::vector<T> ReservoirSample(const std::vector<T>& stream, size_t k,
-                               Rng& rng) {
-  std::vector<T> reservoir;
-  reservoir.reserve(k);
-  for (size_t i = 0; i < stream.size(); ++i) {
-    if (reservoir.size() < k) {
-      reservoir.push_back(stream[i]);
-    } else {
-      const size_t j = rng.UniformUint64(i + 1);
-      if (j < k) reservoir[j] = stream[i];
-    }
-  }
-  return reservoir;
-}
-
 }  // namespace ultrawiki
 
 #endif  // ULTRAWIKI_MATH_SAMPLING_H_

@@ -3,17 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.h"
-
 namespace ultrawiki {
-
-double LogSumExp(std::span<const float> logits) {
-  UW_CHECK(!logits.empty());
-  const float max_logit = *std::max_element(logits.begin(), logits.end());
-  double sum = 0.0;
-  for (float v : logits) sum += std::exp(static_cast<double>(v - max_logit));
-  return static_cast<double>(max_logit) + std::log(sum);
-}
 
 void SoftmaxInPlace(std::span<float> logits) {
   if (logits.empty()) return;
@@ -25,27 +15,6 @@ void SoftmaxInPlace(std::span<float> logits) {
   }
   const float inv = static_cast<float>(1.0 / sum);
   for (float& v : logits) v *= inv;
-}
-
-std::vector<float> Softmax(std::span<const float> logits) {
-  std::vector<float> out(logits.begin(), logits.end());
-  SoftmaxInPlace(out);
-  return out;
-}
-
-void LogSoftmaxInPlace(std::span<float> logits) {
-  if (logits.empty()) return;
-  const double lse = LogSumExp(logits);
-  for (float& v : logits) v = static_cast<float>(v - lse);
-}
-
-float Sigmoid(float x) {
-  if (x >= 0.0f) {
-    const float z = std::exp(-x);
-    return 1.0f / (1.0f + z);
-  }
-  const float z = std::exp(x);
-  return z / (1.0f + z);
 }
 
 }  // namespace ultrawiki

@@ -2,24 +2,11 @@
 #define ULTRAWIKI_MATH_SOFTMAX_H_
 
 #include <span>
-#include <vector>
 
 namespace ultrawiki {
 
-/// Numerically stable log(sum(exp(x))).
-double LogSumExp(std::span<const float> logits);
-
 /// In-place softmax over `logits` (stable).
 void SoftmaxInPlace(std::span<float> logits);
-
-/// Returns softmax(logits) without modifying the input.
-std::vector<float> Softmax(std::span<const float> logits);
-
-/// In-place log-softmax (stable).
-void LogSoftmaxInPlace(std::span<float> logits);
-
-/// Numerically stable sigmoid.
-float Sigmoid(float x);
 
 }  // namespace ultrawiki
 

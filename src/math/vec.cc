@@ -1,7 +1,5 @@
 #include "math/vec.h"
 
-#include <cmath>
-
 #include "common/logging.h"
 #include "math/simd_kernels.h"
 
@@ -34,26 +32,9 @@ void NormalizeInPlace(std::span<float> x) {
   Scale(1.0f / norm, x);
 }
 
-float CosineSimilarity(std::span<const float> a, std::span<const float> b) {
-  const double na = NormBlocked(a);
-  const double nb = NormBlocked(b);
-  if (na <= 0.0 || nb <= 0.0) return 0.0f;
-  return static_cast<float>(DotBlocked(a, b) / (na * nb));
-}
-
 void AccumulateInPlace(std::span<float> acc, std::span<const float> x) {
   UW_CHECK_EQ(acc.size(), x.size());
   for (size_t i = 0; i < acc.size(); ++i) acc[i] += x[i];
-}
-
-Vec MeanOfVectors(const std::vector<Vec>& vectors, size_t dim) {
-  Vec mean(dim, 0.0f);
-  if (vectors.empty()) return mean;
-  for (const Vec& v : vectors) {
-    AccumulateInPlace(mean, v);
-  }
-  Scale(1.0f / static_cast<float>(vectors.size()), mean);
-  return mean;
 }
 
 void ZeroInPlace(std::span<float> x) {

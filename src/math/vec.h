@@ -27,15 +27,8 @@ float Norm(std::span<const float> x);
 /// In-place L2 normalization; leaves zero vectors untouched.
 void NormalizeInPlace(std::span<float> x);
 
-/// Cosine similarity; returns 0 when either vector is all-zero.
-float CosineSimilarity(std::span<const float> a, std::span<const float> b);
-
 /// Element-wise sum accumulated into `acc` (acc += x).
 void AccumulateInPlace(std::span<float> acc, std::span<const float> x);
-
-/// Returns the element-wise mean of `vectors`; all must share `dim`.
-/// Returns a zero vector when `vectors` is empty.
-Vec MeanOfVectors(const std::vector<Vec>& vectors, size_t dim);
 
 /// Sets all entries to zero.
 void ZeroInPlace(std::span<float> x);

@@ -153,7 +153,6 @@ class WindowedHistogram {
   HistogramData AggregateAtMs(int64_t now_ms) const;
 
   const std::string& name() const { return name_; }
-  int64_t window_ms() const { return slot_width_ms_ * slot_count_; }
 
   /// Clears every slot. Test-only; callers must be quiescent.
   void Reset();

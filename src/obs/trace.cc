@@ -1,11 +1,10 @@
 #include "obs/trace.h"
 
+#include "common/env.h"
 #include "obs/request_trace.h"
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -92,10 +91,7 @@ void MergeInto(const TraceNode& source, ProfileNode& target) {
 bool TraceEnabled() {
   int state = g_trace_enabled.load(std::memory_order_relaxed);
   if (state < 0) {
-    const char* env = std::getenv("UW_TRACE");
-    const int parsed =
-        (env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0) ? 1
-                                                                       : 0;
+    const int parsed = EnvFlag("UW_TRACE") ? 1 : 0;
     int expected = -1;
     g_trace_enabled.compare_exchange_strong(expected, parsed,
                                             std::memory_order_relaxed);

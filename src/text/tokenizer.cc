@@ -49,15 +49,4 @@ std::vector<std::string> Tokenizer::Tokenize(std::string_view text) const {
   return tokens;
 }
 
-std::string Tokenizer::Detokenize(const std::vector<std::string>& tokens) const {
-  std::string out;
-  for (size_t i = 0; i < tokens.size(); ++i) {
-    const std::string& tok = tokens[i];
-    const bool is_punct = tok.size() == 1 && IsPunct(tok[0]);
-    if (i > 0 && !is_punct) out += ' ';
-    out += tok;
-  }
-  return out;
-}
-
 }  // namespace ultrawiki

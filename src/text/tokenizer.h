@@ -17,10 +17,6 @@ class Tokenizer {
 
   /// Tokenizes `text` into lower-case word/punctuation tokens.
   std::vector<std::string> Tokenize(std::string_view text) const;
-
-  /// Joins tokens back into display text with simple detokenization rules
-  /// (no space before punctuation).
-  std::string Detokenize(const std::vector<std::string>& tokens) const;
 };
 
 }  // namespace ultrawiki

@@ -1,7 +1,5 @@
 #include "text/vocabulary.h"
 
-#include <cmath>
-
 #include "common/logging.h"
 
 namespace ultrawiki {
@@ -35,14 +33,6 @@ int64_t Vocabulary::CountOf(TokenId id) const {
   UW_CHECK_GE(id, 0);
   UW_CHECK_LT(static_cast<size_t>(id), counts_.size());
   return counts_[static_cast<size_t>(id)];
-}
-
-std::vector<double> Vocabulary::FrequenciesAsWeights(double power) const {
-  std::vector<double> weights(counts_.size());
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    weights[i] = std::pow(static_cast<double>(counts_[i]), power);
-  }
-  return weights;
 }
 
 }  // namespace ultrawiki

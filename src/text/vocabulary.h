@@ -35,14 +35,7 @@ class Vocabulary {
   /// Occurrence count accumulated through AddToken.
   int64_t CountOf(TokenId id) const;
 
-  bool Contains(std::string_view token) const {
-    return Lookup(token) != kInvalidTokenId;
-  }
-
   size_t size() const { return tokens_.size(); }
-
-  /// All frequencies, indexed by id (for negative-sampling tables).
-  std::vector<double> FrequenciesAsWeights(double power = 1.0) const;
 
  private:
   std::unordered_map<std::string, TokenId> index_;

@@ -106,51 +106,6 @@ Query TargetSeededQuery() {
   return {};
 }
 
-// ------------------------------------------------------- Env parsing.
-
-TEST(EnvIntTest, ParseIntStrictRejectsSuffixesAndGarbage) {
-  EXPECT_EQ(ParseIntStrict("64"), 64);
-  EXPECT_EQ(ParseIntStrict("-3"), -3);
-  EXPECT_EQ(ParseIntStrict("+7"), 7);
-  EXPECT_EQ(ParseIntStrict("0"), 0);
-  // atoi would accept all of these; the strict parser must not.
-  EXPECT_FALSE(ParseIntStrict("64k").has_value());
-  EXPECT_FALSE(ParseIntStrict("6 4").has_value());
-  EXPECT_FALSE(ParseIntStrict(" 64").has_value());
-  EXPECT_FALSE(ParseIntStrict("64 ").has_value());
-  EXPECT_FALSE(ParseIntStrict("").has_value());
-  EXPECT_FALSE(ParseIntStrict("-").has_value());
-  EXPECT_FALSE(ParseIntStrict("0x10").has_value());
-  EXPECT_FALSE(ParseIntStrict("99999999999999999999").has_value());
-}
-
-TEST(EnvIntTest, ParsePortStrictRejectsSuffixesAndOutOfRange) {
-  EXPECT_EQ(ParsePortStrict("0"), 0);
-  EXPECT_EQ(ParsePortStrict("8080"), 8080);
-  EXPECT_EQ(ParsePortStrict("65535"), 65535);
-  for (const char* bad : {"80x", "", "-1", "65536", " 80"}) {
-    EXPECT_FALSE(ParsePortStrict(bad).has_value()) << bad;
-  }
-}
-
-TEST(EnvIntTest, EnvIntFallsBackLoudlyOnBadValues) {
-  constexpr const char* kKnob = "UW_TEST_CLUSTER_KNOB";
-  ::unsetenv(kKnob);
-  EXPECT_EQ(EnvInt(kKnob, 42, 0), 42);
-  ::setenv(kKnob, "64", 1);
-  EXPECT_EQ(EnvInt(kKnob, 42, 0), 64);
-  // "64k" must not silently become 64 — that is the atoi bug this
-  // replaces.
-  ::setenv(kKnob, "64k", 1);
-  EXPECT_EQ(EnvInt(kKnob, 42, 0), 42);
-  ::setenv(kKnob, "garbage", 1);
-  EXPECT_EQ(EnvInt(kKnob, 42, 0), 42);
-  // Below the floor is rejected, not clamped.
-  ::setenv(kKnob, "1", 1);
-  EXPECT_EQ(EnvInt(kKnob, 42, 8), 42);
-  ::unsetenv(kKnob);
-}
-
 // --------------------------------------------------- Topology parsing.
 
 TEST(RouterTopologyTest, ParsesRepicatedMultiShardTopology) {
@@ -248,6 +203,12 @@ TEST(TcpLifecycleTest, AcceptLoopSurvivesFdExhaustion) {
   // new fd, only accepting does.
   int probe = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(probe, 0);
+
+  // Log once before the squeeze. Under UBSan the first vptr check of a
+  // type needs a fresh fd; if the accept loop's EMFILE warning were the
+  // process's first log line, that check would fail and report a false
+  // "invalid vptr" on the log stream.
+  UW_LOG(Info) << "exhausting the fd table";
 
   // Exhaust the fd table: clamp the limit just above the highest live
   // fd, then fill every hole below it, so the server-side accept() of

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
-#include <set>
+#include <unistd.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <set>
+#include <string>
+
+#include "common/env.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -122,20 +128,6 @@ TEST(RngTest, UniformDoubleInUnitInterval) {
   EXPECT_NEAR(sum / 10000.0, 0.5, 0.02);
 }
 
-TEST(RngTest, GaussianMoments) {
-  Rng rng(11);
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  constexpr int kSamples = 20000;
-  for (int i = 0; i < kSamples; ++i) {
-    const double value = rng.Gaussian();
-    sum += value;
-    sum_sq += value * value;
-  }
-  EXPECT_NEAR(sum / kSamples, 0.0, 0.03);
-  EXPECT_NEAR(sum_sq / kSamples, 1.0, 0.05);
-}
-
 TEST(RngTest, BernoulliRate) {
   Rng rng(13);
   int hits = 0;
@@ -209,21 +201,9 @@ TEST(StringUtilTest, JoinRoundTrips) {
   EXPECT_EQ(JoinStrings({}, ", "), "");
 }
 
-TEST(StringUtilTest, ToLowerAscii) {
-  EXPECT_EQ(ToLowerAscii("MiXeD 123"), "mixed 123");
-}
-
-TEST(StringUtilTest, StripWhitespace) {
-  EXPECT_EQ(StripAsciiWhitespace("  padded\t\n"), "padded");
-  EXPECT_EQ(StripAsciiWhitespace("   "), "");
-  EXPECT_EQ(StripAsciiWhitespace("x"), "x");
-}
-
-TEST(StringUtilTest, StartsEndsWith) {
+TEST(StringUtilTest, StartsWith) {
   EXPECT_TRUE(StartsWith("ultrawiki", "ultra"));
   EXPECT_FALSE(StartsWith("ultra", "ultrawiki"));
-  EXPECT_TRUE(EndsWith("ultrawiki", "wiki"));
-  EXPECT_FALSE(EndsWith("wiki", "ultrawiki"));
 }
 
 TEST(StringUtilTest, StrFormat) {
@@ -234,6 +214,133 @@ TEST(StringUtilTest, StrFormat) {
 TEST(StringUtilTest, FormatDouble) {
   EXPECT_EQ(FormatDouble(3.14159, 2), "3.14");
   EXPECT_EQ(FormatDouble(-0.5, 1), "-0.5");
+}
+
+// ------------------------------------------------------------------ Env.
+
+TEST(EnvIntTest, ParseIntStrictRejectsSuffixesAndGarbage) {
+  EXPECT_EQ(ParseIntStrict("64"), 64);
+  EXPECT_EQ(ParseIntStrict("-3"), -3);
+  EXPECT_EQ(ParseIntStrict("+7"), 7);
+  EXPECT_EQ(ParseIntStrict("0"), 0);
+  // atoi would accept all of these; the strict parser must not.
+  EXPECT_FALSE(ParseIntStrict("64k").has_value());
+  EXPECT_FALSE(ParseIntStrict("6 4").has_value());
+  EXPECT_FALSE(ParseIntStrict(" 64").has_value());
+  EXPECT_FALSE(ParseIntStrict("64 ").has_value());
+  EXPECT_FALSE(ParseIntStrict("").has_value());
+  EXPECT_FALSE(ParseIntStrict("-").has_value());
+  EXPECT_FALSE(ParseIntStrict("0x10").has_value());
+  EXPECT_FALSE(ParseIntStrict("99999999999999999999").has_value());
+}
+
+TEST(EnvIntTest, ParsePortStrictRejectsSuffixesAndOutOfRange) {
+  EXPECT_EQ(ParsePortStrict("0"), 0);
+  EXPECT_EQ(ParsePortStrict("8080"), 8080);
+  EXPECT_EQ(ParsePortStrict("65535"), 65535);
+  for (const char* bad : {"80x", "", "-1", "65536", " 80"}) {
+    EXPECT_FALSE(ParsePortStrict(bad).has_value()) << bad;
+  }
+}
+
+TEST(EnvIntTest, EnvIntFallsBackLoudlyOnBadValues) {
+  constexpr const char* kKnob = "UW_TEST_INT_KNOB";
+  ::unsetenv(kKnob);
+  EXPECT_EQ(EnvInt(kKnob, 42, 0), 42);
+  ::setenv(kKnob, "64", 1);
+  EXPECT_EQ(EnvInt(kKnob, 42, 0), 64);
+  // "64k" must not silently become 64 — that is the atoi bug this
+  // replaces.
+  ::setenv(kKnob, "64k", 1);
+  EXPECT_EQ(EnvInt(kKnob, 42, 0), 42);
+  ::setenv(kKnob, "garbage", 1);
+  EXPECT_EQ(EnvInt(kKnob, 42, 0), 42);
+  // Below the floor is rejected, not clamped.
+  ::setenv(kKnob, "1", 1);
+  EXPECT_EQ(EnvInt(kKnob, 42, 8), 42);
+  ::unsetenv(kKnob);
+}
+
+TEST(EnvFlagTest, TruthinessAndWarnings) {
+  constexpr const char* kKnob = "UW_TEST_FLAG_KNOB";
+  const LogLevel saved = GetLogLevel();
+  SetLogLevel(LogLevel::kWarning);
+  // A null value means the knob is unset.
+  struct Case {
+    const char* value;
+    bool on;
+    bool warns;
+  };
+  for (const Case& c : {Case{nullptr, false, false}, Case{"", false, false},
+                        Case{"0", false, false}, Case{"1", true, false},
+                        Case{"false", true, true}}) {
+    const std::string label = c.value != nullptr ? c.value : "(unset)";
+    if (c.value != nullptr) {
+      ::setenv(kKnob, c.value, 1);
+    } else {
+      ::unsetenv(kKnob);
+    }
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(EnvFlag(kKnob), c.on) << label;
+    const std::string logged = testing::internal::GetCapturedStderr();
+    if (c.warns) {
+      // Exactly one warning, naming the knob and its value.
+      const std::string named = std::string(kKnob) + "=" + c.value;
+      const size_t at = logged.find(named);
+      EXPECT_NE(at, std::string::npos) << logged;
+      EXPECT_EQ(logged.find(named, at + 1), std::string::npos) << logged;
+    } else {
+      EXPECT_EQ(logged, "") << label;
+    }
+  }
+  ::unsetenv(kKnob);
+  SetLogLevel(saved);
+}
+
+TEST(FlagValueTest, FirstMatchWins) {
+  char prog[] = "prog";
+  char port[] = "--port=80";
+  char again[] = "--port=90";
+  char bare[] = "--k";
+  char other[] = "--portx=7";
+  char* argv[] = {prog, port, again, bare, other};
+  constexpr int argc = 5;
+  EXPECT_EQ(FlagValue(argc, argv, "port", "0"), "80");  // repeated: first
+  EXPECT_EQ(FlagValue(argc, argv, "k", "20"), "20");    // no '=': absent
+  EXPECT_EQ(FlagValue(argc, argv, "host", "h"), "h");   // absent
+  EXPECT_EQ(FlagValue(argc, argv, "portx", ""), "7");
+  // argv[0] is the program name, never a flag.
+  char flag_as_prog[] = "--port=1";
+  char* only_prog[] = {flag_as_prog};
+  EXPECT_EQ(FlagValue(1, only_prog, "port", "0"), "0");
+}
+
+TEST(WritePortFileTest, WritesPortOnlyWhenAsked) {
+  constexpr const char* kKnob = "UW_TEST_PORT_FILE";
+  const std::string path =
+      testing::TempDir() + "uw_port_file_" + std::to_string(::getpid());
+  std::remove(path.c_str());
+  ::unsetenv(kKnob);
+  WritePortFile(kKnob, 1234, "test");
+  EXPECT_NE(::access(path.c_str(), F_OK), 0);
+
+  ::setenv(kKnob, path.c_str(), 1);
+  WritePortFile(kKnob, 1234, "test");
+  std::FILE* file = std::fopen(path.c_str(), "r");
+  ASSERT_NE(file, nullptr);
+  char buf[16] = {};
+  const size_t got = std::fread(buf, 1, sizeof(buf) - 1, file);
+  std::fclose(file);
+  EXPECT_EQ(std::string(buf, got), "1234\n");
+  std::remove(path.c_str());
+
+  const std::string unwritable = path + "/missing/dir";
+  ::setenv(kKnob, unwritable.c_str(), 1);
+  testing::internal::CaptureStderr();
+  WritePortFile(kKnob, 1234, "test");
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "[test] cannot write UW_TEST_PORT_FILE " + unwritable + "\n");
+  ::unsetenv(kKnob);
 }
 
 // --------------------------------------------------------- TablePrinter.

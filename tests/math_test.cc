@@ -11,7 +11,6 @@
 
 #include "common/rng.h"
 #include "math/matrix.h"
-#include "math/optimizer.h"
 #include "math/sampling.h"
 #include "math/simd_kernels.h"
 #include "math/softmax.h"
@@ -48,25 +47,6 @@ TEST(VecTest, NormalizeZeroVectorIsNoop) {
   Vec v = {0.0f, 0.0f};
   NormalizeInPlace(v);
   EXPECT_FLOAT_EQ(v[0], 0.0f);
-}
-
-TEST(VecTest, CosineSimilarityBounds) {
-  Vec a = {1.0f, 0.0f};
-  Vec b = {0.0f, 1.0f};
-  Vec c = {2.0f, 0.0f};
-  EXPECT_NEAR(CosineSimilarity(a, b), 0.0f, 1e-6f);
-  EXPECT_NEAR(CosineSimilarity(a, c), 1.0f, 1e-6f);
-  Vec zero = {0.0f, 0.0f};
-  EXPECT_FLOAT_EQ(CosineSimilarity(a, zero), 0.0f);
-}
-
-TEST(VecTest, MeanOfVectors) {
-  std::vector<Vec> vs = {{1.0f, 2.0f}, {3.0f, 4.0f}};
-  const Vec mean = MeanOfVectors(vs, 2);
-  EXPECT_FLOAT_EQ(mean[0], 2.0f);
-  EXPECT_FLOAT_EQ(mean[1], 3.0f);
-  const Vec empty = MeanOfVectors({}, 2);
-  EXPECT_FLOAT_EQ(empty[0], 0.0f);
 }
 
 // --------------------------------------------------------------- matrix.
@@ -114,21 +94,6 @@ TEST(MatrixTest, InitUniformWithinScale) {
   }
 }
 
-TEST(MatrixTest, InitGaussianRoughMoments) {
-  Matrix m(50, 50);
-  Rng rng(9);
-  m.InitGaussian(rng, 2.0f);
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  for (float v : m.Flat()) {
-    sum += v;
-    sum_sq += static_cast<double>(v) * v;
-  }
-  const double n = 2500.0;
-  EXPECT_NEAR(sum / n, 0.0, 0.15);
-  EXPECT_NEAR(sum_sq / n, 4.0, 0.4);
-}
-
 // -------------------------------------------------------------- softmax.
 
 TEST(SoftmaxTest, SumsToOne) {
@@ -143,70 +108,6 @@ TEST(SoftmaxTest, StableUnderLargeLogits) {
   Vec logits = {1000.0f, 1000.0f};
   SoftmaxInPlace(logits);
   EXPECT_NEAR(logits[0], 0.5f, 1e-6f);
-}
-
-TEST(SoftmaxTest, LogSumExpMatchesDirect) {
-  Vec logits = {0.1f, 0.7f, -0.3f};
-  double direct = 0.0;
-  for (float v : logits) direct += std::exp(static_cast<double>(v));
-  EXPECT_NEAR(LogSumExp(logits), std::log(direct), 1e-6);
-}
-
-TEST(SoftmaxTest, LogSoftmaxExponentiatesToSoftmax) {
-  Vec logits = {0.5f, -1.5f, 2.0f};
-  Vec probs = Softmax(logits);
-  LogSoftmaxInPlace(logits);
-  for (size_t i = 0; i < logits.size(); ++i) {
-    EXPECT_NEAR(std::exp(logits[i]), probs[i], 1e-5f);
-  }
-}
-
-TEST(SoftmaxTest, SigmoidSymmetry) {
-  EXPECT_NEAR(Sigmoid(0.0f), 0.5f, 1e-6f);
-  EXPECT_NEAR(Sigmoid(3.0f) + Sigmoid(-3.0f), 1.0f, 1e-6f);
-  EXPECT_GT(Sigmoid(100.0f), 0.999f);
-  EXPECT_LT(Sigmoid(-100.0f), 0.001f);
-}
-
-// ------------------------------------------------------------ optimizer.
-
-TEST(AdamTest, MinimizesQuadratic) {
-  // f(x) = (x - 3)^2, df/dx = 2(x - 3).
-  AdamConfig config;
-  config.learning_rate = 0.1f;
-  AdamOptimizer adam(1, config);
-  Vec x = {0.0f};
-  for (int step = 0; step < 500; ++step) {
-    Vec grad = {2.0f * (x[0] - 3.0f)};
-    adam.ApplySparse(0, x, grad);
-    adam.Step();
-  }
-  EXPECT_NEAR(x[0], 3.0f, 0.05f);
-}
-
-TEST(AdamTest, SparseUpdateTouchesOnlySlice) {
-  AdamOptimizer adam(4);
-  Vec params = {1.0f, 1.0f};
-  Vec grad = {1.0f, 1.0f};
-  adam.ApplySparse(2, params, grad);
-  EXPECT_LT(params[0], 1.0f);
-  EXPECT_EQ(adam.parameter_count(), 4u);
-}
-
-TEST(SgdTest, StepsDownhill) {
-  SgdOptimizer sgd(0.5f);
-  Vec x = {10.0f};
-  Vec grad = {4.0f};
-  sgd.Apply(x, grad);
-  EXPECT_FLOAT_EQ(x[0], 8.0f);
-}
-
-TEST(SgdTest, ClipsLargeGradients) {
-  SgdOptimizer sgd(1.0f, /*clip_norm=*/1.0f);
-  Vec x = {0.0f};
-  Vec grad = {100.0f};
-  sgd.Apply(x, grad);
-  EXPECT_NEAR(x[0], -1.0f, 1e-5f);
 }
 
 // ------------------------------------------------------------- sampling.
@@ -237,31 +138,6 @@ TEST(AliasTableTest, SingleEntry) {
   AliasTable table({5.0});
   Rng rng(7);
   EXPECT_EQ(table.Sample(rng), 0u);
-}
-
-TEST(ReservoirTest, SampleSizeAndMembership) {
-  std::vector<int> stream(100);
-  for (int i = 0; i < 100; ++i) stream[static_cast<size_t>(i)] = i;
-  Rng rng(11);
-  const std::vector<int> sample = ReservoirSample(stream, 10, rng);
-  ASSERT_EQ(sample.size(), 10u);
-  for (int v : sample) {
-    EXPECT_GE(v, 0);
-    EXPECT_LT(v, 100);
-  }
-}
-
-TEST(ReservoirTest, RoughlyUniform) {
-  std::vector<int> stream(20);
-  for (int i = 0; i < 20; ++i) stream[static_cast<size_t>(i)] = i;
-  Rng rng(13);
-  std::vector<int> counts(20, 0);
-  for (int trial = 0; trial < 5000; ++trial) {
-    for (int v : ReservoirSample(stream, 5, rng)) ++counts[v];
-  }
-  for (int c : counts) {
-    EXPECT_NEAR(c / 5000.0, 0.25, 0.05);
-  }
 }
 
 // ----------------------------------------------------------------- topk.

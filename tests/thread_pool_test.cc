@@ -1,7 +1,8 @@
-// Unit tests for the work-stealing ThreadPool plus the PR's central
+// Unit tests for the work-stealing ThreadPool plus its central
 // guarantee: every parallel stage (entity-store build, per-query
-// evaluation, batched BM25) produces bit-identical results at
-// UW_THREADS=1 and UW_THREADS=8.
+// evaluation) produces bit-identical results at UW_THREADS=1 and
+// UW_THREADS=8. Batched BM25 is covered by index_test's SearchBatch
+// cases.
 
 #include <gtest/gtest.h>
 
@@ -14,12 +15,10 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "eval/evaluator.h"
 #include "eval/significance.h"
 #include "expand/pipeline.h"
-#include "index/bm25.h"
 #include "obs/metrics.h"
 
 namespace ultrawiki {
@@ -258,35 +257,6 @@ TEST_F(PoolDeterminismTest, TinyRunBitIdenticalAcrossThreadCounts) {
     ASSERT_EQ(seq.eval.neg_map.at(k), par.eval.neg_map.at(k));
     ASSERT_EQ(seq.eval.pos_p.at(k), par.eval.pos_p.at(k));
     ASSERT_EQ(seq.eval.neg_p.at(k), par.eval.neg_p.at(k));
-  }
-}
-
-TEST_F(PoolDeterminismTest, BatchedBm25MatchesPerQueryScores) {
-  UW_CHECK_OK(ThreadPool::SetGlobalThreadCount(8));
-  InvertedIndex index;
-  Rng rng(123);
-  for (int d = 0; d < 200; ++d) {
-    std::vector<TokenId> doc;
-    const int len = 5 + static_cast<int>(rng.UniformUint64(40));
-    for (int t = 0; t < len; ++t) {
-      doc.push_back(static_cast<TokenId>(rng.UniformUint64(64)));
-    }
-    index.AddDocument(doc);
-  }
-  index.Freeze();
-  Bm25Scorer scorer(&index);
-  std::vector<std::vector<TokenId>> queries;
-  for (int q = 0; q < 37; ++q) {
-    std::vector<TokenId> query;
-    for (int t = 0; t < 4; ++t) {
-      query.push_back(static_cast<TokenId>(rng.UniformUint64(64)));
-    }
-    queries.push_back(std::move(query));
-  }
-  const std::vector<std::vector<float>> batch = scorer.ScoreAllBatch(queries);
-  ASSERT_EQ(batch.size(), queries.size());
-  for (size_t q = 0; q < queries.size(); ++q) {
-    ASSERT_EQ(batch[q], scorer.ScoreAll(queries[q])) << "query " << q;
   }
 }
 

@@ -35,7 +35,6 @@
 #include <unistd.h>
 
 #include "common/env.h"
-#include "common/string_util.h"
 #include "serve/router.h"
 #include "serve/server.h"
 
@@ -48,16 +47,6 @@ int g_signal_pipe[2] = {-1, -1};
 void HandleSignal(int /*signum*/) {
   const char byte = 1;
   [[maybe_unused]] ssize_t written = ::write(g_signal_pipe[1], &byte, 1);
-}
-
-std::string FlagValue(int argc, char** argv, const std::string& name,
-                      const std::string& fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (StartsWith(arg, prefix)) return arg.substr(prefix.size());
-  }
-  return fallback;
 }
 
 }  // namespace
@@ -109,17 +98,7 @@ int main(int argc, char** argv) {
   }
   std::printf("router listening on port %d\n", server.port());
   std::fflush(stdout);
-  if (const char* port_file = std::getenv("UW_ROUTER_PORT_FILE")) {
-    std::FILE* file = std::fopen(port_file, "w");
-    if (file != nullptr) {
-      std::fprintf(file, "%d\n", server.port());
-      std::fclose(file);
-    } else {
-      std::fprintf(stderr,
-                   "[uw_router] cannot write UW_ROUTER_PORT_FILE %s\n",
-                   port_file);
-    }
-  }
+  WritePortFile("UW_ROUTER_PORT_FILE", server.port(), "uw_router");
 
   if (::pipe(g_signal_pipe) != 0) {
     std::fprintf(stderr, "[uw_router] pipe: %s\n", std::strerror(errno));

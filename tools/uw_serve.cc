@@ -99,16 +99,6 @@ void DumpMetricsSnapshot() {
                ok ? "wrote" : "short write of", path.c_str());
 }
 
-std::string FlagValue(int argc, char** argv, const std::string& name,
-                      const std::string& fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (StartsWith(arg, prefix)) return arg.substr(prefix.size());
-  }
-  return fallback;
-}
-
 // "--shard=I/N" → {I, N}. Strict: both parts must be integers.
 bool ParseShardFlag(const std::string& value, ShardSpec* spec) {
   const size_t slash = value.find('/');
@@ -219,16 +209,7 @@ int main(int argc, char** argv) {
   }
   std::printf("listening on port %d\n", server.port());
   std::fflush(stdout);
-  if (const char* port_file = std::getenv("UW_SERVE_PORT_FILE")) {
-    std::FILE* file = std::fopen(port_file, "w");
-    if (file != nullptr) {
-      std::fprintf(file, "%d\n", server.port());
-      std::fclose(file);
-    } else {
-      std::fprintf(stderr, "[uw_serve] cannot write UW_SERVE_PORT_FILE %s\n",
-                   port_file);
-    }
-  }
+  WritePortFile("UW_SERVE_PORT_FILE", server.port(), "uw_serve");
 
   // Optional admin listener: telemetry stays off the request plane and
   // scrapeable mid-load. UW_ADMIN_PORT=0 binds an ephemeral port.
@@ -242,17 +223,7 @@ int main(int argc, char** argv) {
     }
     std::printf("admin on port %d\n", admin.port());
     std::fflush(stdout);
-    if (const char* admin_file = std::getenv("UW_ADMIN_PORT_FILE")) {
-      std::FILE* file = std::fopen(admin_file, "w");
-      if (file != nullptr) {
-        std::fprintf(file, "%d\n", admin.port());
-        std::fclose(file);
-      } else {
-        std::fprintf(stderr,
-                     "[uw_serve] cannot write UW_ADMIN_PORT_FILE %s\n",
-                     admin_file);
-      }
-    }
+    WritePortFile("UW_ADMIN_PORT_FILE", admin.port(), "uw_serve");
   }
   // Drop the main thread's reference: the installed generation is now
   // kept alive by the host (and, during a future swap, by in-flight
