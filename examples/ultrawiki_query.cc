@@ -8,8 +8,8 @@
 // Prints the chosen query (seeds, attribute constraints) and the ranked
 // expansion with ground-truth annotations plus per-query metrics.
 
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -24,16 +24,21 @@ using namespace ultrawiki;
 int main(int argc, char** argv) {
   const std::string method_name =
       FlagValue(argc, argv, "method", "retexpan");
-  const int k = std::atoi(FlagValue(argc, argv, "k", "20").c_str());
-  const int query_index =
-      std::atoi(FlagValue(argc, argv, "query", "0").c_str());
-  const double scale =
-      std::atof(FlagValue(argc, argv, "scale", "0.12").c_str());
-  if (k <= 0 || scale <= 0.0) {
+  const std::optional<int> k_flag =
+      ParseIntStrict(FlagValue(argc, argv, "k", "20"));
+  const std::optional<int> query_flag =
+      ParseIntStrict(FlagValue(argc, argv, "query", "0"));
+  const std::optional<double> scale_flag =
+      ParseDoubleStrict(FlagValue(argc, argv, "scale", "0.12"));
+  if (!k_flag.has_value() || *k_flag <= 0 || !query_flag.has_value() ||
+      !scale_flag.has_value() || *scale_flag <= 0.0) {
     std::cerr << "usage: " << argv[0]
               << " [--method=NAME] [--k=N] [--query=I] [--scale=S]\n";
     return 2;
   }
+  const int k = *k_flag;
+  const int query_index = *query_flag;
+  const double scale = *scale_flag;
 
   PipelineConfig config = PipelineConfig::Tiny();
   config.generator.scale = scale;

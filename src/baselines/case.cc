@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "obs/trace.h"
-#include "math/topk.h"
 
 namespace ultrawiki {
 
@@ -47,8 +46,6 @@ std::vector<TokenId> CaSE::DocumentOf(EntityId id) const {
 
 std::vector<EntityId> CaSE::Expand(const Query& query, size_t k) {
   UW_SPAN("case.expand");
-  const std::vector<EntityId> seeds = SortedSeedsOf(query);
-
   // Lexical channel: BM25 of every candidate document against the
   // concatenated positive-seed documents.
   std::vector<TokenId> lexical_query;
@@ -60,38 +57,12 @@ std::vector<EntityId> CaSE::Expand(const Query& query, size_t k) {
   const std::vector<float> bm25 = scorer.ScoreAll(lexical_query);
 
   // Distributed channel: mean cosine to the positive seeds.
-  std::vector<float> cosine(candidates_->size(), 0.0f);
-  for (size_t i = 0; i < candidates_->size(); ++i) {
-    const EntityId id = (*candidates_)[i];
-    double sum = 0.0;
-    for (EntityId seed : query.pos_seeds) {
-      sum += static_cast<double>(store_->Similarity(id, seed));
-    }
-    cosine[i] = query.pos_seeds.empty()
-                    ? 0.0f
-                    : static_cast<float>(
-                          sum / static_cast<double>(query.pos_seeds.size()));
-  }
+  const std::vector<float> cosine =
+      MeanSeedCosine(*store_, *candidates_, query.pos_seeds);
 
   // Scale-free rank fusion of the two channels.
-  const std::vector<double> lexical_rank = RankPositions(bm25);
-  const std::vector<double> distributed_rank = RankPositions(cosine);
-
-  std::vector<ScoredIndex> fused;
-  fused.reserve(candidates_->size());
-  const double w = config_.lexical_weight;
-  for (size_t i = 0; i < candidates_->size(); ++i) {
-    const EntityId id = (*candidates_)[i];
-    if (std::binary_search(seeds.begin(), seeds.end(), id)) continue;
-    const double blended =
-        w * lexical_rank[i] + (1.0 - w) * distributed_rank[i];
-    fused.push_back(ScoredIndex{-static_cast<float>(blended), i});
-  }
-  fused = TopKOfPairs(std::move(fused), k);
-  std::vector<EntityId> result;
-  result.reserve(fused.size());
-  for (const ScoredIndex& s : fused) result.push_back((*candidates_)[s.index]);
-  return result;
+  return FuseRanksTopK(query, *candidates_, cosine, bm25,
+                       config_.lexical_weight, k);
 }
 
 }  // namespace ultrawiki

@@ -1,10 +1,7 @@
 #include "baselines/cgexpan.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "obs/trace.h"
-#include "math/topk.h"
 
 namespace ultrawiki {
 
@@ -58,43 +55,16 @@ TokenId CgExpan::InferClassNoun(const std::vector<EntityId>& seeds) const {
 
 std::vector<EntityId> CgExpan::Expand(const Query& query, size_t k) {
   UW_SPAN("cgexpan.expand");
-  const std::vector<EntityId> seeds = SortedSeedsOf(query);
   const TokenId class_noun = InferClassNoun(query.pos_seeds);
-
-  std::vector<float> cosine(candidates_->size(), 0.0f);
+  const std::vector<float> cosine =
+      MeanSeedCosine(*store_, *candidates_, query.pos_seeds);
   std::vector<float> class_fit(candidates_->size(), 0.0f);
   for (size_t i = 0; i < candidates_->size(); ++i) {
-    const EntityId id = (*candidates_)[i];
-    double sum = 0.0;
-    for (EntityId seed : query.pos_seeds) {
-      sum += static_cast<double>(store_->Similarity(id, seed));
-    }
-    cosine[i] = query.pos_seeds.empty()
-                    ? 0.0f
-                    : static_cast<float>(
-                          sum / static_cast<double>(query.pos_seeds.size()));
-    class_fit[i] = static_cast<float>(NameAssociation(id, class_noun));
+    class_fit[i] =
+        static_cast<float>(NameAssociation((*candidates_)[i], class_noun));
   }
-
-  const std::vector<double> cosine_rank = RankPositions(cosine);
-  const std::vector<double> class_rank = RankPositions(class_fit);
-
-  std::vector<ScoredIndex> fused;
-  fused.reserve(candidates_->size());
-  const double w = config_.class_name_weight;
-  for (size_t i = 0; i < candidates_->size(); ++i) {
-    const EntityId id = (*candidates_)[i];
-    if (std::binary_search(seeds.begin(), seeds.end(), id)) continue;
-    const double blended = (1.0 - w) * cosine_rank[i] + w * class_rank[i];
-    fused.push_back(ScoredIndex{-static_cast<float>(blended), i});
-  }
-  fused = TopKOfPairs(std::move(fused), k);
-  std::vector<EntityId> result;
-  result.reserve(fused.size());
-  for (const ScoredIndex& s : fused) {
-    result.push_back((*candidates_)[s.index]);
-  }
-  return result;
+  return FuseRanksTopK(query, *candidates_, cosine, class_fit,
+                       config_.class_name_weight, k);
 }
 
 }  // namespace ultrawiki

@@ -1,5 +1,7 @@
 #include "common/env.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -33,6 +35,16 @@ std::optional<int> ParseIntStrict(std::string_view text) {
     return std::nullopt;
   }
   return static_cast<int>(value);
+}
+
+std::optional<double> ParseDoubleStrict(std::string_view text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 std::optional<int> ParsePortStrict(std::string_view text) {

@@ -13,6 +13,12 @@ namespace ultrawiki {
 /// truncates "64k" to 64 and maps garbage to 0.
 std::optional<int> ParseIntStrict(std::string_view text);
 
+/// Strictly parses `text` as a finite decimal floating-point number: the
+/// whole string must be consumed, so "0.12x", "", "abc", "inf" and "nan"
+/// all return nullopt — unlike atof, which reads "0.12x" as 0.12 and
+/// garbage as 0.0.
+std::optional<double> ParseDoubleStrict(std::string_view text);
+
 /// ParseIntStrict restricted to a TCP port, 0..65535 (0 = ephemeral).
 /// "80x" and "70000" both return nullopt instead of binding some port.
 std::optional<int> ParsePortStrict(std::string_view text);

@@ -10,6 +10,8 @@
 
 namespace ultrawiki {
 
+class EntityStore;
+
 /// Per-query anytime budget. Methods that honor it (GenExpan) degrade to
 /// a best-so-far ranking when a budget trips instead of blowing the
 /// latency tail; methods that don't simply ignore it.
@@ -63,6 +65,23 @@ class Expander {
 /// Utility: the union of a query's positive and negative seeds, sorted —
 /// the set expansion must exclude.
 std::vector<EntityId> SortedSeedsOf(const Query& query);
+
+/// Mean cosine of each of `candidates` to `pos_seeds` (0 when there are no
+/// seeds): each candidate's per-seed similarities are summed as doubles in
+/// seed order, each term byte-identical to `store.Similarity(id, seed)`.
+std::vector<float> MeanSeedCosine(const EntityStore& store,
+                                  const std::vector<EntityId>& candidates,
+                                  const std::vector<EntityId>& pos_seeds);
+
+/// Rank fusion of two per-candidate score channels, as CaSE and CGExpan
+/// use it: blends the channels' RankPositions as (1 - w) * rank(a) +
+/// w * rank(b), skips the query's seeds, and returns the `k` candidates
+/// with the lowest blend, best first.
+std::vector<EntityId> FuseRanksTopK(const Query& query,
+                                    const std::vector<EntityId>& candidates,
+                                    const std::vector<float>& a,
+                                    const std::vector<float>& b, double w,
+                                    size_t k);
 
 }  // namespace ultrawiki
 

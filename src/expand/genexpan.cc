@@ -345,10 +345,8 @@ ExpandOutcome GenExpan::ExpandWithBudget(const Query& query, size_t k,
     max_expansions = config_.max_expansions;
   }
 
-  // Per-query generation state shared across rounds: sorted trie-child
-  // snapshots, memoized prompt contexts, and the CoT prefix (the oracle
-  // is deterministic per query, so one call covers every round).
-  BeamSearchCache beam_cache;
+  // The CoT prefix is shared across rounds (the oracle is deterministic
+  // per query, so one call covers every round).
   const std::vector<TokenId> cot_prefix = CotPrefix(query);
 
   struct Admitted {
@@ -402,8 +400,8 @@ ExpandOutcome GenExpan::ExpandWithBudget(const Query& query, size_t k,
       }
       beam_config.max_expansions = remaining;
     }
-    BeamSearchResult search = ConstrainedBeamSearchWithBudget(
-        *lm_, *trie_, prompt, beam_config, &beam_cache);
+    BeamSearchResult search =
+        ConstrainedBeamSearch(*lm_, *trie_, prompt, beam_config);
     expansions_spent += search.expansions;
     if (search.truncated) degraded = true;
     std::vector<GeneratedEntity>& generated = search.entities;

@@ -32,68 +32,15 @@ struct Candidate {
   double log_prob = 0.0;
 };
 
-uint64_t HashPrompt(std::span<const TokenId> prompt) {
-  uint64_t hash = 1469598103934665603ULL;
-  auto mix = [&hash](uint64_t v) {
-    hash ^= v;
-    hash *= 1099511628211ULL;
-  };
-  mix(static_cast<uint64_t>(prompt.size()));
-  for (TokenId token : prompt) {
-    mix(static_cast<uint64_t>(static_cast<uint32_t>(token)));
-  }
-  return hash;
-}
-
 }  // namespace
 
-const BeamSearchCache::ChildList& BeamSearchCache::ChildrenOf(
-    const PrefixTrie& trie, PrefixTrie::NodeId node) {
-  const auto [it, inserted] = children_.try_emplace(node);
-  if (inserted) {
-    std::vector<std::pair<TokenId, PrefixTrie::NodeId>> sorted(
-        trie.ChildrenOf(node).begin(), trie.ChildrenOf(node).end());
-    std::sort(sorted.begin(), sorted.end());
-    ChildList& list = it->second;
-    list.tokens.reserve(sorted.size());
-    list.nodes.reserve(sorted.size());
-    for (const auto& [token, child] : sorted) {
-      list.tokens.push_back(token);
-      list.nodes.push_back(child);
-    }
-  }
-  return it->second;
-}
-
-LmPromptContext& BeamSearchCache::PromptContextFor(
-    const HybridLm& lm, std::span<const TokenId> prompt) {
-  std::vector<std::unique_ptr<PromptEntry>>& bucket =
-      prompts_[HashPrompt(prompt)];
-  for (const std::unique_ptr<PromptEntry>& entry : bucket) {
-    if (entry->prompt.size() == prompt.size() &&
-        std::equal(entry->prompt.begin(), entry->prompt.end(),
-                   prompt.begin())) {
-      return entry->context;
-    }
-  }
-  bucket.push_back(std::make_unique<PromptEntry>());
-  PromptEntry& entry = *bucket.back();
-  entry.prompt.assign(prompt.begin(), prompt.end());
-  entry.context = lm.MakePromptContext(entry.prompt);
-  ++prompt_count_;
-  return entry.context;
-}
-
-BeamSearchResult ConstrainedBeamSearchWithBudget(
-    const HybridLm& lm, const PrefixTrie& trie,
-    std::span<const TokenId> prompt, const BeamSearchConfig& config,
-    BeamSearchCache* cache) {
+BeamSearchResult ConstrainedBeamSearch(const HybridLm& lm,
+                                       const PrefixTrie& trie,
+                                       std::span<const TokenId> prompt,
+                                       const BeamSearchConfig& config) {
   UW_CHECK_GT(config.beam_width, 0);
   UW_SPAN("beam_search");
-  BeamSearchCache local_cache;
-  if (cache == nullptr) cache = &local_cache;
-
-  LmPromptContext& prompt_context = cache->PromptContextFor(lm, prompt);
+  const LmPromptContext prompt_context = lm.MakePromptContext(prompt);
 
   std::vector<BeamItem> beam;
   beam.push_back(BeamItem{PrefixTrie::kRoot, {}, 0.0,
@@ -116,8 +63,7 @@ BeamSearchResult ConstrainedBeamSearchWithBudget(
     candidates.clear();
     for (size_t parent = 0; parent < beam.size() && !truncated; ++parent) {
       const BeamItem& item = beam[parent];
-      const BeamSearchCache::ChildList& children =
-          cache->ChildrenOf(trie, item.node);
+      const PrefixTrie::Children children = trie.ChildrenOf(item.node);
       const size_t generated_len = item.generated.size() + 1;
       size_t offset = 0;
       while (offset < children.size()) {
@@ -137,8 +83,7 @@ BeamSearchResult ConstrainedBeamSearchWithBudget(
         }
         probs.resize(n);
         item.state.NextTokenProbabilityBatch(
-            std::span<const TokenId>(children.tokens).subspan(offset, n),
-            probs);
+            children.tokens.subspan(offset, n), probs);
         expansions += static_cast<int64_t>(n);
         for (size_t i = 0; i < n; ++i) {
           const PrefixTrie::NodeId child = children.nodes[offset + i];
@@ -220,13 +165,6 @@ BeamSearchResult ConstrainedBeamSearchWithBudget(
     result.entities.resize(static_cast<size_t>(config.beam_width));
   }
   return result;
-}
-
-std::vector<GeneratedEntity> ConstrainedBeamSearch(
-    const HybridLm& lm, const PrefixTrie& trie,
-    std::span<const TokenId> prompt, const BeamSearchConfig& config) {
-  return ConstrainedBeamSearchWithBudget(lm, trie, prompt, config, nullptr)
-      .entities;
 }
 
 }  // namespace ultrawiki

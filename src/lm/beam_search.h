@@ -3,11 +3,8 @@
 
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "corpus/types.h"
@@ -54,67 +51,19 @@ struct BeamSearchResult {
   int64_t expansions = 0;
 };
 
-/// Reusable per-query generation state: sorted trie-child snapshots per
-/// node and memoized per-prompt LM contexts (see LmPromptContext). Sharing
-/// one cache across the rounds of a query amortizes the child-snapshot
-/// sort and the prompt-prefix association sums; repeated prompts (same
-/// sampled seeds) hit the memo directly. Not thread-safe — use one cache
-/// per query/thread. Holds pointers into the trie and LM, which must
-/// outlive it unmutated.
-class BeamSearchCache {
- public:
-  /// A node's children as parallel arrays, sorted by token id so
-  /// iteration order is deterministic (the trie's unordered_map is not).
-  struct ChildList {
-    std::vector<TokenId> tokens;
-    std::vector<PrefixTrie::NodeId> nodes;
-    size_t size() const { return tokens.size(); }
-  };
-
-  const ChildList& ChildrenOf(const PrefixTrie& trie, PrefixTrie::NodeId node);
-
-  /// The memoized association/prompt state for `prompt`, keyed by its
-  /// token sequence (hash + equality check, so distinct prompts never
-  /// alias).
-  LmPromptContext& PromptContextFor(const HybridLm& lm,
-                                    std::span<const TokenId> prompt);
-
-  size_t cached_nodes() const { return children_.size(); }
-  size_t cached_prompts() const { return prompt_count_; }
-
- private:
-  struct PromptEntry {
-    std::vector<TokenId> prompt;
-    LmPromptContext context;
-  };
-
-  std::unordered_map<PrefixTrie::NodeId, ChildList> children_;
-  /// hash -> entries with that hash (unique_ptr keeps LmPromptContext
-  /// references stable while buckets grow).
-  std::unordered_map<uint64_t, std::vector<std::unique_ptr<PromptEntry>>>
-      prompts_;
-  size_t prompt_count_ = 0;
-};
-
 /// Generates up to `beam_width` candidate entities continuing `prompt`
 /// under `lm`, constrained to the root→leaf paths of `trie` (paper Fig. 6:
 /// "for a certain node, its child nodes represent subsequent tokens that
 /// are allowed to be generated"). Results are sorted by descending score;
-/// ties break by ascending entity id for determinism. `cache` may be null
-/// (a search-local cache is used); pass a per-query cache to reuse state
-/// across rounds. When a budget in `config` trips, the result carries the
-/// best-so-far completions with `truncated` set; budget polls never fire
-/// before the first chunk of the first hypothesis, so even a pre-expired
-/// deadline deterministically scores the root's children.
-BeamSearchResult ConstrainedBeamSearchWithBudget(
-    const HybridLm& lm, const PrefixTrie& trie,
-    std::span<const TokenId> prompt, const BeamSearchConfig& config,
-    BeamSearchCache* cache);
-
-/// Budget-free convenience wrapper returning just the ranked entities.
-std::vector<GeneratedEntity> ConstrainedBeamSearch(
-    const HybridLm& lm, const PrefixTrie& trie,
-    std::span<const TokenId> prompt, const BeamSearchConfig& config = {});
+/// ties break by ascending entity id for determinism. When a budget in
+/// `config` trips, the result carries the best-so-far completions with
+/// `truncated` set; budget polls never fire before the first chunk of the
+/// first hypothesis, so even a pre-expired deadline deterministically
+/// scores the root's children.
+BeamSearchResult ConstrainedBeamSearch(const HybridLm& lm,
+                                       const PrefixTrie& trie,
+                                       std::span<const TokenId> prompt,
+                                       const BeamSearchConfig& config = {});
 
 }  // namespace ultrawiki
 

@@ -70,24 +70,20 @@ void HybridLm::Finalize() {
   association_.TruncateRows(config_.association_top_k);
 }
 
-double LmPromptContext::AssocPrefixSum(TokenId next) {
-  const auto [it, inserted] = memo_.try_emplace(next, 0.0);
-  if (inserted) {
-    // Left-to-right over the informative prompt tokens: the same
-    // accumulation order as a fresh full-context pass, so extending the
-    // memoized sum with the generated tokens reproduces that pass's
-    // floating-point result exactly.
-    double sum = 0.0;
-    for (TokenId token : informative_) {
-      sum += lm_->association_.Probability(token, next);
-    }
-    it->second = sum;
+double LmPromptContext::AssocPrefixSum(TokenId next) const {
+  // Left-to-right over the informative prompt tokens: the same
+  // accumulation order as a fresh full-context pass, so extending this
+  // sum with the generated tokens reproduces that pass's floating-point
+  // result exactly.
+  double sum = 0.0;
+  for (TokenId token : informative_) {
+    sum += lm_->association_.Probability(token, next);
   }
-  return it->second;
+  return sum;
 }
 
 LmScoringState::LmScoringState(const HybridLm& lm,
-                               LmPromptContext& prompt_context)
+                               const LmPromptContext& prompt_context)
     : lm_(&lm), prompt_(&prompt_context) {
   const std::span<const TokenId> prompt = prompt_context.prompt();
   const size_t window =

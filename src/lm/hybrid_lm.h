@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -25,12 +24,9 @@ struct HybridLmConfig {
 class HybridLm;
 
 /// Per-prompt association evidence, resolved once and shared by every
-/// scoring state derived from the same prompt. The association channel's
-/// sum over context tokens is additive, so the prompt prefix's
-/// contribution for a given next token never changes while the hypothesis
-/// grows — it is memoized here on first request. Not thread-safe: use one
-/// PromptContext per search/thread. Holds references into the LM, which
-/// must outlive it and must not be mutated while it is alive.
+/// scoring state derived from the same prompt: the prompt and its
+/// informative tokens. Immutable once built. Holds references into the
+/// LM, which must outlive it and must not be mutated while it is alive.
 class LmPromptContext {
  public:
   std::span<const TokenId> prompt() const { return prompt_; }
@@ -41,19 +37,18 @@ class LmPromptContext {
   /// Association sum of `next` against the informative prompt tokens, in
   /// prompt order — the same accumulation order (and therefore the same
   /// floating-point result) as a fresh left-to-right pass.
-  double AssocPrefixSum(TokenId next);
+  double AssocPrefixSum(TokenId next) const;
 
  private:
   friend class HybridLm;
   const HybridLm* lm_ = nullptr;
   std::vector<TokenId> prompt_;
   std::vector<TokenId> informative_;  // informative prompt tokens, in order
-  std::unordered_map<TokenId, double> memo_;
 };
 
 /// Incremental scoring state for one hypothesis: the n-gram backoff chain
 /// resolved once per context (one ContextStats lookup per level), plus the
-/// additive association sum split into the memoized prompt prefix and the
+/// additive association sum split into the prompt prefix and the
 /// at-most-max-name-length generated extension. Scoring a next token is
 /// O(order + generated) instead of O(context) — and produces bit-identical
 /// probabilities to HybridLm::NextTokenProbability on the rebuilt context.
@@ -62,7 +57,7 @@ class LmScoringState {
  public:
   /// State for `prompt` alone (no generated tokens yet). `prompt_context`
   /// must outlive the state and every copy of it.
-  LmScoringState(const HybridLm& lm, LmPromptContext& prompt_context);
+  LmScoringState(const HybridLm& lm, const LmPromptContext& prompt_context);
 
   /// Appends one generated token to the hypothesis context.
   void Extend(TokenId token);
@@ -79,7 +74,7 @@ class LmScoringState {
 
  private:
   const HybridLm* lm_ = nullptr;
-  LmPromptContext* prompt_ = nullptr;
+  const LmPromptContext* prompt_ = nullptr;
   /// Informative generated tokens, in generation order (the association
   /// delta on top of the prompt prefix sum).
   std::vector<TokenId> generated_informative_;

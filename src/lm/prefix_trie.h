@@ -2,7 +2,6 @@
 #define ULTRAWIKI_LM_PREFIX_TRIE_H_
 
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "corpus/types.h"
@@ -19,15 +18,24 @@ class PrefixTrie {
   PrefixTrie();
 
   /// Inserts an entity surface form. Duplicate token sequences keep the
-  /// first entity (candidate names are unique in practice).
+  /// first entity (candidate names are unique in practice). New nodes are
+  /// numbered in insertion order, whatever their token.
   void Insert(std::span<const TokenId> name, EntityId entity);
 
   /// Node handle; 0 is the root.
   using NodeId = int32_t;
   static constexpr NodeId kRoot = 0;
 
-  /// Children of `node` as (token, child-node) pairs.
-  const std::unordered_map<TokenId, NodeId>& ChildrenOf(NodeId node) const;
+  /// A node's children as parallel arrays sorted by ascending token id:
+  /// child i is reached by `tokens[i]` and has node id `nodes[i]`.
+  struct Children {
+    std::span<const TokenId> tokens;
+    std::span<const NodeId> nodes;
+    size_t size() const { return tokens.size(); }
+    bool empty() const { return tokens.empty(); }
+  };
+
+  Children ChildrenOf(NodeId node) const;
 
   /// Entity completed at `node`, or kInvalidEntityId.
   EntityId TerminalOf(NodeId node) const;
@@ -40,7 +48,8 @@ class PrefixTrie {
 
  private:
   struct Node {
-    std::unordered_map<TokenId, NodeId> children;
+    std::vector<TokenId> child_tokens;  // sorted ascending
+    std::vector<NodeId> child_nodes;    // parallel to child_tokens
     EntityId terminal = kInvalidEntityId;
   };
 

@@ -234,6 +234,17 @@ TEST(EnvIntTest, ParseIntStrictRejectsSuffixesAndGarbage) {
   EXPECT_FALSE(ParseIntStrict("99999999999999999999").has_value());
 }
 
+TEST(EnvIntTest, ParseDoubleStrictRejectsSuffixesAndNonFinite) {
+  EXPECT_EQ(ParseDoubleStrict("0.12"), 0.12);
+  EXPECT_EQ(ParseDoubleStrict("1"), 1.0);
+  EXPECT_EQ(ParseDoubleStrict("-2.5e-1"), -0.25);
+  // atof reads "0.12x" as 0.12 and the rest as 0.0; none may parse here.
+  for (const char* bad : {"0.12x", "", "abc", "inf", "nan", " 0.12",
+                          "0.12 ", "1e999"}) {
+    EXPECT_FALSE(ParseDoubleStrict(bad).has_value()) << bad;
+  }
+}
+
 TEST(EnvIntTest, ParsePortStrictRejectsSuffixesAndOutOfRange) {
   EXPECT_EQ(ParsePortStrict("0"), 0);
   EXPECT_EQ(ParsePortStrict("8080"), 8080);

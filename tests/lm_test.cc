@@ -220,6 +220,46 @@ TEST(PrefixTrieTest, DuplicateInsertKeepsFirst) {
   EXPECT_EQ(trie.TerminalOf(trie.Walk(std::vector<TokenId>{1, 2})), 100);
 }
 
+TEST(PrefixTrieTest, ChildrenSortedAndNodeIdsInInsertionOrder) {
+  PrefixTrie trie;
+  trie.Insert(std::vector<TokenId>{7, 1}, 10);  // nodes 1, 2
+  trie.Insert(std::vector<TokenId>{3}, 20);     // node 3
+  trie.Insert(std::vector<TokenId>{7, 0}, 30);  // node 4
+  trie.Insert(std::vector<TokenId>{5, 9}, 40);  // nodes 5, 6
+  const PrefixTrie::Children root = trie.ChildrenOf(PrefixTrie::kRoot);
+  EXPECT_EQ(std::vector<TokenId>(root.tokens.begin(), root.tokens.end()),
+            (std::vector<TokenId>{3, 5, 7}));
+  EXPECT_EQ(
+      std::vector<PrefixTrie::NodeId>(root.nodes.begin(), root.nodes.end()),
+      (std::vector<PrefixTrie::NodeId>{3, 5, 1}));
+  const PrefixTrie::Children after7 = trie.ChildrenOf(1);
+  EXPECT_EQ(std::vector<TokenId>(after7.tokens.begin(), after7.tokens.end()),
+            (std::vector<TokenId>{0, 1}));
+  EXPECT_EQ(std::vector<PrefixTrie::NodeId>(after7.nodes.begin(),
+                                            after7.nodes.end()),
+            (std::vector<PrefixTrie::NodeId>{4, 2}));
+  EXPECT_TRUE(trie.ChildrenOf(6).empty());
+  EXPECT_EQ(trie.node_count(), 7u);
+
+  EXPECT_EQ(trie.Walk(std::vector<TokenId>{7, 1}), 2);
+  EXPECT_EQ(trie.Walk(std::vector<TokenId>{3}), 3);
+  EXPECT_EQ(trie.Walk(std::vector<TokenId>{7, 0}), 4);
+  EXPECT_EQ(trie.Walk(std::vector<TokenId>{5, 9}), 6);
+  EXPECT_EQ(trie.TerminalOf(2), 10);
+  EXPECT_EQ(trie.TerminalOf(3), 20);
+  EXPECT_EQ(trie.TerminalOf(4), 30);
+  EXPECT_EQ(trie.TerminalOf(6), 40);
+  // A prefix is reached but completes nothing.
+  EXPECT_EQ(trie.Walk(std::vector<TokenId>{7}), 1);
+  EXPECT_EQ(trie.TerminalOf(1), kInvalidEntityId);
+  // Misses below, between and above the stored tokens, and past a leaf.
+  EXPECT_EQ(trie.Walk(std::vector<TokenId>{2}), -1);
+  EXPECT_EQ(trie.Walk(std::vector<TokenId>{4}), -1);
+  EXPECT_EQ(trie.Walk(std::vector<TokenId>{8}), -1);
+  EXPECT_EQ(trie.Walk(std::vector<TokenId>{7, 2}), -1);
+  EXPECT_EQ(trie.Walk(std::vector<TokenId>{5, 9, 1}), -1);
+}
+
 // ----------------------------------------------------------- BeamSearch.
 
 class BeamSearchTest : public ::testing::Test {
@@ -245,7 +285,7 @@ class BeamSearchTest : public ::testing::Test {
 
 TEST_F(BeamSearchTest, OnlyCandidateEntitiesGenerated) {
   const auto results = ConstrainedBeamSearch(
-      *lm_, trie_, std::vector<TokenId>{5}, BeamSearchConfig{});
+      *lm_, trie_, std::vector<TokenId>{5}, BeamSearchConfig{}).entities;
   ASSERT_FALSE(results.empty());
   for (const GeneratedEntity& g : results) {
     EXPECT_TRUE(g.entity == 1 || g.entity == 2 || g.entity == 3);
@@ -254,11 +294,11 @@ TEST_F(BeamSearchTest, OnlyCandidateEntitiesGenerated) {
 
 TEST_F(BeamSearchTest, ContextSteersRanking) {
   const auto from5 = ConstrainedBeamSearch(
-      *lm_, trie_, std::vector<TokenId>{5}, BeamSearchConfig{});
+      *lm_, trie_, std::vector<TokenId>{5}, BeamSearchConfig{}).entities;
   ASSERT_FALSE(from5.empty());
   EXPECT_EQ(from5.front().entity, 1);
   const auto from6 = ConstrainedBeamSearch(
-      *lm_, trie_, std::vector<TokenId>{6}, BeamSearchConfig{});
+      *lm_, trie_, std::vector<TokenId>{6}, BeamSearchConfig{}).entities;
   EXPECT_EQ(from6.front().entity, 2);
 }
 
@@ -266,13 +306,14 @@ TEST_F(BeamSearchTest, BeamWidthBoundsResults) {
   BeamSearchConfig config;
   config.beam_width = 2;
   const auto results =
-      ConstrainedBeamSearch(*lm_, trie_, std::vector<TokenId>{5}, config);
+      ConstrainedBeamSearch(*lm_, trie_, std::vector<TokenId>{5}, config)
+          .entities;
   EXPECT_LE(results.size(), 2u);
 }
 
 TEST_F(BeamSearchTest, ScoresSortedDescending) {
   const auto results = ConstrainedBeamSearch(
-      *lm_, trie_, std::vector<TokenId>{5}, BeamSearchConfig{});
+      *lm_, trie_, std::vector<TokenId>{5}, BeamSearchConfig{}).entities;
   for (size_t i = 1; i < results.size(); ++i) {
     EXPECT_GE(results[i - 1].score, results[i].score);
   }
@@ -282,7 +323,7 @@ TEST_F(BeamSearchTest, EmptyTrieYieldsNothing) {
   PrefixTrie empty;
   EXPECT_TRUE(ConstrainedBeamSearch(*lm_, empty, std::vector<TokenId>{5},
                                     BeamSearchConfig{})
-                  .empty());
+                  .entities.empty());
 }
 
 TEST_F(BeamSearchTest, PromptLongerThanMaxNameLengthStillGenerates) {
@@ -291,7 +332,8 @@ TEST_F(BeamSearchTest, PromptLongerThanMaxNameLengthStillGenerates) {
   // A 12-token prompt dwarfs max_name_length; only the generated length
   // is budgeted, so generation proceeds normally.
   std::vector<TokenId> prompt(12, 5);
-  const auto results = ConstrainedBeamSearch(*lm_, trie_, prompt, config);
+  const auto results =
+      ConstrainedBeamSearch(*lm_, trie_, prompt, config).entities;
   ASSERT_FALSE(results.empty());
   for (const GeneratedEntity& g : results) {
     EXPECT_TRUE(g.entity == 1 || g.entity == 2 || g.entity == 3);
@@ -303,8 +345,8 @@ TEST_F(BeamSearchTest, AllChildrenTerminalTrieCompletesAtDepthOne) {
   flat.Insert(std::vector<TokenId>{10}, 1);
   flat.Insert(std::vector<TokenId>{12}, 2);
   flat.Insert(std::vector<TokenId>{13}, 3);
-  const BeamSearchResult result = ConstrainedBeamSearchWithBudget(
-      *lm_, flat, std::vector<TokenId>{5}, BeamSearchConfig{}, nullptr);
+  const BeamSearchResult result = ConstrainedBeamSearch(
+      *lm_, flat, std::vector<TokenId>{5}, BeamSearchConfig{});
   EXPECT_FALSE(result.truncated);
   EXPECT_EQ(result.expansions, 3);
   ASSERT_EQ(result.entities.size(), 3u);
@@ -331,11 +373,12 @@ TEST_F(BeamSearchTest, DeterministicTieBreakUnderEngineeredScoreTies) {
   BeamSearchConfig config;
   config.beam_width = 1;
   const std::vector<TokenId> prompt = {7};
-  const auto first = ConstrainedBeamSearch(lm, trie, prompt, config);
+  const auto first = ConstrainedBeamSearch(lm, trie, prompt, config).entities;
   ASSERT_EQ(first.size(), 1u);
   EXPECT_EQ(first.front().entity, 100);
   for (int run = 0; run < 5; ++run) {
-    EXPECT_EQ(ConstrainedBeamSearch(lm, trie, prompt, config), first);
+    EXPECT_EQ(ConstrainedBeamSearch(lm, trie, prompt, config).entities,
+              first);
   }
 }
 
@@ -343,8 +386,8 @@ TEST_F(BeamSearchTest, PreExpiredDeadlineReturnsFlaggedBestSoFar) {
   BeamSearchConfig config;
   config.deadline = std::chrono::steady_clock::now() -
                     std::chrono::milliseconds(1);
-  const BeamSearchResult result = ConstrainedBeamSearchWithBudget(
-      *lm_, trie_, std::vector<TokenId>{7}, config, nullptr);
+  const BeamSearchResult result = ConstrainedBeamSearch(
+      *lm_, trie_, std::vector<TokenId>{7}, config);
   EXPECT_TRUE(result.truncated);
   // The first chunk of the first hypothesis always runs, so the root's
   // terminal child {13} -> 3 is found even with an expired deadline.
@@ -357,8 +400,8 @@ TEST_F(BeamSearchTest, MaxExpansionsBudgetTruncates) {
   config.max_expansions = 2;
   // Depth 0 scores the root's two children (10 and 13, completing {13});
   // depth 1 has no allowance left and truncates before reaching {10 11}.
-  const BeamSearchResult result = ConstrainedBeamSearchWithBudget(
-      *lm_, trie_, std::vector<TokenId>{5}, config, nullptr);
+  const BeamSearchResult result = ConstrainedBeamSearch(
+      *lm_, trie_, std::vector<TokenId>{5}, config);
   EXPECT_TRUE(result.truncated);
   EXPECT_EQ(result.expansions, 2);
   ASSERT_EQ(result.entities.size(), 1u);
@@ -366,23 +409,10 @@ TEST_F(BeamSearchTest, MaxExpansionsBudgetTruncates) {
 }
 
 TEST_F(BeamSearchTest, UnbudgetedSearchIsNeverTruncated) {
-  const BeamSearchResult result = ConstrainedBeamSearchWithBudget(
-      *lm_, trie_, std::vector<TokenId>{5}, BeamSearchConfig{}, nullptr);
+  const BeamSearchResult result = ConstrainedBeamSearch(
+      *lm_, trie_, std::vector<TokenId>{5}, BeamSearchConfig{});
   EXPECT_FALSE(result.truncated);
   EXPECT_GT(result.expansions, 0);
-}
-
-TEST_F(BeamSearchTest, SharedCacheReproducesUncachedResults) {
-  BeamSearchCache cache;
-  const auto uncached = ConstrainedBeamSearch(
-      *lm_, trie_, std::vector<TokenId>{5}, BeamSearchConfig{});
-  for (int round = 0; round < 3; ++round) {
-    const BeamSearchResult cached = ConstrainedBeamSearchWithBudget(
-        *lm_, trie_, std::vector<TokenId>{5}, BeamSearchConfig{}, &cache);
-    EXPECT_EQ(cached.entities, uncached);
-  }
-  EXPECT_EQ(cache.cached_prompts(), 1u);
-  EXPECT_GT(cache.cached_nodes(), 0u);
 }
 
 // ------------------------------------- Incremental-scoring parity suite.
@@ -416,7 +446,7 @@ double RebuildReferenceSequenceLogProb(const HybridLm& lm,
   return log_prob;
 }
 
-/// The pre-cache constrained beam search: full-context scalar scoring per
+/// The scalar constrained beam search: full-context scalar scoring per
 /// (hypothesis x child) pair, with the same deterministic tie-break the
 /// production path uses (child iteration order cannot affect anything
 /// else).
@@ -439,11 +469,10 @@ std::vector<GeneratedEntity> ScalarReferenceBeamSearch(
       context.resize(prompt_len);
       context.insert(context.end(), item.generated.begin(),
                      item.generated.end());
-      std::vector<std::pair<TokenId, PrefixTrie::NodeId>> children(
-          trie.ChildrenOf(item.node).begin(),
-          trie.ChildrenOf(item.node).end());
-      std::sort(children.begin(), children.end());
-      for (const auto& [token, child] : children) {
+      const PrefixTrie::Children children = trie.ChildrenOf(item.node);
+      for (size_t c = 0; c < children.size(); ++c) {
+        const TokenId token = children.tokens[c];
+        const PrefixTrie::NodeId child = children.nodes[c];
         const double p = lm.NextTokenProbability(context, token);
         Item next{child, item.generated,
                   item.log_prob + std::log(std::max(p, 1e-12))};
@@ -600,20 +629,19 @@ TEST(BeamSearchParityTest, RandomizedBitIdenticalToScalarReference) {
     const std::vector<GeneratedEntity> reference = ScalarReferenceBeamSearch(
         *world.lm, world.trie, world.prompt, config);
     const std::vector<GeneratedEntity> fast =
-        ConstrainedBeamSearch(*world.lm, world.trie, world.prompt, config);
+        ConstrainedBeamSearch(*world.lm, world.trie, world.prompt, config)
+            .entities;
     ASSERT_EQ(fast.size(), reference.size()) << "seed " << seed;
     for (size_t i = 0; i < fast.size(); ++i) {
       EXPECT_EQ(fast[i].entity, reference[i].entity) << "seed " << seed;
       EXPECT_EQ(fast[i].score, reference[i].score) << "seed " << seed;
     }
-    // The cached variant must agree as well, round after round.
-    BeamSearchCache cache;
-    for (int round = 0; round < 2; ++round) {
-      const BeamSearchResult cached = ConstrainedBeamSearchWithBudget(
-          *world.lm, world.trie, world.prompt, config, &cache);
-      EXPECT_FALSE(cached.truncated);
-      EXPECT_EQ(cached.entities, reference) << "seed " << seed;
-    }
+    // A second search over the same prompt must agree: nothing carries
+    // over from one search to the next.
+    const BeamSearchResult again =
+        ConstrainedBeamSearch(*world.lm, world.trie, world.prompt, config);
+    EXPECT_FALSE(again.truncated);
+    EXPECT_EQ(again.entities, fast) << "seed " << seed;
   }
 }
 

@@ -105,8 +105,9 @@ TEST_F(PipelinePropertyTest, BeamSearchResultsAreAlwaysTrieTerminals) {
         if (token != kInvalidTokenId) prompt.push_back(token);
       }
     }
-    const auto generated = ConstrainedBeamSearch(
-        pipeline_->lm(), pipeline_->trie(), prompt, BeamSearchConfig{});
+    const auto generated =
+        ConstrainedBeamSearch(pipeline_->lm(), pipeline_->trie(), prompt)
+            .entities;
     const std::set<EntityId> candidates(pipeline_->candidates().begin(),
                                         pipeline_->candidates().end());
     for (const GeneratedEntity& g : generated) {

@@ -10,9 +10,10 @@
 // admission control (serve/service.h knobs: UW_SERVE_QUEUE,
 // UW_SERVE_TIMEOUT_MS, UW_TRACE_SAMPLE, UW_SLOW_QUERY_MS). `--port=0`
 // (default UW_SERVE_PORT or 0) binds an ephemeral port; a port outside
-// 0..65535 or with trailing garbage exits 1. The bound port is printed
-// to stdout as "listening on port N" and, when UW_SERVE_PORT_FILE is
-// set, written to that path for scripts.
+// 0..65535 or with trailing garbage exits 1; a `--scale` that is not a
+// finite number above 0 (`abc`, `0.12x`) exits 2. The bound port is
+// printed to stdout as "listening on port N" and, when
+// UW_SERVE_PORT_FILE is set, written to that path for scripts.
 //
 // `--shard=I/N` scopes the scatter plane (serve/router.h) to shard I of
 // an N-way candidate partition: the process answers ShardRetrieve for
@@ -159,8 +160,13 @@ int main(int argc, char** argv) {
   }
   const std::string config_name =
       FlagValue(argc, argv, "config", "tiny");
-  const double scale =
-      std::atof(FlagValue(argc, argv, "scale", "0.12").c_str());
+  const std::string scale_text = FlagValue(argc, argv, "scale", "0.12");
+  const std::optional<double> scale = ParseDoubleStrict(scale_text);
+  if (!scale.has_value() || *scale <= 0.0) {
+    std::fprintf(stderr, "bad --scale=%s (expected a number > 0)\n",
+                 scale_text.c_str());
+    return 2;
+  }
   const std::string prewarm_csv =
       FlagValue(argc, argv, "prewarm", "retexpan,setexpan");
   const std::string shard_flag = FlagValue(argc, argv, "shard", "0/1");
@@ -174,8 +180,8 @@ int main(int argc, char** argv) {
   PipelineConfig config;
   if (config_name == "tiny") {
     config = PipelineConfig::Tiny();
-    config.generator.scale = scale;
-    config.dataset.ultra_class_scale = scale;
+    config.generator.scale = *scale;
+    config.dataset.ultra_class_scale = *scale;
   } else if (config_name == "bench") {
     config = PipelineConfig::Bench();
   } else {
