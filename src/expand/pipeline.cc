@@ -1,8 +1,11 @@
 #include "expand/pipeline.h"
 
+#include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/env.h"
+#include "common/hash.h"
 #include "common/logging.h"
 #include "io/artifact_cache.h"
 #include "io/model_io.h"
@@ -106,12 +109,7 @@ Pipeline::Pipeline(const PipelineConfig& config)
       SaveEntityStoreSnapshot));
 
   // Language model: "further pretraining" on the corpus.
-  {
-    UW_SPAN("lm_pretrain");
-    lm_ = std::make_unique<HybridLm>(corpus.tokens().size(), config.lm);
-    lm_->SetStopTokens(StopTokens());
-    TrainLmOn(*lm_, config.lm_pretrain_fraction);
-  }
+  lm_ = LoadOrTrainLm(config.lm, config.lm_pretrain_fraction);
 
   // Prefix trie over candidate surface forms.
   {
@@ -137,8 +135,36 @@ ContextEncoder Pipeline::TrainEncoder(
   return trained;
 }
 
-void Pipeline::TrainLmOn(HybridLm& lm, double fraction) const {
+// Keyed on the world, the LM config, the pretraining fraction and the
+// stop tokens: everything the frozen tables and the scores depend on.
+std::unique_ptr<HybridLm> Pipeline::LoadOrTrainLm(
+    const HybridLmConfig& config, double fraction) const {
   UW_CHECK_GT(fraction, 0.0);
+  const std::vector<TokenId> stops = StopTokens();
+  Fnv1a stop_hash;
+  for (const TokenId token : stops) stop_hash.Mix(token);
+  const uint64_t key = CombineFingerprints(
+      {world_.fingerprint, FingerprintConfig(config),
+       std::bit_cast<uint64_t>(fraction), stop_hash.digest()});
+  const size_t vocab_size = world_.corpus.tokens().size();
+  return std::make_unique<HybridLm>(LoadOrBuild(
+      "lm", key,
+      [&](const std::string& path) {
+        UW_SPAN("cache.load_lm");
+        return LoadLmSnapshot(path, vocab_size, config);
+      },
+      [&] {
+        UW_SPAN("lm_pretrain");
+        HybridLm lm(vocab_size, config);
+        lm.SetStopTokens(
+            std::unordered_set<TokenId>(stops.begin(), stops.end()));
+        TrainLmOn(lm, fraction);
+        return lm;
+      },
+      SaveLmSnapshot));
+}
+
+void Pipeline::TrainLmOn(HybridLm& lm, double fraction) const {
   const Corpus& corpus = world_.corpus;
   // Deterministic subsampling by index stride keeps the retained subset
   // stable across runs.
@@ -160,14 +186,16 @@ void Pipeline::TrainLmOn(HybridLm& lm, double fraction) const {
   lm.Finalize();
 }
 
-std::unordered_set<TokenId> Pipeline::StopTokens() const {
-  std::unordered_set<TokenId> stops;
+std::vector<TokenId> Pipeline::StopTokens() const {
+  std::vector<TokenId> stops;
   for (const char* word :
        {"the", "is", "are", "a", "with", "and", "similar", "to", "page",
         ",", "."}) {
     const TokenId token = world_.corpus.tokens().Lookup(word);
-    if (token != kInvalidTokenId) stops.insert(token);
+    if (token != kInvalidTokenId) stops.push_back(token);
   }
+  std::sort(stops.begin(), stops.end());
+  stops.erase(std::unique(stops.begin(), stops.end()), stops.end());
   return stops;
 }
 
@@ -297,11 +325,7 @@ std::unique_ptr<EntityStore> Pipeline::BuildEncoderStore(
 
 std::unique_ptr<HybridLm> Pipeline::BuildLmVariant(
     const HybridLmConfig& config, double pretrain_fraction) const {
-  auto lm = std::make_unique<HybridLm>(world_.corpus.tokens().size(),
-                                       config);
-  lm->SetStopTokens(StopTokens());
-  TrainLmOn(*lm, pretrain_fraction);
-  return lm;
+  return LoadOrTrainLm(config, pretrain_fraction);
 }
 
 std::unique_ptr<RetExpan> Pipeline::MakeRetExpan(RetExpanConfig config) {

@@ -127,7 +127,8 @@ class Pipeline {
   std::unique_ptr<EntityStore> BuildEncoderStore(
       const EntityPredictionTrainConfig& train);
 
-  /// Trains a fresh LM variant (Fig. 8 scaling) and returns it.
+  /// An LM variant (Fig. 8 scaling, the further-pretraining ablation),
+  /// loaded from the artifact cache or trained and stored there.
   std::unique_ptr<HybridLm> BuildLmVariant(const HybridLmConfig& config,
                                            double pretrain_fraction) const;
 
@@ -154,8 +155,13 @@ class Pipeline {
   /// over the corpus.
   ContextEncoder TrainEncoder(const EncoderConfig& encoder,
                               const EntityPredictionTrainConfig& train) const;
+  /// The LM for `config` pretrained on `fraction` of the corpus: restored
+  /// from the artifact cache ("lm") or trained, finalized and stored.
+  std::unique_ptr<HybridLm> LoadOrTrainLm(const HybridLmConfig& config,
+                                          double fraction) const;
   void TrainLmOn(HybridLm& lm, double fraction) const;
-  std::unordered_set<TokenId> StopTokens() const;
+  /// The association channel's stop tokens, ascending.
+  std::vector<TokenId> StopTokens() const;
 
   PipelineConfig config_;
   GeneratedWorld world_;

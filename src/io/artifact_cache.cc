@@ -141,6 +141,17 @@ uint64_t FingerprintConfig(const DatasetConfig& config) {
   return h.digest();
 }
 
+uint64_t FingerprintConfig(const HybridLmConfig& config) {
+  Fnv1a h;
+  h.Mix(std::string_view("HybridLmConfig"));
+  h.Mix(config.ngram.order);
+  h.Mix(config.ngram.discount);
+  h.Mix(config.ngram.unigram_alpha);
+  h.Mix(config.association_weight);
+  h.Mix(config.association_top_k);
+  return h.digest();
+}
+
 uint64_t CombineFingerprints(std::initializer_list<uint64_t> parts) {
   Fnv1a h;
   h.Mix(std::string_view("CombineFingerprints"));

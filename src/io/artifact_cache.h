@@ -13,12 +13,13 @@
 #include "embedding/encoder.h"
 #include "embedding/entity_store.h"
 #include "embedding/trainer.h"
+#include "lm/hybrid_lm.h"
 
 namespace ultrawiki {
 
 /// Content-addressed snapshot cache for the expensive pipeline artifacts
 /// (generated world with its corpus, mined inverted index, trained
-/// encoder, entity store, IVF ANN index). Entries are keyed by a
+/// encoder, entity store, IVF ANN index, frozen hybrid LM). Entries are keyed by a
 /// fingerprint of everything that determines the artifact's bytes — the
 /// generator/trainer configs that produced it — and by the snapshot format
 /// version, so a format bump or any config change silently misses instead
@@ -102,6 +103,7 @@ uint64_t FingerprintConfig(const EncoderConfig& config);
 uint64_t FingerprintConfig(const EntityPredictionTrainConfig& config);
 uint64_t FingerprintConfig(const EntityStoreConfig& config);
 uint64_t FingerprintConfig(const DatasetConfig& config);
+uint64_t FingerprintConfig(const HybridLmConfig& config);
 
 /// Order-sensitive combination of sub-fingerprints into one cache key. A
 /// zero part (an artifact of unknown provenance) makes the key 0, so

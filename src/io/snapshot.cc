@@ -6,8 +6,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
+#include <type_traits>
 #include <utility>
 
+#include "io/artifact_cache.h"
 #include "io/corpus_io.h"
 
 namespace ultrawiki {
@@ -19,19 +22,29 @@ constexpr size_t kFooterBytes = 4;   // CRC32
 /// Semantic plausibility caps, checked before any size-driven allocation.
 constexpr uint64_t kMaxDim = 1u << 20;
 
-const std::array<uint32_t, 256>& Crc32Table() {
-  static const std::array<uint32_t, 256> table = [] {
-    std::array<uint32_t, 256> t{};
+/// Slicing-by-8 tables: table[0] is the bytewise CRC table, and
+/// table[k][i] is the CRC of byte i followed by k zero bytes, so eight
+/// lookups advance the CRC by eight bytes.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+const Crc32Tables& Crc32Table() {
+  static const Crc32Tables tables = [] {
+    Crc32Tables t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t crc = i;
       for (int bit = 0; bit < 8; ++bit) {
         crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
       }
-      t[i] = crc;
+      t[0][i] = crc;
+    }
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (size_t k = 1; k < t.size(); ++k) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+      }
     }
     return t;
   }();
-  return table;
+  return tables;
 }
 
 void AppendU32(std::string& out, uint32_t value) {
@@ -64,13 +77,66 @@ uint64_t DecodeU64(const char* bytes) {
   return value;
 }
 
+/// The unsigned integer with T's size, for the byte-by-byte path.
+template <typename T>
+using BitsOf = std::conditional_t<sizeof(T) == 4, uint32_t, uint64_t>;
+
+/// Appends `data` as little-endian elements (floats by bit pattern): one
+/// copy on a little-endian host, byte by byte elsewhere. The bytes are the
+/// same either way.
+template <typename T>
+void AppendLittleEndian(std::string& out, std::span<const T> data) {
+  static_assert(sizeof(T) == 4 || sizeof(T) == 8);
+  if (data.empty()) return;
+  if constexpr (std::endian::native == std::endian::little) {
+    out.append(reinterpret_cast<const char*>(data.data()), data.size_bytes());
+  } else {
+    for (const T v : data) {
+      const BitsOf<T> bits = std::bit_cast<BitsOf<T>>(v);
+      for (size_t i = 0; i < sizeof(T); ++i) {
+        out.push_back(static_cast<char>((bits >> (8 * i)) & 0xFF));
+      }
+    }
+  }
+}
+
+/// Inverse of AppendLittleEndian: fills `out` from `out.size_bytes()`
+/// bytes at `bytes`.
+template <typename T>
+void DecodeLittleEndian(const char* bytes, std::span<T> out) {
+  static_assert(sizeof(T) == 4 || sizeof(T) == 8);
+  if (out.empty()) return;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out.data(), bytes, out.size_bytes());
+  } else {
+    for (T& v : out) {
+      BitsOf<T> bits = 0;
+      for (size_t i = 0; i < sizeof(T); ++i) {
+        bits |= static_cast<BitsOf<T>>(static_cast<unsigned char>(bytes[i]))
+                << (8 * i);
+      }
+      v = std::bit_cast<T>(bits);
+      bytes += sizeof(T);
+    }
+  }
+}
+
 }  // namespace
 
 uint32_t Crc32(std::string_view data, uint32_t seed) {
-  const auto& table = Crc32Table();
+  const Crc32Tables& t = Crc32Table();
   uint32_t crc = ~seed;
-  for (const char c : data) {
-    crc = (crc >> 8) ^ table[(crc ^ static_cast<unsigned char>(c)) & 0xFF];
+  const char* p = data.data();
+  size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = DecodeU32(p) ^ crc;
+    const uint32_t hi = DecodeU32(p + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^
+          t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^ t[3][hi & 0xFF] ^
+          t[2][(hi >> 8) & 0xFF] ^ t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = (crc >> 8) ^ t[0][(crc ^ static_cast<unsigned char>(*p)) & 0xFF];
   }
   return ~crc;
 }
@@ -92,7 +158,7 @@ void SnapshotWriter::PutString(std::string_view text) {
 }
 
 void SnapshotWriter::PutFloats(std::span<const float> data) {
-  for (const float f : data) PutF32(f);
+  AppendLittleEndian(payload_, data);
 }
 
 void SnapshotWriter::PutFloatVec(std::span<const float> data) {
@@ -102,7 +168,22 @@ void SnapshotWriter::PutFloatVec(std::span<const float> data) {
 
 void SnapshotWriter::PutI32Vec(std::span<const int32_t> data) {
   PutU64(data.size());
-  for (const int32_t v : data) PutI32(v);
+  AppendLittleEndian(payload_, data);
+}
+
+void SnapshotWriter::PutU32Vec(std::span<const uint32_t> data) {
+  PutU64(data.size());
+  AppendLittleEndian(payload_, data);
+}
+
+void SnapshotWriter::PutI64Vec(std::span<const int64_t> data) {
+  PutU64(data.size());
+  AppendLittleEndian(payload_, data);
+}
+
+void SnapshotWriter::PutU64Vec(std::span<const uint64_t> data) {
+  PutU64(data.size());
+  AppendLittleEndian(payload_, data);
 }
 
 void SnapshotWriter::PutStringVec(const std::vector<std::string>& strings) {
@@ -183,9 +264,8 @@ bool SnapshotReader::ReadFloats(std::span<float> data) {
     error_ = "float block exceeds remaining payload";
     return false;
   }
-  for (float& f : data) {
-    if (!ReadF32(&f)) return false;
-  }
+  DecodeLittleEndian(data_.data() + cursor_, data);
+  cursor_ += data.size_bytes();
   return true;
 }
 
@@ -196,14 +276,30 @@ bool SnapshotReader::ReadFloatVec(std::vector<float>* data) {
   return ReadFloats(std::span<float>(*data));
 }
 
-bool SnapshotReader::ReadI32Vec(std::vector<int32_t>* data) {
+template <typename T>
+bool SnapshotReader::ReadVec(const char* what, std::vector<T>* data) {
   uint64_t count;
-  if (!ReadCount(sizeof(int32_t), "i32 vector", &count)) return false;
+  if (!ReadCount(sizeof(T), what, &count)) return false;
   data->resize(static_cast<size_t>(count));
-  for (int32_t& v : *data) {
-    if (!ReadI32(&v)) return false;
-  }
+  DecodeLittleEndian(data_.data() + cursor_, std::span<T>(*data));
+  cursor_ += data->size() * sizeof(T);
   return true;
+}
+
+bool SnapshotReader::ReadI32Vec(std::vector<int32_t>* data) {
+  return ReadVec("i32 vector", data);
+}
+
+bool SnapshotReader::ReadU32Vec(std::vector<uint32_t>* data) {
+  return ReadVec("u32 vector", data);
+}
+
+bool SnapshotReader::ReadI64Vec(std::vector<int64_t>* data) {
+  return ReadVec("i64 vector", data);
+}
+
+bool SnapshotReader::ReadU64Vec(std::vector<uint64_t>* data) {
+  return ReadVec("u64 vector", data);
 }
 
 bool SnapshotReader::ReadStringVec(std::vector<std::string>* strings) {
@@ -273,32 +369,37 @@ Status WriteSnapshotFile(const std::string& path, SnapshotKind kind,
 
 StatusOr<std::string> ReadSnapshotFile(const std::string& path,
                                        SnapshotKind kind) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Status::NotFound("cannot open snapshot: " + path);
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) {
+  const std::streamoff file_size = in.tellg();
+  in.seekg(0);
+  if (file_size < 0 || !in) {
     return Status::Internal("snapshot read failed: " + path);
   }
-  if (contents.size() < kHeaderBytes + kFooterBytes) {
+  const uint64_t size = static_cast<uint64_t>(file_size);
+  if (size < kHeaderBytes + kFooterBytes) {
     return Status::Internal("truncated snapshot (no complete header): " +
                             path);
   }
-  if (DecodeU32(contents.data()) != kSnapshotMagic) {
+  char header[kHeaderBytes];
+  if (!in.read(header, sizeof(header))) {
+    return Status::Internal("snapshot read failed: " + path);
+  }
+  if (DecodeU32(header) != kSnapshotMagic) {
     return Status::Internal("not a snapshot file (bad magic): " + path);
   }
-  const uint32_t version = DecodeU32(contents.data() + 4);
+  const uint32_t version = DecodeU32(header + 4);
   if (version != kSnapshotVersion) {
     return Status::Internal("unsupported snapshot version " +
                             std::to_string(version) + " (want " +
                             std::to_string(kSnapshotVersion) + "): " + path);
   }
-  if (DecodeU32(contents.data() + 8) != static_cast<uint32_t>(kind)) {
+  if (DecodeU32(header + 8) != static_cast<uint32_t>(kind)) {
     return Status::Internal("snapshot holds a different artifact kind: " +
                             path);
   }
-  const uint64_t payload_size = DecodeU64(contents.data() + 12);
-  const uint64_t body = contents.size() - kHeaderBytes - kFooterBytes;
+  const uint64_t payload_size = DecodeU64(header + 12);
+  const uint64_t body = size - kHeaderBytes - kFooterBytes;
   if (payload_size > body) {
     return Status::Internal("truncated snapshot payload: " + path);
   }
@@ -306,14 +407,19 @@ StatusOr<std::string> ReadSnapshotFile(const std::string& path,
     return Status::Internal("snapshot has trailing bytes after footer: " +
                             path);
   }
-  const uint32_t stored_crc =
-      DecodeU32(contents.data() + contents.size() - kFooterBytes);
-  const uint32_t actual_crc = Crc32(
-      std::string_view(contents.data(), kHeaderBytes + payload_size));
-  if (stored_crc != actual_crc) {
+  // One sized read straight into the returned payload, then the footer.
+  std::string payload(static_cast<size_t>(payload_size), '\0');
+  char footer[kFooterBytes];
+  if (!in.read(payload.data(), static_cast<std::streamsize>(payload.size())) ||
+      !in.read(footer, sizeof(footer))) {
+    return Status::Internal("snapshot read failed: " + path);
+  }
+  const uint32_t actual_crc =
+      Crc32(payload, Crc32(std::string_view(header, sizeof(header))));
+  if (DecodeU32(footer) != actual_crc) {
     return Status::Internal("snapshot checksum mismatch: " + path);
   }
-  return contents.substr(kHeaderBytes, static_cast<size_t>(payload_size));
+  return payload;
 }
 
 namespace {
@@ -849,6 +955,111 @@ StatusOr<IvfIndex> LoadAnnIndexSnapshot(const std::string& path,
   if (!status.ok()) return status;
   return IvfIndex::Restore(config, static_cast<size_t>(dim),
                            std::move(centroids), std::move(lists));
+}
+
+// --- HybridLm ---
+
+namespace {
+
+/// Payload version for SnapshotKind::kLanguageModel.
+constexpr uint32_t kLmPayloadVersion = 1;
+
+void EncodeCountRows(SnapshotWriter& out, const CountRows& rows) {
+  out.PutU32Vec(rows.offsets);
+  out.PutI32Vec(rows.targets);
+  out.PutI32Vec(rows.counts);
+  out.PutI64Vec(rows.totals);
+}
+
+bool DecodeCountRows(SnapshotReader& in, CountRows* rows) {
+  return in.ReadU32Vec(&rows->offsets) && in.ReadI32Vec(&rows->targets) &&
+         in.ReadI32Vec(&rows->counts) && in.ReadI64Vec(&rows->totals);
+}
+
+}  // namespace
+
+Status SaveLmSnapshot(const HybridLm& lm, const std::string& path) {
+  const NgramLm& ngram = lm.ngram();
+  if (!ngram.frozen() || !lm.association().frozen()) {
+    return Status::InvalidArgument(
+        "LM snapshots serialize the frozen form; call Finalize() before "
+        "SaveLmSnapshot");
+  }
+  SnapshotWriter out;
+  out.PutU32(kLmPayloadVersion);
+  out.PutU64(FingerprintConfig(lm.config()));
+  out.PutU64(lm.vocab_size());
+  out.PutI32Vec(lm.SortedStopTokens());
+  out.PutI64Vec(ngram.unigram_counts());
+  out.PutU64(ngram.levels().size());
+  for (const NgramLm::Level& level : ngram.levels()) {
+    out.PutU64Vec(level.keys);
+    EncodeCountRows(out, level.rows);
+  }
+  EncodeCountRows(out, lm.association().rows());
+  return WriteSnapshotFile(path, SnapshotKind::kLanguageModel, out);
+}
+
+StatusOr<HybridLm> LoadLmSnapshot(const std::string& path, size_t vocab_size,
+                                  const HybridLmConfig& config) {
+  auto payload = ReadSnapshotFile(path, SnapshotKind::kLanguageModel);
+  if (!payload.ok()) return payload.status();
+  SnapshotReader in(*payload);
+  uint32_t version;
+  uint64_t fingerprint;
+  uint64_t stored_vocab;
+  if (!in.ReadU32(&version) || !in.ReadU64(&fingerprint) ||
+      !in.ReadU64(&stored_vocab)) {
+    return Status::Internal("corrupt LM snapshot (header)");
+  }
+  if (version != kLmPayloadVersion) {
+    return Status::Internal("unsupported LM payload version " +
+                            std::to_string(version));
+  }
+  if (fingerprint != FingerprintConfig(config)) {
+    return Status::Internal(
+        "LM snapshot was built from a different HybridLmConfig: " + path);
+  }
+  if (stored_vocab != vocab_size) {
+    return Status::Internal("LM snapshot vocabulary size mismatch: " + path);
+  }
+  std::vector<TokenId> stop_tokens;
+  std::vector<int64_t> unigram_counts;
+  uint64_t level_count;
+  // Each level holds at least five count prefixes.
+  if (!in.ReadI32Vec(&stop_tokens) || !in.ReadI64Vec(&unigram_counts) ||
+      !in.ReadCount(40, "n-gram level", &level_count)) {
+    return Status::Internal("corrupt LM snapshot (unigram table)");
+  }
+  for (size_t i = 0; i < stop_tokens.size(); ++i) {
+    if (stop_tokens[i] < 0 ||
+        static_cast<size_t>(stop_tokens[i]) >= vocab_size ||
+        (i > 0 && stop_tokens[i] <= stop_tokens[i - 1])) {
+      return Status::Internal("LM snapshot stop tokens are not sorted ids");
+    }
+  }
+  std::vector<NgramLm::Level> levels(static_cast<size_t>(level_count));
+  for (NgramLm::Level& level : levels) {
+    if (!in.ReadU64Vec(&level.keys) || !DecodeCountRows(in, &level.rows)) {
+      return Status::Internal("corrupt LM snapshot (n-gram level)");
+    }
+  }
+  CountRows association_rows;
+  if (!DecodeCountRows(in, &association_rows)) {
+    return Status::Internal("corrupt LM snapshot (association rows)");
+  }
+  Status status = in.Finish();
+  if (!status.ok()) return status;
+  // Restore validates every array; any violation fails the load.
+  auto ngram = NgramLm::Restore(vocab_size, config.ngram,
+                                std::move(unigram_counts), std::move(levels));
+  if (!ngram.ok()) return ngram.status();
+  auto association =
+      AssociationModel::Restore(vocab_size, std::move(association_rows));
+  if (!association.ok()) return association.status();
+  return HybridLm::Restore(
+      config, std::move(ngram).value(), std::move(association).value(),
+      std::unordered_set<TokenId>(stop_tokens.begin(), stop_tokens.end()));
 }
 
 }  // namespace ultrawiki

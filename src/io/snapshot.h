@@ -13,6 +13,7 @@
 #include "corpus/generator.h"
 #include "embedding/entity_store.h"
 #include "index/inverted_index.h"
+#include "lm/hybrid_lm.h"
 
 namespace ultrawiki {
 
@@ -55,7 +56,9 @@ inline constexpr uint64_t kIndexPayloadVersionMask = 0xFFULL;
 inline constexpr uint64_t kIndexPayloadVersion = 2;
 
 /// Artifact tag stored in the header; a file of one kind never parses as
-/// another.
+/// another. The cached artifacts: the context encoder, the generated
+/// world, the BM25-mined inverted index, the entity store, the IVF ANN
+/// index and the frozen hybrid LM.
 enum class SnapshotKind : uint32_t {
   kEncoder = 1,
   // 2 was the retired standalone corpus; never reuse it.
@@ -64,10 +67,13 @@ enum class SnapshotKind : uint32_t {
   kEntityStore = 5,
   kAnnIndex = 6,
   // 7 was the retired shard manifest; never reuse it.
+  kLanguageModel = 8,
 };
 
 /// CRC32 (IEEE 802.3 polynomial, reflected) of `data`, continuing from
-/// `seed` (pass the previous return value to checksum in chunks).
+/// `seed` (pass the previous return value to checksum in chunks). Eight
+/// bytes per step (slicing-by-8); the values are those of the bytewise
+/// table algorithm.
 uint32_t Crc32(std::string_view data, uint32_t seed = 0);
 
 /// Accumulates a snapshot payload. All writers append little-endian bytes
@@ -87,6 +93,9 @@ class SnapshotWriter {
   /// u64 count + raw elements.
   void PutFloatVec(std::span<const float> data);
   void PutI32Vec(std::span<const int32_t> data);
+  void PutU32Vec(std::span<const uint32_t> data);
+  void PutI64Vec(std::span<const int64_t> data);
+  void PutU64Vec(std::span<const uint64_t> data);
   void PutStringVec(const std::vector<std::string>& strings);
 
   const std::string& payload() const { return payload_; }
@@ -117,6 +126,9 @@ class SnapshotReader {
   /// trigger bad_alloc.
   bool ReadFloatVec(std::vector<float>* data);
   bool ReadI32Vec(std::vector<int32_t>* data);
+  bool ReadU32Vec(std::vector<uint32_t>* data);
+  bool ReadI64Vec(std::vector<int64_t>* data);
+  bool ReadU64Vec(std::vector<uint64_t>* data);
   bool ReadStringVec(std::vector<std::string>* strings);
   /// Reads a u64 element count and rejects it when `count *
   /// min_bytes_per_element` could not fit in the remaining payload (a
@@ -139,6 +151,8 @@ class SnapshotReader {
 
  private:
   bool Take(void* out, size_t size);
+  template <typename T>
+  bool ReadVec(const char* what, std::vector<T>* data);
 
   std::string_view data_;
   size_t cursor_ = 0;
@@ -152,7 +166,9 @@ Status WriteSnapshotFile(const std::string& path, SnapshotKind kind,
                          const SnapshotWriter& writer);
 
 /// Reads `path`, verifies magic/version/kind/length/CRC and rejects
-/// trailing bytes, and returns the raw payload for a SnapshotReader.
+/// trailing bytes, and returns the raw payload for a SnapshotReader. The
+/// payload is read straight into the returned string, so the file is
+/// held in memory once.
 StatusOr<std::string> ReadSnapshotFile(const std::string& path,
                                        SnapshotKind kind);
 
@@ -192,6 +208,19 @@ StatusOr<EntityStore> LoadEntityStoreSnapshot(const std::string& path);
 Status SaveAnnIndexSnapshot(const IvfIndex& index, const std::string& path);
 StatusOr<IvfIndex> LoadAnnIndexSnapshot(const std::string& path,
                                         const IvfConfig& config);
+
+/// Finalized hybrid LM in its frozen form: the config fingerprint, the
+/// vocabulary size, the sorted stop tokens, the unigram counts, each
+/// n-gram level's sorted context hashes and CountRows, and the dense
+/// association rows. Load rejects a file whose stored fingerprint or
+/// vocabulary size differs from the caller's, and funnels every array
+/// through NgramLm::Restore / AssociationModel::Restore, so a checksum-
+/// valid file with unsorted, duplicate, out-of-vocabulary or
+/// inconsistent rows still fails closed. A restored LM scores every
+/// token bit-identically to the one that was saved.
+Status SaveLmSnapshot(const HybridLm& lm, const std::string& path);
+StatusOr<HybridLm> LoadLmSnapshot(const std::string& path, size_t vocab_size,
+                                  const HybridLmConfig& config);
 
 // The ContextEncoder lives on the same framing via SaveEncoder /
 // LoadEncoder in io/model_io.h (SnapshotKind::kEncoder).

@@ -68,6 +68,28 @@ LmPromptContext HybridLm::MakePromptContext(
 
 void HybridLm::Finalize() {
   association_.TruncateRows(config_.association_top_k);
+  ngram_.Freeze();
+  association_.Freeze();
+}
+
+StatusOr<HybridLm> HybridLm::Restore(
+    HybridLmConfig config, NgramLm ngram, AssociationModel association,
+    std::unordered_set<TokenId> stop_tokens) {
+  if (ngram.vocab_size() != association.vocab_size() ||
+      ngram.config().order != config.ngram.order) {
+    return Status::InvalidArgument("HybridLm channels do not match");
+  }
+  HybridLm lm(ngram.vocab_size(), config);
+  lm.ngram_ = std::move(ngram);
+  lm.association_ = std::move(association);
+  lm.stop_tokens_ = std::move(stop_tokens);
+  return lm;
+}
+
+std::vector<TokenId> HybridLm::SortedStopTokens() const {
+  std::vector<TokenId> sorted(stop_tokens_.begin(), stop_tokens_.end());
+  std::sort(sorted.begin(), sorted.end());
+  return sorted;
 }
 
 double LmPromptContext::AssocPrefixSum(TokenId next) const {

@@ -47,7 +47,7 @@ class LmPromptContext {
 };
 
 /// Incremental scoring state for one hypothesis: the n-gram backoff chain
-/// resolved once per context (one ContextStats lookup per level), plus the
+/// resolved once per context (one row lookup per level), plus the
 /// additive association sum split into the prompt prefix and the
 /// at-most-max-name-length generated extension. Scoring a next token is
 /// O(order + generated) instead of O(context) — and produces bit-identical
@@ -123,10 +123,22 @@ class HybridLm {
   /// scoring (see LmPromptContext / LmScoringState).
   LmPromptContext MakePromptContext(std::span<const TokenId> prompt) const;
 
-  /// Finalizes training (applies association truncation). Call once after
-  /// the last AddSentence.
+  /// Ends training: truncates the association rows to
+  /// `association_top_k`, then freezes both channels into their flat
+  /// serving form and frees the training maps. Call once after the last
+  /// AddSentence; only a finalized LM scores.
   void Finalize();
 
+  /// A finalized LM from frozen channels (a snapshot load). Fails closed
+  /// unless both channels share one vocabulary and the n-gram channel was
+  /// built with `config.ngram`'s order.
+  static StatusOr<HybridLm> Restore(HybridLmConfig config, NgramLm ngram,
+                                    AssociationModel association,
+                                    std::unordered_set<TokenId> stop_tokens);
+
+  const HybridLmConfig& config() const { return config_; }
+  /// The stop tokens in ascending id order.
+  std::vector<TokenId> SortedStopTokens() const;
   const NgramLm& ngram() const { return ngram_; }
   const AssociationModel& association() const { return association_; }
   size_t vocab_size() const { return ngram_.vocab_size(); }

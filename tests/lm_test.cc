@@ -3,9 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <filesystem>
+#include <map>
+#include <numeric>
 #include <random>
+#include <set>
 #include <unordered_map>
 
+#include "corpus/generator.h"
+#include "io/snapshot.h"
 #include "lm/association.h"
 #include "lm/beam_search.h"
 #include "lm/hybrid_lm.h"
@@ -20,6 +26,7 @@ namespace {
 TEST(NgramLmTest, UnigramFloorSumsToOne) {
   NgramLm lm(4);
   lm.AddSentence(std::vector<TokenId>{0, 1, 2, 3});
+  lm.Freeze();
   double sum = 0.0;
   for (TokenId t = 0; t < 4; ++t) {
     sum += lm.Probability({}, t);
@@ -32,6 +39,7 @@ TEST(NgramLmTest, ConditionalDistributionSumsToOne) {
   lm.AddSentence(std::vector<TokenId>{0, 1, 2});
   lm.AddSentence(std::vector<TokenId>{0, 1, 3});
   lm.AddSentence(std::vector<TokenId>{0, 4, 2});
+  lm.Freeze();
   const std::vector<TokenId> context = {0, 1};
   double sum = 0.0;
   for (TokenId t = 0; t < 5; ++t) sum += lm.Probability(context, t);
@@ -43,6 +51,7 @@ TEST(NgramLmTest, SeenContinuationOutweighsUnseen) {
   for (int i = 0; i < 10; ++i) {
     lm.AddSentence(std::vector<TokenId>{0, 1, 2});
   }
+  lm.Freeze();
   const std::vector<TokenId> context = {0, 1};
   EXPECT_GT(lm.Probability(context, 2), lm.Probability(context, 3));
 }
@@ -51,6 +60,7 @@ TEST(NgramLmTest, BacksOffToShorterContext) {
   NgramLm lm(6);
   lm.AddSentence(std::vector<TokenId>{1, 2});
   lm.AddSentence(std::vector<TokenId>{3, 1, 4});
+  lm.Freeze();
   // Context {5, 1} unseen at order 2 with prefix 5; backs off to {1},
   // where 2 and 4 were both seen.
   const std::vector<TokenId> unseen_context = {5, 1};
@@ -61,6 +71,7 @@ TEST(NgramLmTest, BacksOffToShorterContext) {
 TEST(NgramLmTest, InvalidTokenHasZeroProbability) {
   NgramLm lm(3);
   lm.AddSentence(std::vector<TokenId>{0, 1});
+  lm.Freeze();
   EXPECT_DOUBLE_EQ(lm.Probability({}, -1), 0.0);
   EXPECT_DOUBLE_EQ(lm.Probability({}, 99), 0.0);
 }
@@ -68,6 +79,7 @@ TEST(NgramLmTest, InvalidTokenHasZeroProbability) {
 TEST(NgramLmTest, SequenceLogProbabilityAccumulates) {
   NgramLm lm(4);
   lm.AddSentence(std::vector<TokenId>{0, 1, 2});
+  lm.Freeze();
   const std::vector<TokenId> context = {0};
   const std::vector<TokenId> tokens = {1, 2};
   const std::vector<TokenId> c0 = {0};
@@ -91,19 +103,23 @@ TEST(AssociationTest, CooccurrenceRaisesProbability) {
   for (int i = 0; i < 5; ++i) {
     assoc.AddSentence(std::vector<TokenId>{1, 2, 3});
   }
+  assoc.Freeze();
   EXPECT_GT(assoc.Probability(1, 2), assoc.Probability(1, 7));
 }
 
 TEST(AssociationTest, UnseenContextReturnsUniformFloor) {
   AssociationModel assoc(10);
   assoc.AddSentence(std::vector<TokenId>{1, 2});
+  assoc.Freeze();
   EXPECT_DOUBLE_EQ(assoc.Probability(9, 2), 0.1);
 }
 
 TEST(AssociationTest, PairCountMatchesSentenceCombinatorics) {
   AssociationModel assoc(10);
   assoc.AddSentence(std::vector<TokenId>{1, 2, 3});  // 3*2 ordered pairs
-  EXPECT_EQ(assoc.pair_count(), 6);
+  assoc.Freeze();
+  const std::vector<int64_t>& totals = assoc.rows().totals;
+  EXPECT_EQ(std::accumulate(totals.begin(), totals.end(), int64_t{0}), 6);
 }
 
 TEST(AssociationTest, TruncateKeepsStrongestTargets) {
@@ -111,17 +127,22 @@ TEST(AssociationTest, TruncateKeepsStrongestTargets) {
   for (int i = 0; i < 9; ++i) assoc.AddSentence(std::vector<TokenId>{1, 2});
   assoc.AddSentence(std::vector<TokenId>{1, 3});
   assoc.TruncateRows(1);
+  assoc.Freeze();
   EXPECT_GT(assoc.Probability(1, 2), assoc.Probability(1, 3));
   // Token 3 fell out of the truncated row: it only keeps the floor mass.
   EXPECT_NEAR(assoc.Probability(1, 3), 0.05 * 0.1, 1e-9);
 }
 
 TEST(AssociationTest, TruncateZeroIsNoop) {
-  AssociationModel assoc(10);
-  assoc.AddSentence(std::vector<TokenId>{1, 2});
-  const double before = assoc.Probability(1, 2);
-  assoc.TruncateRows(0);
-  EXPECT_DOUBLE_EQ(assoc.Probability(1, 2), before);
+  AssociationModel untouched(10);
+  AssociationModel truncated(10);
+  for (AssociationModel* assoc : {&untouched, &truncated}) {
+    assoc->AddSentence(std::vector<TokenId>{1, 2});
+  }
+  truncated.TruncateRows(0);
+  untouched.Freeze();
+  truncated.Freeze();
+  EXPECT_DOUBLE_EQ(truncated.Probability(1, 2), untouched.Probability(1, 2));
 }
 
 // ------------------------------------------------------------- HybridLm.
@@ -134,6 +155,8 @@ TEST(HybridLmTest, ZeroWeightEqualsNgram) {
   const std::vector<TokenId> sentence = {0, 1, 2, 3};
   hybrid.AddSentence(sentence);
   ngram.AddSentence(sentence);
+  hybrid.Finalize();
+  ngram.Freeze();
   const std::vector<TokenId> context = {0, 1};
   EXPECT_DOUBLE_EQ(hybrid.NextTokenProbability(context, 2),
                    ngram.Probability(context, 2));
@@ -643,6 +666,219 @@ TEST(BeamSearchParityTest, RandomizedBitIdenticalToScalarReference) {
     EXPECT_FALSE(again.truncated);
     EXPECT_EQ(again.entities, fast) << "seed " << seed;
   }
+}
+
+// ------------------------- Frozen and restored LMs vs. the raw counts.
+//
+// ReferenceLm keeps the training counts in ordered maps keyed by the
+// context tokens themselves and evaluates the model's formulas on them,
+// operand for operand. The frozen LM and its snapshot-restored copy must
+// match it bit for bit.
+
+class ReferenceLm {
+ public:
+  ReferenceLm(size_t vocab_size, HybridLmConfig config,
+              std::set<TokenId> stops)
+      : vocab_size_(vocab_size),
+        config_(config),
+        stops_(std::move(stops)),
+        unigram_(vocab_size, 0) {}
+
+  void AddSentence(std::span<const TokenId> s) {
+    const int order = config_.ngram.order;
+    for (size_t i = 0; i < s.size(); ++i) {
+      ++unigram_[static_cast<size_t>(s[i])];
+      ++total_tokens_;
+      for (size_t len = 1;
+           len <= std::min(static_cast<size_t>(order - 1), i); ++len) {
+        ++ngram_[std::vector<TokenId>(s.begin() + (i - len), s.begin() + i)]
+                [s[i]];
+      }
+      for (size_t j = 0; j < s.size(); ++j) {
+        if (j != i) ++assoc_[s[i]][s[j]];
+      }
+    }
+  }
+
+  /// Keeps each association row's top_k by (count desc, token asc), then
+  /// sums every row's total.
+  void Finalize() {
+    const int top_k = config_.association_top_k;
+    for (auto& [context, row] : assoc_) {
+      if (top_k <= 0) continue;
+      std::vector<std::pair<TokenId, int32_t>> entries(row.begin(),
+                                                       row.end());
+      std::sort(entries.begin(), entries.end(),
+                [](const auto& a, const auto& b) {
+                  if (a.second != b.second) return a.second > b.second;
+                  return a.first < b.first;
+                });
+      if (entries.size() > static_cast<size_t>(top_k)) {
+        entries.resize(static_cast<size_t>(top_k));
+      }
+      row = std::map<TokenId, int32_t>(entries.begin(), entries.end());
+    }
+    for (const auto& [context, row] : ngram_) ngram_totals_[context] = Sum(row);
+    for (const auto& [context, row] : assoc_) assoc_totals_[context] = Sum(row);
+  }
+
+  double Ngram(std::span<const TokenId> context, TokenId next) const {
+    if (next < 0 || static_cast<size_t>(next) >= vocab_size_) return 0.0;
+    const double alpha = config_.ngram.unigram_alpha;
+    const double discount = config_.ngram.discount;
+    double p = (static_cast<double>(unigram_[static_cast<size_t>(next)]) +
+                alpha) /
+               (static_cast<double>(total_tokens_) +
+                alpha * static_cast<double>(vocab_size_));
+    const size_t max_len = std::min(
+        static_cast<size_t>(config_.ngram.order - 1), context.size());
+    for (size_t len = 1; len <= max_len; ++len) {
+      const auto it = ngram_.find(
+          std::vector<TokenId>(context.end() - len, context.end()));
+      if (it == ngram_.end()) continue;
+      const double total = static_cast<double>(ngram_totals_.at(it->first));
+      const auto cit = it->second.find(next);
+      const double count =
+          cit == it->second.end() ? 0.0 : static_cast<double>(cit->second);
+      p = std::max(count - discount, 0.0) / total +
+          discount * static_cast<double>(it->second.size()) / total * p;
+    }
+    return p;
+  }
+
+  double Assoc(TokenId context, TokenId next) const {
+    const double floor = 1.0 / static_cast<double>(vocab_size_);
+    const auto it = assoc_.find(context);
+    if (it == assoc_.end() || assoc_totals_.at(context) == 0) return floor;
+    const auto cit = it->second.find(next);
+    const double count =
+        cit == it->second.end() ? 0.0 : static_cast<double>(cit->second);
+    return (1.0 - 0.05) * count /
+               static_cast<double>(assoc_totals_.at(context)) +
+           0.05 * floor;
+  }
+
+  double Next(std::span<const TokenId> context, TokenId next) const {
+    const double ngram_p = Ngram(context, next);
+    const double mu = config_.association_weight;
+    double sum = 0.0;
+    int informative = 0;
+    for (const TokenId token : context) {
+      if (stops_.contains(token)) continue;
+      sum += Assoc(token, next);
+      ++informative;
+    }
+    if (informative == 0) return ngram_p;
+    return (1.0 - mu) * ngram_p + mu * (sum / informative);
+  }
+
+ private:
+  static int64_t Sum(const std::map<TokenId, int32_t>& row) {
+    int64_t total = 0;
+    for (const auto& [token, count] : row) total += count;
+    return total;
+  }
+
+  size_t vocab_size_;
+  HybridLmConfig config_;
+  std::set<TokenId> stops_;
+  std::vector<int64_t> unigram_;
+  int64_t total_tokens_ = 0;
+  std::map<std::vector<TokenId>, std::map<TokenId, int32_t>> ngram_;
+  std::map<TokenId, std::map<TokenId, int32_t>> assoc_;
+  std::map<std::vector<TokenId>, int64_t> ngram_totals_;
+  std::map<TokenId, int64_t> assoc_totals_;
+};
+
+TEST(FrozenLmTest, FrozenAndRestoredMatchRawCountsBitForBit) {
+  GeneratorConfig generator;
+  generator.seed = 5;
+  generator.scale = 0.05;
+  generator.min_entities_per_class = 12;
+  generator.background_entity_count = 20;
+  generator.sentences_per_entity = 4;
+  const GeneratedWorld world = GenerateWorld(generator);
+  const Corpus& corpus = world.corpus;
+  const size_t vocab = corpus.tokens().size();
+  std::unordered_set<TokenId> stops;
+  for (const char* word : {"the", "is", "and", ",", "."}) {
+    const TokenId token = corpus.tokens().Lookup(word);
+    if (token != kInvalidTokenId) stops.insert(token);
+  }
+  ASSERT_FALSE(stops.empty());
+  const size_t sentences = std::min<size_t>(corpus.sentence_count(), 600);
+
+  HybridLmConfig full;
+  HybridLmConfig truncated;
+  truncated.ngram.order = 3;
+  truncated.association_top_k = 6;
+  truncated.association_weight = 0.7;
+  const auto path =
+      std::filesystem::temp_directory_path() / "ultrawiki_lm_test_lm.uws";
+  for (const HybridLmConfig& config : {full, truncated}) {
+    SCOPED_TRACE(config.association_top_k);
+    HybridLm lm(vocab, config);
+    ReferenceLm reference(vocab, config,
+                          std::set<TokenId>(stops.begin(), stops.end()));
+    lm.SetStopTokens(stops);
+    for (size_t s = 0; s < sentences; ++s) {
+      lm.AddSentence(corpus.sentence(s).tokens);
+      reference.AddSentence(corpus.sentence(s).tokens);
+    }
+    lm.Finalize();
+    reference.Finalize();
+    ASSERT_TRUE(SaveLmSnapshot(lm, path.string()).ok());
+    auto restored = LoadLmSnapshot(path.string(), vocab, config);
+    ASSERT_TRUE(restored.ok()) << restored.status();
+
+    std::vector<TokenId> all(vocab);
+    std::iota(all.begin(), all.end(), TokenId{0});
+    for (size_t s = 0; s < sentences; s += 150) {
+      const std::vector<TokenId>& sentence = corpus.sentence(s).tokens;
+      const size_t cut = sentence.size() / 2;
+      const std::vector<TokenId> prompt(sentence.begin(),
+                                        sentence.begin() + cut);
+      const std::span<const TokenId> rest =
+          std::span<const TokenId>(sentence).subspan(cut);
+      // want[step][t]: the reference P(t | prompt + rest[0, step)).
+      const size_t steps = std::min<size_t>(rest.size(), 2) + 1;
+      std::vector<std::vector<double>> want(steps);
+      std::vector<TokenId> grown = prompt;
+      for (size_t step = 0; step < steps; ++step) {
+        for (const TokenId next : all) {
+          want[step].push_back(reference.Next(grown, next));
+        }
+        if (step < rest.size()) grown.push_back(rest[step]);
+      }
+      double want_log_prob = 0.0;
+      grown = prompt;
+      for (const TokenId token : rest) {
+        want_log_prob +=
+            std::log(std::max(reference.Next(grown, token), 1e-12));
+        grown.push_back(token);
+      }
+      for (const HybridLm* model : {&lm, &*restored}) {
+        for (const TokenId next : all) {
+          ASSERT_EQ(model->NextTokenProbability(prompt, next),
+                    want[0][static_cast<size_t>(next)])
+              << "sentence " << s << " token " << next;
+        }
+        EXPECT_EQ(model->SequenceLogProbability(prompt, rest), want_log_prob)
+            << "sentence " << s;
+        // Incremental batch scoring along the sentence's continuation.
+        const LmPromptContext prompt_context =
+            model->MakePromptContext(prompt);
+        LmScoringState state(*model, prompt_context);
+        std::vector<double> batch(all.size());
+        for (size_t step = 0; step < steps; ++step) {
+          state.NextTokenProbabilityBatch(all, batch);
+          ASSERT_EQ(batch, want[step]) << "sentence " << s << " step " << step;
+          if (step < rest.size()) state.Extend(rest[step]);
+        }
+      }
+    }
+  }
+  std::filesystem::remove(path);
 }
 
 }  // namespace

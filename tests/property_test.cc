@@ -214,6 +214,7 @@ TEST_P(NgramPropertyTest, DistributionsSumToOneForRandomContexts) {
     }
     lm.AddSentence(sentence);
   }
+  lm.Freeze();
   for (int probe = 0; probe < 10; ++probe) {
     std::vector<TokenId> context;
     const int len = rng.UniformInt(0, 6);

@@ -550,6 +550,274 @@ TEST_F(SnapshotTest, KeyZeroIsNeverCached) {
   ArtifactCache::OverrideGlobalForTest("");
 }
 
+/// A small finalized LM: order 3, truncated association rows, stop token
+/// 0. Deterministic, so every call trains the same tables.
+HybridLm TrainSmallLm(const HybridLmConfig& config) {
+  HybridLm lm(12, config);
+  for (int i = 0; i < 4; ++i) {
+    lm.AddSentence(std::vector<TokenId>{1, 2, 3, 0, 4});
+    lm.AddSentence(std::vector<TokenId>{5, 2, 3, 6});
+    lm.AddSentence(std::vector<TokenId>{7, 0, 8, 9, 2, 10});
+    lm.AddSentence(std::vector<TokenId>{11, 3, 1, 2});
+  }
+  lm.SetStopTokens({0});
+  lm.Finalize();
+  return lm;
+}
+
+HybridLmConfig SmallLmConfig() {
+  HybridLmConfig config;
+  config.ngram.order = 3;
+  config.association_top_k = 4;
+  return config;
+}
+
+/// The arrays of a finalized LM, re-encoded in SaveLmSnapshot's payload
+/// order so a test can break one invariant and keep a valid frame.
+struct LmParts {
+  std::vector<TokenId> stop_tokens;
+  std::vector<int64_t> unigram_counts;
+  std::vector<NgramLm::Level> levels;
+  CountRows association;
+
+  static LmParts Of(const HybridLm& lm) {
+    return LmParts{lm.SortedStopTokens(), lm.ngram().unigram_counts(),
+                   lm.ngram().levels(), lm.association().rows()};
+  }
+
+  /// The payload, truncated by `drop_bytes`, in a valid frame.
+  std::string Framed(const HybridLmConfig& config, size_t vocab_size,
+                     size_t drop_bytes = 0) const {
+    SnapshotWriter out;
+    out.PutU32(1);  // LM payload version
+    out.PutU64(FingerprintConfig(config));
+    out.PutU64(vocab_size);
+    out.PutI32Vec(stop_tokens);
+    out.PutI64Vec(unigram_counts);
+    out.PutU64(levels.size());
+    for (const NgramLm::Level& level : levels) {
+      out.PutU64Vec(level.keys);
+      PutRows(out, level.rows);
+    }
+    PutRows(out, association);
+    const std::string payload =
+        out.payload().substr(0, out.payload().size() - drop_bytes);
+    std::string framed;
+    for (const uint64_t field :
+         {uint64_t{kSnapshotMagic}, uint64_t{kSnapshotVersion},
+          uint64_t{static_cast<uint32_t>(SnapshotKind::kLanguageModel)}}) {
+      for (int i = 0; i < 4; ++i) {
+        framed.push_back(static_cast<char>((field >> (8 * i)) & 0xFF));
+      }
+    }
+    for (int i = 0; i < 8; ++i) {
+      framed.push_back(static_cast<char>((payload.size() >> (8 * i)) & 0xFF));
+    }
+    framed += payload;
+    const uint32_t crc = Crc32(framed);
+    for (int i = 0; i < 4; ++i) {
+      framed.push_back(static_cast<char>((crc >> (8 * i)) & 0xFF));
+    }
+    return framed;
+  }
+
+  static void PutRows(SnapshotWriter& out, const CountRows& rows) {
+    out.PutU32Vec(rows.offsets);
+    out.PutI32Vec(rows.targets);
+    out.PutI32Vec(rows.counts);
+    out.PutI64Vec(rows.totals);
+  }
+};
+
+/// The first row of `rows` with at least `min_size` targets.
+size_t RowWithAtLeast(const CountRows& rows, uint32_t min_size) {
+  for (size_t r = 0; r < rows.row_count(); ++r) {
+    if (rows.offsets[r + 1] - rows.offsets[r] >= min_size) return r;
+  }
+  ADD_FAILURE() << "no row with " << min_size << " targets";
+  return 0;
+}
+
+TEST_F(SnapshotTest, LmSnapshotRoundTripsAndIsDeterministic) {
+  const HybridLmConfig config = SmallLmConfig();
+  const HybridLm lm = TrainSmallLm(config);
+  const auto a = dir_ / "lm_a.uws";
+  const auto b = dir_ / "lm_b.uws";
+  ASSERT_TRUE(SaveLmSnapshot(lm, a.string()).ok());
+  ASSERT_TRUE(SaveLmSnapshot(TrainSmallLm(config), b.string()).ok());
+  EXPECT_EQ(ReadFileBytes(a), ReadFileBytes(b));
+  // The test's re-encoding is byte-identical to SaveLmSnapshot's.
+  EXPECT_EQ(LmParts::Of(lm).Framed(config, lm.vocab_size()), ReadFileBytes(a));
+
+  auto loaded = LoadLmSnapshot(a.string(), lm.vocab_size(), config);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->SortedStopTokens(), lm.SortedStopTokens());
+  const std::vector<TokenId> context = {7, 0, 8, 9};
+  for (TokenId next = 0; next < 12; ++next) {
+    EXPECT_EQ(loaded->NextTokenProbability(context, next),
+              lm.NextTokenProbability(context, next));
+  }
+
+  // A different config or vocabulary fails closed.
+  HybridLmConfig other = config;
+  other.association_weight = 0.5;
+  EXPECT_FALSE(LoadLmSnapshot(a.string(), lm.vocab_size(), other).ok());
+  EXPECT_FALSE(LoadLmSnapshot(a.string(), lm.vocab_size() + 1, config).ok());
+  // Unfinalized LMs are not saved.
+  HybridLm raw(12, config);
+  EXPECT_EQ(SaveLmSnapshot(raw, (dir_ / "lm_raw.uws").string()).code(),
+            StatusCode::kInvalidArgument);
+}
+
+// Checksum-valid LM payloads that break one invariant each must fail
+// closed, and through LoadOrBuild fall back to training.
+TEST_F(SnapshotTest, LmSnapshotRejectsHostilePayloads) {
+  const HybridLmConfig config = SmallLmConfig();
+  const HybridLm lm = TrainSmallLm(config);
+  const size_t vocab = lm.vocab_size();
+  const LmParts good = LmParts::Of(lm);
+  ASSERT_EQ(good.levels.size(), 2u);
+
+  struct Case {
+    const char* name;
+    std::string bytes;
+    const char* reason;  // expected in the load's error message
+  };
+  std::vector<Case> cases;
+  cases.push_back({"truncated payload", good.Framed(config, vocab, 6), "corrupt LM snapshot"});
+  {
+    LmParts parts = good;
+    std::vector<uint32_t>& offsets = parts.association.offsets;
+    // The row after the first non-empty one ends before it starts.
+    const size_t r = RowWithAtLeast(parts.association, 1) + 1;
+    offsets[r + 1] = offsets[r] - 1;
+    cases.push_back({"non-monotone association offsets",
+                     parts.Framed(config, vocab), "association: row offsets are not monotone"});
+  }
+  {
+    LmParts parts = good;
+    CountRows& rows = parts.levels[0].rows;
+    const size_t r = RowWithAtLeast(rows, 1);
+    rows.offsets[r + 1] = static_cast<uint32_t>(rows.targets.size() + 3);
+    cases.push_back({"n-gram offset past the targets",
+                     parts.Framed(config, vocab), "n-gram level: row offsets are not monotone"});
+  }
+  {
+    LmParts parts = good;
+    CountRows& rows = parts.levels[0].rows;
+    const uint32_t begin = rows.offsets[RowWithAtLeast(rows, 2)];
+    std::swap(rows.targets[begin], rows.targets[begin + 1]);
+    std::swap(rows.counts[begin], rows.counts[begin + 1]);
+    cases.push_back({"unsorted targets", parts.Framed(config, vocab), "not strictly ascending"});
+  }
+  {
+    LmParts parts = good;
+    CountRows& rows = parts.association;
+    const uint32_t begin = rows.offsets[RowWithAtLeast(rows, 2)];
+    rows.targets[begin + 1] = rows.targets[begin];
+    cases.push_back({"duplicate targets", parts.Framed(config, vocab), "not strictly ascending"});
+  }
+  {
+    LmParts parts = good;
+    CountRows& rows = parts.association;
+    const size_t r = RowWithAtLeast(rows, 1);
+    rows.targets[rows.offsets[r + 1] - 1] = static_cast<TokenId>(vocab);
+    cases.push_back({"token id >= vocab", parts.Framed(config, vocab), "outside the vocabulary"});
+  }
+  for (const int32_t bad_count : {0, -3}) {
+    LmParts parts = good;
+    CountRows& rows = parts.levels[1].rows;
+    const size_t r = RowWithAtLeast(rows, 1);
+    const uint32_t slot = rows.offsets[r];
+    rows.totals[r] += bad_count - rows.counts[slot];
+    rows.counts[slot] = bad_count;
+    cases.push_back({bad_count == 0 ? "zero count" : "negative count",
+                     parts.Framed(config, vocab), "count is not positive"});
+  }
+  {
+    LmParts parts = good;
+    parts.levels[1].rows.totals[0] += 1;
+    cases.push_back({"row total != sum of counts",
+                     parts.Framed(config, vocab), "not the sum of its counts"});
+  }
+  {
+    LmParts parts = good;
+    std::vector<uint64_t>& keys = parts.levels[0].keys;
+    ASSERT_GE(keys.size(), 2u);
+    keys[1] = keys[0];
+    cases.push_back({"duplicate context key", parts.Framed(config, vocab), "context keys are not strictly ascending"});
+  }
+  {
+    LmParts parts = good;
+    parts.unigram_counts.pop_back();
+    cases.push_back({"unigram counts short of the vocab",
+                     parts.Framed(config, vocab), "unigram counts do not cover"});
+  }
+
+  const auto cache_dir = dir_ / "lm_cache";
+  ArtifactCache::OverrideGlobalForTest(cache_dir.string());
+  const std::string entry = ArtifactCache::Global().PathFor("lm", 0x17);
+  std::filesystem::create_directories(cache_dir);
+  int builds = 0;
+  const std::vector<TokenId> context = {1, 2};
+  for (const Case& c : cases) {
+    WriteFileBytes(entry, c.bytes);
+    auto loaded = LoadLmSnapshot(entry, vocab, config);
+    ASSERT_FALSE(loaded.ok()) << c.name;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInternal) << c.name;
+    EXPECT_NE(loaded.status().message().find(c.reason), std::string::npos)
+        << c.name << ": " << loaded.status().message();
+
+    const int builds_before = builds;
+    const HybridLm fallback = LoadOrBuild(
+        "lm", 0x17,
+        [&](const std::string& path) {
+          return LoadLmSnapshot(path, vocab, config);
+        },
+        [&] {
+          ++builds;
+          return TrainSmallLm(config);
+        },
+        SaveLmSnapshot);
+    EXPECT_EQ(builds, builds_before + 1) << c.name;
+    EXPECT_EQ(fallback.NextTokenProbability(context, 3),
+              lm.NextTokenProbability(context, 3))
+        << c.name;
+    // The rebuilt entry overwrote the hostile one.
+    EXPECT_EQ(ReadFileBytes(entry), good.Framed(config, vocab)) << c.name;
+  }
+  ArtifactCache::OverrideGlobalForTest("");
+}
+
+TEST_F(SnapshotTest, Crc32MatchesBytewiseReference) {
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32(""), 0u);
+  // The bytewise table algorithm, one byte per step.
+  auto reference = [](std::string_view data) {
+    uint32_t crc = 0xFFFFFFFFu;
+    for (const char c : data) {
+      crc ^= static_cast<unsigned char>(c);
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+      }
+    }
+    return ~crc;
+  };
+  std::string data;
+  for (int i = 0; i <= 100; ++i) {
+    const std::string_view view(data);
+    const uint32_t whole = Crc32(view);
+    EXPECT_EQ(whole, reference(view)) << "length " << i;
+    // Chunked continuation at odd split points equals one shot.
+    for (size_t split = 1; split < view.size(); split += 3) {
+      EXPECT_EQ(Crc32(view.substr(split), Crc32(view.substr(0, split))),
+                whole)
+          << "length " << i << " split " << split;
+    }
+    data.push_back(static_cast<char>((i * 131 + 7) & 0xFF));
+  }
+}
+
 TEST_F(SnapshotTest, ConfigFingerprintsAreSensitive) {
   GeneratorConfig base = TinyConfig();
   GeneratorConfig reseeded = base;
@@ -590,9 +858,9 @@ TEST_F(SnapshotTest, PipelineWarmBuildMatchesCold) {
   Pipeline cold = Pipeline::Build(config);
   cold.ann_index();
   EXPECT_EQ(CounterValue("cache.hit"), 0);
-  // World, mined index, encoder, store and ANN index.
+  // World, mined index, encoder, store, LM and ANN index.
   const int64_t cold_stores = CounterValue("cache.store");
-  EXPECT_EQ(cold_stores, 5);
+  EXPECT_EQ(cold_stores, 6);
 
   obs::ResetMetricsForTest();
   Pipeline warm = Pipeline::Build(config);
@@ -614,6 +882,14 @@ TEST_F(SnapshotTest, PipelineWarmBuildMatchesCold) {
     ASSERT_EQ(got.size(), want.size());
     EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()));
     EXPECT_EQ(warm.store().NormOf(id), cold.store().NormOf(id));
+  }
+  // The restored LM scores like the trained one, bit for bit.
+  const std::vector<TokenId>& prompt = warm.world().corpus.sentence(0).tokens;
+  for (TokenId next = 0;
+       next < static_cast<TokenId>(warm.lm().vocab_size()); ++next) {
+    ASSERT_EQ(warm.lm().NextTokenProbability(prompt, next),
+              cold.lm().NextTokenProbability(prompt, next))
+        << "token " << next;
   }
   ArtifactCache::OverrideGlobalForTest("");
 }

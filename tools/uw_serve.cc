@@ -11,8 +11,9 @@
 // UW_SERVE_TIMEOUT_MS, UW_TRACE_SAMPLE, UW_SLOW_QUERY_MS). `--port=0`
 // (default UW_SERVE_PORT or 0) binds an ephemeral port; a port outside
 // 0..65535 or with trailing garbage exits 1; a `--scale` that is not a
-// finite number above 0 (`abc`, `0.12x`) exits 2. The bound port is
-// printed to stdout as "listening on port N" and, when
+// finite number above 0 (`abc`, `0.12x`) exits 2, and so does any
+// `--scale` given with `--config=bench`, whose scale is fixed. The bound
+// port is printed to stdout as "listening on port N" and, when
 // UW_SERVE_PORT_FILE is set, written to that path for scripts.
 //
 // `--shard=I/N` scopes the scatter plane (serve/router.h) to shard I of
@@ -35,6 +36,7 @@
 // new generation while in-flight ones finish on the old, which then
 // drains and frees; zero requests are shed by the swap.
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -42,6 +44,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unistd.h>
 #include <vector>
 
@@ -161,6 +164,17 @@ int main(int argc, char** argv) {
   const std::string config_name =
       FlagValue(argc, argv, "config", "tiny");
   const std::string scale_text = FlagValue(argc, argv, "scale", "0.12");
+  // Only Tiny takes a scale; the Bench profile fixes its own.
+  const bool scale_given =
+      std::any_of(argv + 1, argv + argc, [](const char* arg) {
+        return std::string_view(arg).starts_with("--scale=");
+      });
+  if (scale_given && config_name == "bench") {
+    std::fprintf(stderr,
+                 "--scale=%s is not accepted with --config=bench\n",
+                 scale_text.c_str());
+    return 2;
+  }
   const std::optional<double> scale = ParseDoubleStrict(scale_text);
   if (!scale.has_value() || *scale <= 0.0) {
     std::fprintf(stderr, "bad --scale=%s (expected a number > 0)\n",
